@@ -1,8 +1,10 @@
-"""Dense matrix norms, a power-iteration spectral norm, a one-sided Jacobi SVD
-oracle, and the MAT1 binary matrix format.
+"""Dense matrix norms, an exact spectral norm (one LAPACK eigenvalue call on a
+Gram matrix), a one-sided Jacobi SVD oracle, and the MAT1 binary matrix format.
 
 All analysis arithmetic is 64-bit; every public operation validates its input
 through :func:`as_matrix` and is a pure function, safe for concurrent use.
+Every norm first scales its operand by an exact power of two, so it stays
+positively homogeneous at any finite float64 scale.
 """
 
 import math
@@ -17,13 +19,6 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-
-# Power iteration runs on the Gram matrix of the smaller side.  The stopping
-# rule is a relative change of the Rayleigh quotient below _POWER_TOL; on
-# non-convergence the iteration restarts once from a different seeded vector.
-_POWER_TOL = 1e-12
-_POWER_MAX_ITERS = 5000
-_POWER_SEEDS = (20_25, 20_26)
 
 _JACOBI_MAX_SWEEPS = 64
 _JACOBI_TOL = 1e-15
@@ -48,47 +43,39 @@ def as_matrix(a):
 
 
 def spectral_norm(a):
-    """Largest singular value of ``a`` via seeded power iteration.
+    """Largest singular value of ``a``, exact to roundoff.
 
-    Deterministic: the start vector comes from a fixed internal seed, and a
-    single fixed restart seed is tried before giving up with a numeric
-    degeneracy error.
+    ``a`` is scaled by the power of two that brings its largest |entry| into
+    [1, 2), so the Gram matrix of its smaller side can neither overflow nor
+    lose sigma_max^2 to underflow.  One LAPACK ``eigvalsh`` call gives that
+    Gram matrix's top eigenvalue; its square root is scaled back exactly.
     """
     a = as_matrix(a)
-    if not a.any():
+    e = _scale_exponent(max(float(a.max()), -float(a.min())))
+    if e is None:
         return 0.0
-    # Gram matrix of the smaller side; its top eigenvalue is sigma_max^2.
+    if e:
+        a = np.ldexp(a, -e)
     g = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    for seed in _POWER_SEEDS:
-        lam = _power_iteration(g, seed)
-        if lam is not None:
-            return math.sqrt(lam)
-    raise NumericDegeneracyError(
-        "power iteration did not converge after a restart; input is numerically pathological"
-    )
+    try:
+        lam = float(np.linalg.eigvalsh(g)[-1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericDegeneracyError(f"eigvalsh failed on the Gram matrix: {exc}") from None
+    return _unscale(math.sqrt(max(lam, 0.0)), e)
 
 
-def _power_iteration(g, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(g.shape[0])
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
+def _scale_exponent(top):
+    """Exponent e with ``top * 2**-e`` in [1, 2), or None when ``top`` is 0."""
+    if top == 0.0:
         return None
-    x /= nx
-    lam_prev = math.inf
-    for _ in range(_POWER_MAX_ITERS):
-        y = g @ x
-        lam = float(x @ y)  # Rayleigh quotient: x is unit
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            # Start vector lay in the nullspace of a nonzero matrix; restart.
-            return None
-        x = y / ny
-        if lam > 0.0 and abs(lam - lam_prev) <= _POWER_TOL * lam:
-            # One more application sharpens the estimate at negligible cost.
-            return float(x @ (g @ x))
-        lam_prev = lam
-    return None
+    return math.frexp(top)[1] - 1
+
+
+def _unscale(x, e):
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise NumericDegeneracyError("norm exceeds the float64 range") from None
 
 
 def jacobi_singular_values(a):
@@ -142,8 +129,13 @@ def group_norm(a, p, q):
     a = as_matrix(a)
     _check_exponent(p, "p")
     _check_exponent(q, "q")
-    cols = _colwise_pnorm(a, p)
-    return _vector_pnorm(cols, q)
+    b = np.abs(a)
+    e = _scale_exponent(float(b.max()))
+    if e is None:
+        return 0.0
+    if e:
+        np.ldexp(b, -e, out=b)
+    return _unscale(_vector_pnorm(_colwise_pnorm(b, p), q), e)
 
 
 def frobenius_norm(a):
@@ -161,8 +153,7 @@ def _check_exponent(v, name):
         raise ParameterError(f"norm exponent {name} must be >= 1, got {v!r}")
 
 
-def _colwise_pnorm(a, p):
-    b = np.abs(a)
+def _colwise_pnorm(b, p):
     if math.isinf(p):
         return b.max(axis=0)
     if p == 1.0:

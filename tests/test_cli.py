@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import margin_auditor
 from margin_auditor.cli import main
 from cli_fixture import build_fixture, build_idx_fixture
 
@@ -56,6 +57,16 @@ class TestAnalyze:
         rc = main(["analyze", manifest, "--features", feats, "--labels", labels,
                    "--delta", "1.5"])
         assert rc == 3
+
+    def test_lapack_failure_exit_4(self, fixture_paths, monkeypatch, capsys):
+        def fail(g):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        manifest, feats, labels = fixture_paths
+        rc = main(["analyze", manifest, "--features", feats, "--labels", labels])
+        assert rc == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "NumericDegeneracyError"
 
     def test_accepts_idx_input(self, tmp_path, fixture_paths):
         manifest, _, _ = fixture_paths
@@ -183,12 +194,19 @@ class TestDemos:
         assert rec["satisfied"] is True
 
 
+def child_env(**extra):
+    """Environment in which a child interpreter imports this same package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(margin_auditor.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 class TestProcessInterface:
     def test_thread_cap_env_and_module_entry(self, tmp_path):
         import subprocess
         import sys
 
-        env = dict(os.environ, MARGIN_AUDITOR_THREADS="1")
+        env = child_env(MARGIN_AUDITOR_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-m", "margin_auditor.cli", "maurey", "--seed", "5"],
             capture_output=True, text=True, env=env,
@@ -204,7 +222,7 @@ class TestProcessInterface:
         proc = subprocess.run(
             [sys.executable, "-m", "margin_auditor.cli", "idx-inspect",
              str(tmp_path / "missing.idx")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 2
         assert "missing.idx" in proc.stderr

@@ -5,11 +5,14 @@ import pytest
 
 from margin_auditor import (
     DimensionError,
+    NumericDegeneracyError,
     ParameterError,
     ParseError,
+    TrainConfig,
     as_matrix,
     frobenius_norm,
     group_norm,
+    init_network,
     jacobi_singular_values,
     norm_2_1_of_transpose,
     read_mat1,
@@ -43,6 +46,26 @@ class TestSpectralNorm:
         a = np.random.default_rng(7).standard_normal((8, 8))
         oracle = jacobi_singular_values(a)[0]
         assert spectral_norm(a) == pytest.approx(oracle, rel=1e-10)
+
+    def test_near_degenerate_top_pair_matches_jacobi_oracle(self):
+        # sigma_1 = 1 and sigma_2 = 1 - 1e-6: a solver that stops when its
+        # estimate changes slowly returns about 1 - 1e-6 here.
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.standard_normal((60, 40)))
+        v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        sv = np.linspace(0.1, 0.5, 40)
+        sv[:2] = 1.0, 1.0 - 1e-6
+        a = (u * sv) @ v.T
+        oracle = jacobi_singular_values(a)[0]
+        assert abs(spectral_norm(a) - oracle) <= 1e-14 * oracle
+
+    def test_glorot_layer_with_close_top_pair(self):
+        # Layer 0 of this seeded net has sigma_2 / sigma_1 = 0.99974.
+        net = init_network(TrainConfig(layer_widths=(784, 256, 256, 10), epochs=1,
+                                       batch_size=4, seed=39))
+        w = net.layers[0].weight
+        oracle = np.linalg.svd(w, compute_uv=False)[0]
+        assert abs(spectral_norm(w) - oracle) <= 1e-14 * oracle
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 3))) == 0.0
@@ -104,6 +127,9 @@ class TestGroupNorm:
             q = float(rng.uniform(1.0, 4.0))
             na, nb = group_norm(a, p, q), group_norm(b, p, q)
             assert group_norm(c * a, p, q) == pytest.approx(abs(c) * na, rel=1e-10, abs=1e-12)
+            for c in (2.0**500, 2.0**-500):
+                assert group_norm(c * a, p, q) == pytest.approx(c * na, rel=1e-10, abs=0.0)
+                assert frobenius_norm(c * a) == pytest.approx(c * frobenius_norm(a), rel=1e-10, abs=0.0)
             assert group_norm(a + b, p, q) <= na + nb + 1e-10
 
 
@@ -130,6 +156,10 @@ class TestFrobenius:
         a = np.random.default_rng(31).standard_normal((5, 5))
         assert frobenius_norm(a) == pytest.approx(brute_force_frobenius(a), rel=1e-14)
 
+    def test_result_beyond_float64_range_rejected(self):
+        with pytest.raises(NumericDegeneracyError):
+            frobenius_norm(np.full((2, 2), 1e308))
+
 
 class TestNormInequalities:
     def test_spectral_frobenius_sandwich(self, rng):
@@ -152,6 +182,8 @@ class TestNormInequalities:
             a = rng.standard_normal((5, 4))
             c = float(rng.standard_normal())
             assert spectral_norm(c * a) == pytest.approx(abs(c) * spectral_norm(a), rel=1e-9, abs=1e-12)
+            for c in (2.0**500, 2.0**-500):
+                assert spectral_norm(c * a) == pytest.approx(c * spectral_norm(a), rel=1e-9, abs=0.0)
 
 
 class TestMat1:

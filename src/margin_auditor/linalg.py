@@ -159,7 +159,7 @@ def _colwise_pnorm(b, p):
     if p == 1.0:
         return b.sum(axis=0)
     if p == 2.0:
-        return np.sqrt(np.sum(b * b, axis=0))
+        return np.sqrt(np.sum(np.multiply(b, b, out=b), axis=0))
     return np.sum(b**p, axis=0) ** (1.0 / p)
 
 

@@ -93,9 +93,12 @@ def ramp_risk_empirical(net, ds, gamma):
 
 def error_rate(net, ds):
     """Fraction of examples misclassified by the argmax rule, ties to the lowest index."""
-    outputs = net.forward(ds.X)
+    return _error_rate_of_outputs(net.forward(ds.X), ds.y)
+
+
+def _error_rate_of_outputs(outputs, labels):
     predicted = outputs.argmax(axis=1) + 1
-    return float(np.mean(predicted != ds.y))
+    return float(np.mean(predicted != labels))
 
 
 def default_gamma(raw_margins):
@@ -113,12 +116,16 @@ def margin_distribution(net, ds, r_a, gamma=None):
     The normalizer is r_a * ||X||_2 / n, where ||X||_2 is the entrywise l2
     norm of the data matrix.  Requires r_a > 0 and a nonzero data matrix.
     """
+    return _margin_distribution_of_outputs(net.forward(ds.X), ds, r_a, gamma)
+
+
+def _margin_distribution_of_outputs(outputs, ds, r_a, gamma=None):
     if not (r_a > 0.0):
         raise ParameterError(f"spectral complexity must be positive, got {r_a!r}")
     data_norm = frobenius_norm(ds.X)
     if data_norm == 0.0:
         raise NumericDegeneracyError("zero data matrix: margin normalizer degenerates")
-    raw = margins_of_outputs(net.forward(ds.X), ds.y)
+    raw = margins_of_outputs(outputs, ds.y)
     normalizer = r_a * data_norm / raw.shape[0]
     if gamma is None:
         gamma = default_gamma(raw)

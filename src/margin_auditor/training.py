@@ -5,6 +5,11 @@ The loss is softmax cross-entropy; the only randomness is the seeded weight
 initialization, the seeded per-epoch shuffles, and any seeded label/input
 randomization requested by the config.  Two runs with the same config and
 data produce bitwise-identical snapshots.
+
+Each SGD step is fused: the batch x width backprop factor is scaled by lr/n
+and every rank-batch update ``delta.T @ act`` is subtracted from its weight
+in place through a preallocated buffer, so no full-size gradient is formed.
+:func:`loss_and_gradients` is the unfused reference for that step.
 """
 
 import json
@@ -16,7 +21,7 @@ import numpy as np
 from .complexity import layer_norms, spectral_complexity
 from .data import randomize_inputs_gaussian, randomize_labels
 from .errors import InputOutputError, ParameterError, ParseError, TrainingDivergedError
-from .margins import error_rate, margin_distribution
+from .margins import _error_rate_of_outputs, _margin_distribution_of_outputs, error_rate
 from .network import Identity, Layer, Network, Relu
 
 LABEL_MODES = ("true_labels", "random_labels")
@@ -95,7 +100,12 @@ class MarginDigest:
 
 @dataclass(frozen=True)
 class EpochSnapshot:
+    """Diagnostics after one epoch; ``mean_loss`` is the mean of the epoch's
+    ``steps`` batch losses, each taken before its step, summed in step order."""
+
     epoch: int
+    steps: int
+    mean_loss: float
     train_error: float
     test_error: float
     excess_risk: float
@@ -106,6 +116,8 @@ class EpochSnapshot:
     def to_dict(self):
         return {
             "epoch": self.epoch,
+            "steps": self.steps,
+            "mean_loss": self.mean_loss,
             "train_error": self.train_error,
             "test_error": self.test_error,
             "excess_risk": self.excess_risk,
@@ -140,6 +152,9 @@ def loss_and_gradients(weights, x, y, l2_coefficient=0.0):
     ``weights`` is the list of (out x in) matrices of a ReLU net with a linear
     output layer; ``y`` holds 1-based labels.  The optional l2 term adds
     l2_coefficient * sum ||A_i||_2^2 to the loss.
+
+    This is the reference for the fused step :func:`train` takes: that step
+    must leave each weight at ``w - lr * g`` to within roundoff.
     """
     n = x.shape[0]
     activations = [x]
@@ -176,6 +191,46 @@ def loss_and_gradients(weights, x, y, l2_coefficient=0.0):
     return loss, grads
 
 
+def _sgd_step(weights, x, y, lr, l2_coefficient, scratch):
+    """One fused SGD step in place on ``weights``; returns the batch loss.
+
+    The loss is that of :func:`loss_and_gradients` on the weights before the
+    step (its l2 term summed by ``np.vdot``).  The softmax residual is scaled
+    by lr/n once, each layer's next backprop factor is taken before that layer
+    changes, l2 acts as the decay ``w *= 1 - 2*lr*l2``, and ``delta.T @ act``
+    goes through ``scratch[i]`` (one buffer per weight) into ``w -=``.
+    """
+    n = x.shape[0]
+    activations = [x]
+    for i, w in enumerate(weights):
+        pre = activations[-1] @ w.T
+        if i < len(weights) - 1:
+            activations.append(np.maximum(pre, 0.0))
+    shifted = pre - pre.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    idx = y - 1
+    picked = probs[np.arange(n), idx]
+    with np.errstate(divide="ignore"):
+        loss = float(-np.mean(np.log(picked)))
+    if l2_coefficient:
+        for w in weights:
+            loss += l2_coefficient * float(np.vdot(w, w))
+
+    delta = probs
+    delta[np.arange(n), idx] -= 1.0
+    delta *= lr / n
+    decay = 1.0 - 2.0 * lr * l2_coefficient
+    for i in range(len(weights) - 1, -1, -1):
+        w = weights[i]
+        next_delta = (delta @ w) * (activations[i] > 0.0) if i else None
+        if l2_coefficient:
+            w *= decay
+        w -= np.matmul(delta.T, activations[i], out=scratch[i])
+        delta = next_delta
+    return loss
+
+
 def _network_from_weights(weights):
     layers = []
     for i, w in enumerate(weights):
@@ -184,16 +239,17 @@ def _network_from_weights(weights):
     return Network(layers=tuple(layers))
 
 
-def _snapshot(epoch, weights, train_ds, test_ds):
+def _snapshot(epoch, steps, mean_loss, weights, train_ds, test_ds):
     net = _network_from_weights(weights)
-    train_err = error_rate(net, train_ds)
+    train_outputs = net.forward(train_ds.X)
+    train_err = _error_rate_of_outputs(train_outputs, train_ds.y)
     test_err = error_rate(net, test_ds)
     norms = layer_norms(net)
     product = 1.0
     for ln in norms:
         product *= ln.s
     r_a = spectral_complexity(norms)
-    md = margin_distribution(net, train_ds, r_a)
+    md = _margin_distribution_of_outputs(train_outputs, train_ds, r_a)
     digest = MarginDigest(
         normalizer=md.normalizer,
         raw_mean=float(md.raw.mean()),
@@ -205,6 +261,8 @@ def _snapshot(epoch, weights, train_ds, test_ds):
     )
     snap = EpochSnapshot(
         epoch=epoch,
+        steps=steps,
+        mean_loss=mean_loss,
         train_error=train_err,
         test_error=test_err,
         excess_risk=test_err - train_err,
@@ -241,18 +299,22 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     n = train_ds.n
     x = train_ds.X
     y = train_ds.y
-    lr = cfg.learning_rate
+    scratch = [np.empty_like(w) for w in weights]
     snapshots = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+        loss_sum = 0.0
+        steps = 0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_gradients(weights, x[batch], y[batch], cfg.l2_coefficient)
+            loss = _sgd_step(
+                weights, x[batch], y[batch], cfg.learning_rate, cfg.l2_coefficient, scratch
+            )
             if not math.isfinite(loss):
                 raise TrainingDivergedError("loss is no longer finite", epoch=epoch)
-            for w, g in zip(weights, grads):
-                w -= lr * g
-        snap, net, md = _snapshot(epoch, weights, train_ds, test_ds)
+            loss_sum += loss
+            steps += 1
+        snap, net, md = _snapshot(epoch, steps, loss_sum / steps, weights, train_ds, test_ds)
         snapshots.append(snap)
         if snapshot_hook is not None:
             snapshot_hook(snap, net, md)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import sys
 
@@ -127,6 +128,9 @@ class TestTrainCommand:
         snap = json.loads(open(os.path.join(out, "epoch_000.json")).read())
         assert 0.0 <= snap["train_error"] <= 1.0
         assert "normalized_mean" in snap["margin_summary"]
+        # _write_inputs: 60 training examples, batch_size 10
+        assert snap["steps"] == math.ceil(60 / 10)
+        assert math.isfinite(snap["mean_loss"]) and snap["mean_loss"] > 0.0
 
     def test_rerun_bitwise_identical(self, tmp_path):
         cfg_path, paths = self._write_inputs(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ class TestFrobenius:
     def test_result_beyond_float64_range_rejected(self):
         with pytest.raises(NumericDegeneracyError):
             frobenius_norm(np.full((2, 2), 1e308))
+
+    def test_allocates_one_input_sized_temporary(self):
+        # The |a| temporary is squared in place; a second a-sized array
+        # (as b * b would make) doubles the peak.
+        a = np.random.default_rng(32).standard_normal((1000, 1000))
+        tracemalloc.start()
+        try:
+            frobenius_norm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * a.nbytes
 
 
 class TestNormInequalities:

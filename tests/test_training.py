@@ -15,6 +15,8 @@ from margin_auditor import (
     synth_blobs,
     train,
 )
+from margin_auditor.network import Network
+from margin_auditor.training import _sgd_step
 
 
 @pytest.fixture
@@ -83,6 +85,29 @@ class TestGradients:
         assert loss1 <= loss0 + 1e-8
 
 
+class TestFusedStep:
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_matches_reference_update(self, l2):
+        rng = np.random.default_rng(13)
+        cfg = TrainConfig(layer_widths=(20, 16, 12, 5), epochs=1, batch_size=4, seed=6)
+        weights = [l.weight.copy() for l in init_network(cfg).layers]
+        x = rng.standard_normal((4, 20))
+        y = rng.integers(1, 6, size=4)
+        x_before = x.copy()
+        lr = 0.05
+        ref_loss, grads = loss_and_gradients(weights, x, y, l2_coefficient=l2)
+        stepped = [w.copy() for w in weights]
+        scratch = [np.empty_like(w) for w in weights]
+        loss = _sgd_step(stepped, x, y, lr, l2, scratch)
+        if l2:
+            assert loss == pytest.approx(ref_loss, rel=1e-14, abs=0)
+        else:
+            assert loss == ref_loss
+        for w, g, s in zip(weights, grads, stepped):
+            assert np.abs(s - (w - lr * g)).max() <= 1e-15 * np.abs(w).max()
+        assert np.array_equal(x, x_before)
+
+
 class TestTrain:
     def test_separable_blobs_reach_zero_error(self, blob_pair):
         train_ds, test_ds = blob_pair
@@ -120,6 +145,20 @@ class TestTrain:
         for snap, net in zip(snaps, nets):
             assert snap.train_error == error_rate(net, train_ds)
             assert snap.excess_risk == pytest.approx(snap.test_error - snap.train_error)
+
+    def test_snapshot_forwards_train_and_test_once(self, blob_pair, monkeypatch):
+        train_ds, test_ds = blob_pair
+        rows = []
+        forward_images = Network.forward_images
+
+        def counted(net, x):
+            rows.append(len(x))
+            return forward_images(net, x)
+
+        monkeypatch.setattr(Network, "forward_images", counted)
+        cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=1, batch_size=16, seed=0)
+        train(cfg, train_ds, test_ds)
+        assert sorted(rows) == sorted([train_ds.n, test_ds.n])
 
     def test_divergence_raises_with_epoch(self):
         # overlapping blobs keep the initial loss (and gradients) away from

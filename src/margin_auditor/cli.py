@@ -11,11 +11,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import covering, lowerbound, margins, training
-from .complexity import analyze_network
+from .complexity import _check_bound_params, analyze_network, layer_norms, spectral_complexity
 from .data import inspect_idx, load_dataset, load_idx
 from .errors import InputOutputError, MarginAuditorError, ParameterError
 from .linalg import MAT1_MAGIC, frobenius_norm, spectral_norm
@@ -46,7 +47,7 @@ def cmd_analyze(args):
         raise ParameterError(f"delta must lie in (0,1), got {args.delta}")
     report, md = analyze_network(net, ds, gamma=args.gamma, delta=args.delta)
     out = _ensure_out(args.out)
-    write_json_17g(os.path.join(out, "bound-report.json"), report.to_dict())
+    write_json_17g(os.path.join(out, "bound-report.json"), asdict(report))
     margins.write_margins_csv(os.path.join(out, "margins.csv"), md)
     return 0
 
@@ -54,7 +55,9 @@ def cmd_analyze(args):
 def cmd_margins(args):
     net = load_manifest(args.network)
     ds = _load_any_dataset(args.features, args.labels)
-    report, md = analyze_network(net, ds, gamma=args.gamma, delta=args.delta)
+    r_a = spectral_complexity(layer_norms(net))
+    md = margins.margin_distribution(net, ds, r_a, gamma=args.gamma)
+    _check_bound_params(md.gamma_used, args.delta, ds.n)
     summary = margins.summarize(md, bins=args.bins)
     out = _ensure_out(args.out)
     margins.write_margins_csv(os.path.join(out, "margins.csv"), md)
@@ -64,7 +67,7 @@ def cmd_margins(args):
         os.path.join(out, "margin-summary.json"),
         {
             "n": ds.n,
-            "R_A": report.R_A,
+            "R_A": r_a,
             "normalizer": md.normalizer,
             "gamma_used": md.gamma_used,
             "kde_bandwidth": summary.bandwidth,
@@ -81,7 +84,7 @@ def cmd_train(args):
 
     def hook(snap, net, md):
         stem = os.path.join(out, f"epoch_{snap.epoch:03d}")
-        write_json_17g(stem + ".json", snap.to_dict())
+        write_json_17g(stem + ".json", asdict(snap))
         margins.write_margins_csv(stem + "_margins.csv", md)
         if snap.epoch == cfg.epochs - 1:
             save_manifest(net, os.path.join(out, "net"), name="final")

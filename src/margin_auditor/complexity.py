@@ -15,12 +15,7 @@ import numpy as np
 
 from .errors import DegenerateNetworkError, ParameterError
 from .linalg import frobenius_norm, norm_2_1_of_transpose, spectral_norm
-from .margins import (
-    default_gamma,
-    margin_distribution,
-    margins_of_outputs,
-    ramp_risk_empirical,
-)
+from .margins import _margin_distribution_of_outputs, _ramp_risk_of_margins, ramp_risk_empirical
 
 
 @dataclass(frozen=True)
@@ -66,25 +61,6 @@ class BoundReport:
     uniform_bound_total: float
     uniform_bound_vacuous: bool
 
-    def to_dict(self):
-        return {
-            "layer_norms": [{"s": ln.s, "b": ln.b, "rho": ln.rho} for ln in self.layer_norms],
-            "R_A": self.R_A,
-            "R_PB": self.R_PB,
-            "data_norm_B": self.data_norm_B,
-            "W": self.W,
-            "n": self.n,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "ramp_risk": self.ramp_risk,
-            "term_const": self.term_const,
-            "term_complexity": self.term_complexity,
-            "term_confidence": self.term_confidence,
-            "bound_total": self.bound_total,
-            "uniform_bound_total": self.uniform_bound_total,
-            "uniform_bound_vacuous": self.uniform_bound_vacuous,
-        }
-
 
 def layer_norms(net):
     """Extract (s_i, b_i, rho_i) for every layer of a network.
@@ -105,11 +81,19 @@ def layer_norms(net):
     return out
 
 
-def _check_spectral_positive(norms):
+def _capacity_factors(norms):
+    """(prod rho_i s_i, sum (b_i/s_i)^(2/3)), both accumulated in layer order."""
+    norms = list(norms)
     if any(ln.s == 0.0 for ln in norms):
         raise DegenerateNetworkError(
             "a layer has spectral norm 0; the capacity ratio b/s is undefined"
         )
+    product = 1.0
+    total = 0.0
+    for ln in norms:
+        product *= ln.rho * ln.s
+        total += (ln.b / ln.s) ** (2.0 / 3.0)
+    return product, total
 
 
 def spectral_complexity(norms):
@@ -119,14 +103,7 @@ def spectral_complexity(norms):
     the result degenerates to 0.0 with a warning (the network equals its
     references at this norm), which downstream margin normalization rejects.
     """
-    norms = list(norms)
-    _check_spectral_positive(norms)
-    product = 1.0
-    for ln in norms:
-        product *= ln.rho * ln.s
-    total = 0.0
-    for ln in norms:
-        total += (ln.b / ln.s) ** (2.0 / 3.0)
+    product, total = _capacity_factors(norms)
     if total == 0.0:
         warnings.warn(
             "all layers equal their references in (2,1) norm; spectral complexity is 0",
@@ -146,10 +123,7 @@ def pac_bayes_complexity(norms, frob_deltas, width):
     frob_deltas = [float(f) for f in frob_deltas]
     if len(frob_deltas) != len(norms):
         raise ParameterError("need one Frobenius deviation per layer")
-    _check_spectral_positive(norms)
-    product = 1.0
-    for ln in norms:
-        product *= ln.rho * ln.s
+    product, _ = _capacity_factors(norms)
     total = 0.0
     for ln, f in zip(norms, frob_deltas):
         total += width * f * f / (ln.s * ln.s)
@@ -183,15 +157,10 @@ def network_cover_logsize(data_norm, width, norms, eps):
     (||X||_2^2 ln(2 W^2) / eps^2) * prod(s_j^2 rho_j^2) * (sum (b_i/s_i)^(2/3))^3."""
     if not (eps > 0.0):
         raise ParameterError(f"eps must be positive, got {eps!r}")
-    norms = list(norms)
-    _check_spectral_positive(norms)
-    product = 1.0
-    for ln in norms:
-        product *= (ln.s * ln.rho) ** 2
-    total = 0.0
-    for ln in norms:
-        total += (ln.b / ln.s) ** (2.0 / 3.0)
-    return (data_norm * data_norm * math.log(2.0 * width * width) / (eps * eps)) * product * total**3
+    product, total = _capacity_factors(norms)
+    return (
+        data_norm * data_norm * math.log(2.0 * width * width) / (eps * eps)
+    ) * product * product * total**3
 
 
 def cover_budget(eps, norms):
@@ -203,14 +172,12 @@ def cover_budget(eps, norms):
     if not (eps > 0.0):
         raise ParameterError(f"eps must be positive, got {eps!r}")
     norms = list(norms)
-    _check_spectral_positive(norms)
-    ratios = [(ln.b / ln.s) ** (2.0 / 3.0) for ln in norms]
-    alpha_bar = sum(ratios)
+    _, alpha_bar = _capacity_factors(norms)
     if alpha_bar == 0.0:
         raise DegenerateNetworkError(
             "every layer matches its reference; no cover budget to allocate"
         )
-    alphas = [r / alpha_bar for r in ratios]
+    alphas = [(ln.b / ln.s) ** (2.0 / 3.0) / alpha_bar for ln in norms]
     eps_layers = []
     length = len(norms)
     for i, (alpha, ln) in enumerate(zip(alphas, norms)):
@@ -307,13 +274,7 @@ def generalization_bound_fixed(ramp_risk, data_bound, width, n, gamma, delta, no
     _check_bound_params(gamma, delta, n)
     if not (data_bound > 0.0):
         raise ParameterError(f"data norm bound must be positive, got {data_bound!r}")
-    norms = list(norms)
-    _check_spectral_positive(norms)
-    product = 1.0
-    total = 0.0
-    for ln in norms:
-        product *= ln.s * ln.rho
-        total += (ln.b / ln.s) ** (2.0 / 3.0)
+    product, total = _capacity_factors(norms)
     term_const = 8.0 / n
     term_complexity = (
         72.0 * data_bound * math.log(2.0 * width) * math.log(n) / (gamma * n)
@@ -331,14 +292,22 @@ def generalization_bound_uniform(net, ds, gamma, delta):
     (1/L + .) norm offsets, plus the sqrt(9/(2n)) confidence term whose log
     sum absorbs the union over norm scales.  In the gamma < 2/n regime the
     value exceeds 1 by construction (the report flags this as vacuous).
+    Forwards the data for the ramp risk and extracts the layer norms, then
+    evaluates :func:`_uniform_bound`, which :func:`analyze_network` calls on
+    the quantities it already holds.
     """
-    n = ds.X.shape[0]
-    _check_bound_params(gamma, delta, n)
-    norms = layer_norms(net)
-    length = len(norms)
-    data_norm = frobenius_norm(ds.X)
-    ramp = ramp_risk_empirical(net, ds, gamma)
+    return _uniform_bound(
+        ramp_risk_empirical(net, ds, gamma), frobenius_norm(ds.X), net.width,
+        ds.X.shape[0], gamma, delta, layer_norms(net),
+    )
 
+
+def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
+    """:func:`generalization_bound_uniform` from extracted quantities, in the
+    shape of :func:`generalization_bound_fixed`; a zero data norm is allowed."""
+    _check_bound_params(gamma, delta, n)
+    norms = list(norms)
+    length = len(norms)
     product_rho = 1.0
     for ln in norms:
         product_rho *= ln.rho
@@ -350,7 +319,7 @@ def generalization_bound_uniform(net, ds, gamma, delta):
                 term *= 1.0 / length + other.s
         total += term ** (2.0 / 3.0)
     term_complexity = (
-        144.0 * math.log(n) * math.log(2.0 * net.width) / (gamma * n)
+        144.0 * math.log(n) * math.log(2.0 * width) / (gamma * n)
         * product_rho * (1.0 + data_norm) * total**1.5
     )
     log_sum = math.log(1.0 / delta) + math.log(2.0 * n / gamma)
@@ -359,7 +328,7 @@ def generalization_bound_uniform(net, ds, gamma, delta):
         log_sum += 2.0 * math.log(2.0 + length * ln.b)
         log_sum += 2.0 * math.log(2.0 + length * ln.s)
     term_confidence = math.sqrt(9.0 / (2.0 * n)) * math.sqrt(log_sum)
-    return ramp + 8.0 / n + term_complexity + term_confidence
+    return ramp_risk + 8.0 / n + term_complexity + term_confidence
 
 
 def margin_bound_assembly(ramp_risk, rademacher, n, delta):
@@ -385,22 +354,21 @@ def analyze_network(net, ds, gamma=None, delta=0.01):
 
     Returns (BoundReport, MarginDistribution).  When gamma is omitted it
     defaults to the median positive raw margin (1.0 if none are positive).
+    The data is forwarded once, the layer norms and ||X||_2 are extracted
+    once, and the margins, ramp risk and both bounds all come from them.
     """
     norms = layer_norms(net)
     r_a = spectral_complexity(norms)
     r_pb = pac_bayes_complexity_of(net, norms)
     data_norm = frobenius_norm(ds.X)
     n = ds.X.shape[0]
-    if gamma is None:
-        raw = margins_of_outputs(net.forward(ds.X), ds.y)
-        gamma = default_gamma(raw)
-    md = margin_distribution(net, ds, r_a, gamma=gamma)
-    ramp = ramp_risk_empirical(net, ds, gamma)
+    md = _margin_distribution_of_outputs(net.forward(ds.X), ds.y, r_a, data_norm, gamma)
+    gamma = md.gamma_used
+    _check_bound_params(gamma, delta, n)
+    ramp = _ramp_risk_of_margins(md.raw, gamma)
     term_const, term_complexity, term_confidence, total = generalization_bound_fixed(
         ramp, data_norm, net.width, n, gamma, delta, norms
     )
-    uniform_total = generalization_bound_uniform(net, ds, gamma, delta)
-    vacuous = gamma < 2.0 / n
     report = BoundReport(
         layer_norms=tuple(norms),
         R_A=r_a,
@@ -408,14 +376,16 @@ def analyze_network(net, ds, gamma=None, delta=0.01):
         data_norm_B=data_norm,
         W=net.width,
         n=n,
-        gamma=float(gamma),
+        gamma=gamma,
         delta=float(delta),
         ramp_risk=ramp,
         term_const=term_const,
         term_complexity=term_complexity,
         term_confidence=term_confidence,
         bound_total=total,
-        uniform_bound_total=uniform_total,
-        uniform_bound_vacuous=vacuous,
+        uniform_bound_total=_uniform_bound(
+            ramp, data_norm, net.width, n, gamma, delta, norms
+        ),
+        uniform_bound_vacuous=gamma < 2.0 / n,
     )
     return report, md

@@ -87,8 +87,11 @@ def ramp_risk_empirical(net, ds, gamma):
     """Mean ramp loss of the negated margins over a dataset."""
     if not (gamma > 0.0):
         raise ParameterError(f"gamma must be positive, got {gamma!r}")
-    m = margins_of_outputs(net.forward(ds.X), ds.y)
-    return float(np.mean(_ramp_vec(-m, gamma)))
+    return _ramp_risk_of_margins(margins_of_outputs(net.forward(ds.X), ds.y), gamma)
+
+
+def _ramp_risk_of_margins(raw, gamma):
+    return float(np.mean(_ramp_vec(-raw, gamma)))
 
 
 def error_rate(net, ds):
@@ -116,16 +119,19 @@ def margin_distribution(net, ds, r_a, gamma=None):
     The normalizer is r_a * ||X||_2 / n, where ||X||_2 is the entrywise l2
     norm of the data matrix.  Requires r_a > 0 and a nonzero data matrix.
     """
-    return _margin_distribution_of_outputs(net.forward(ds.X), ds, r_a, gamma)
+    return _margin_distribution_of_outputs(
+        net.forward(ds.X), ds.y, r_a, frobenius_norm(ds.X), gamma
+    )
 
 
-def _margin_distribution_of_outputs(outputs, ds, r_a, gamma=None):
+def _margin_distribution_of_outputs(outputs, labels, r_a, data_norm, gamma=None):
+    """:func:`margin_distribution` from the network's outputs on the data and
+    the data's entrywise l2 norm, both already computed by the caller."""
     if not (r_a > 0.0):
         raise ParameterError(f"spectral complexity must be positive, got {r_a!r}")
-    data_norm = frobenius_norm(ds.X)
     if data_norm == 0.0:
         raise NumericDegeneracyError("zero data matrix: margin normalizer degenerates")
-    raw = margins_of_outputs(outputs, ds.y)
+    raw = margins_of_outputs(outputs, labels)
     normalizer = r_a * data_norm / raw.shape[0]
     if gamma is None:
         gamma = default_gamma(raw)

@@ -21,6 +21,7 @@ import numpy as np
 from .complexity import layer_norms, spectral_complexity
 from .data import randomize_inputs_gaussian, randomize_labels
 from .errors import InputOutputError, ParameterError, ParseError, TrainingDivergedError
+from .linalg import frobenius_norm
 from .margins import _error_rate_of_outputs, _margin_distribution_of_outputs, error_rate
 from .network import Identity, Layer, Network, Relu
 
@@ -86,17 +87,6 @@ class MarginDigest:
     normalized_max: float
     gamma_used: float
 
-    def to_dict(self):
-        return {
-            "normalizer": self.normalizer,
-            "raw_mean": self.raw_mean,
-            "normalized_mean": self.normalized_mean,
-            "normalized_median": self.normalized_median,
-            "normalized_min": self.normalized_min,
-            "normalized_max": self.normalized_max,
-            "gamma_used": self.gamma_used,
-        }
-
 
 @dataclass(frozen=True)
 class EpochSnapshot:
@@ -112,19 +102,6 @@ class EpochSnapshot:
     product_spectral_norms: float
     R_A: float
     margin_summary: MarginDigest
-
-    def to_dict(self):
-        return {
-            "epoch": self.epoch,
-            "steps": self.steps,
-            "mean_loss": self.mean_loss,
-            "train_error": self.train_error,
-            "test_error": self.test_error,
-            "excess_risk": self.excess_risk,
-            "product_spectral_norms": self.product_spectral_norms,
-            "R_A": self.R_A,
-            "margin_summary": self.margin_summary.to_dict(),
-        }
 
 
 def init_network(cfg):
@@ -239,7 +216,7 @@ def _network_from_weights(weights):
     return Network(layers=tuple(layers))
 
 
-def _snapshot(epoch, steps, mean_loss, weights, train_ds, test_ds):
+def _snapshot(epoch, steps, mean_loss, weights, train_ds, train_norm, test_ds):
     net = _network_from_weights(weights)
     train_outputs = net.forward(train_ds.X)
     train_err = _error_rate_of_outputs(train_outputs, train_ds.y)
@@ -249,7 +226,7 @@ def _snapshot(epoch, steps, mean_loss, weights, train_ds, test_ds):
     for ln in norms:
         product *= ln.s
     r_a = spectral_complexity(norms)
-    md = _margin_distribution_of_outputs(train_outputs, train_ds, r_a)
+    md = _margin_distribution_of_outputs(train_outputs, train_ds.y, r_a, train_norm)
     digest = MarginDigest(
         normalizer=md.normalizer,
         raw_mean=float(md.raw.mean()),
@@ -299,6 +276,7 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     n = train_ds.n
     x = train_ds.X
     y = train_ds.y
+    x_norm = frobenius_norm(x)
     scratch = [np.empty_like(w) for w in weights]
     snapshots = []
     for epoch in range(cfg.epochs):
@@ -314,7 +292,9 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
                 raise TrainingDivergedError("loss is no longer finite", epoch=epoch)
             loss_sum += loss
             steps += 1
-        snap, net, md = _snapshot(epoch, steps, loss_sum / steps, weights, train_ds, test_ds)
+        snap, net, md = _snapshot(
+            epoch, steps, loss_sum / steps, weights, train_ds, x_norm, test_ds
+        )
         snapshots.append(snap)
         if snapshot_hook is not None:
             snapshot_hook(snap, net, md)

@@ -92,6 +92,73 @@ class TestMargins:
         assert len(kde) == 256
 
 
+    @pytest.mark.parametrize("flags", [["--gamma", "0"], ["--gamma", "-0.5"],
+                                       ["--delta", "1.5"], ["--delta", "0"]])
+    def test_bad_gamma_or_delta_exit_3(self, fixture_paths, capsys, flags):
+        manifest, feats, labels = fixture_paths
+        rc = main(["margins", manifest, "--features", feats, "--labels", labels] + flags)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ParameterError"
+
+    def test_single_example_exit_3(self, tmp_path, fixture_paths, capsys):
+        from margin_auditor import Dataset, load_dataset, save_dataset
+
+        manifest, feats, labels = fixture_paths
+        ds = load_dataset(feats, labels)
+        one_x, one_y = str(tmp_path / "one_x.mat"), str(tmp_path / "one_y.lbl")
+        save_dataset(Dataset(X=ds.X[:1], y=ds.y[:1], k=ds.k), one_x, one_y)
+        rc = main(["margins", manifest, "--features", one_x, "--labels", one_y])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ParameterError"
+
+    def test_one_forward_and_no_bound(self, tmp_path, fixture_paths, monkeypatch):
+        from margin_auditor import complexity
+        from margin_auditor.network import Network
+
+        forwards = []
+        forward_images = Network.forward_images
+
+        def counted(net, x):
+            forwards.append(len(x))
+            return forward_images(net, x)
+
+        def no_bound(*args, **kwargs):
+            raise AssertionError("the margins command evaluated a bound")
+
+        monkeypatch.setattr(Network, "forward_images", counted)
+        monkeypatch.setattr(complexity, "generalization_bound_fixed", no_bound)
+        monkeypatch.setattr(complexity, "_uniform_bound", no_bound)
+        manifest, feats, labels = fixture_paths
+        assert main(["margins", manifest, "--features", feats, "--labels", labels,
+                     "--out", str(tmp_path / "m")]) == 0
+        assert forwards == [40]  # cli_fixture: 40 examples
+
+
+class TestReportConsistency:
+    def test_report_matches_public_wrappers_bitwise(self, fixture_paths):
+        from margin_auditor import (
+            analyze_network,
+            generalization_bound_uniform,
+            load_dataset,
+            load_manifest,
+            ramp_risk_empirical,
+        )
+
+        manifest, feats, labels = fixture_paths
+        net, ds = load_manifest(manifest), load_dataset(feats, labels)
+        for gamma in (None, 0.3):
+            report, md = analyze_network(net, ds, gamma=gamma, delta=0.05)
+            assert report.gamma == md.gamma_used
+            assert report.ramp_risk == ramp_risk_empirical(net, ds, report.gamma)
+            assert report.uniform_bound_total == generalization_bound_uniform(
+                net, ds, report.gamma, 0.05
+            )
+
+
 class TestTrainCommand:
     def _write_inputs(self, tmp_path):
         from margin_auditor import save_dataset, synth_blobs

@@ -427,3 +427,26 @@ class TestAnalyzeNetwork:
         assert report.n == 30
         assert md.normalized.shape == (30,)
         assert report.term_const == pytest.approx(8.0 / 30)
+
+    @pytest.mark.parametrize("gamma", [None, 0.7])
+    def test_one_forward_and_one_norm_extraction(self, rng, monkeypatch, gamma):
+        from margin_auditor import complexity
+
+        net = random_network(rng, depth=3)
+        ds = random_dataset(rng, net, n=30)
+        calls = {"forward": 0, "norms": 0}
+        forward_images = Network.forward_images
+        extract = complexity.layer_norms
+
+        def counted_forward(self, x):
+            calls["forward"] += 1
+            return forward_images(self, x)
+
+        def counted_norms(net):
+            calls["norms"] += 1
+            return extract(net)
+
+        monkeypatch.setattr(Network, "forward_images", counted_forward)
+        monkeypatch.setattr(complexity, "layer_norms", counted_norms)
+        analyze_network(net, ds, gamma=gamma, delta=0.05)
+        assert calls == {"forward": 1, "norms": 1}

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestTrain:
 
         s1 = train(cfg, train_ds, test_ds, snapshot_hook=hook)
         s2 = train(cfg, train_ds, test_ds, snapshot_hook=hook)
-        assert [s.to_dict() for s in s1] == [s.to_dict() for s in s2]
+        assert [asdict(s) for s in s1] == [asdict(s) for s in s2]
         for wa, wb in zip(grabbed[:3], grabbed[3:]):
             for a, b in zip(wa, wb):
                 assert np.array_equal(a, b)
@@ -159,6 +160,22 @@ class TestTrain:
         cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=1, batch_size=16, seed=0)
         train(cfg, train_ds, test_ds)
         assert sorted(rows) == sorted([train_ds.n, test_ds.n])
+
+    def test_train_norm_taken_once_per_run(self, blob_pair, monkeypatch):
+        from margin_auditor import margins, training
+
+        train_ds, test_ds = blob_pair
+        seen = []
+        for module in (margins, training):
+            if hasattr(module, "frobenius_norm"):
+                def counted(a, original=module.frobenius_norm):
+                    seen.append(a is train_ds.X)
+                    return original(a)
+
+                monkeypatch.setattr(module, "frobenius_norm", counted)
+        cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=3, batch_size=16, seed=0)
+        train(cfg, train_ds, test_ds)
+        assert seen.count(True) == 1
 
     def test_divergence_raises_with_epoch(self):
         # overlapping blobs keep the initial loss (and gradients) away from

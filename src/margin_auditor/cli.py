@@ -136,9 +136,6 @@ def cmd_lowerbound(args):
     xs = rng.standard_normal((1000, a.size))
     outputs = net.forward(xs)[:, 0]
     err = float(np.abs(outputs - xs @ a).max())
-    product = 1.0
-    for layer in net.layers:
-        product *= spectral_norm(layer.weight)
     a_norm = float(np.sqrt(a @ a))
     trials = lowerbound.rademacher_linear_trials(xs, args.r, args.trials, seed=args.seed)
     estimate = float(trials.mean())
@@ -146,7 +143,7 @@ def cmd_lowerbound(args):
     floor = args.r * frobenius_norm(xs) / (math.sqrt(2.0) * xs.shape[0])
     record = {
         "a_norm": a_norm,
-        "product_spectral_norms": product,
+        "product_spectral_norms": math.prod(spectral_norm(l.weight) for l in net.layers),
         "max_pointwise_error": err,
         "rademacher_estimate": estimate,
         "khintchine_floor": floor,

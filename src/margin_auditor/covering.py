@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError
-from .linalg import as_matrix, group_norm
+from .linalg import _colwise_pnorm, as_matrix, group_norm
 
 _MAUREY_RETRY_CAP = 1000
 
@@ -126,9 +126,9 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
         result = SparsifyResult(counts=(), approx_error_sq=0.0, guarantee=0.0, retries=0)
         return np.zeros((n, m)), result
 
-    col_norms = _entrywise_colnorms(x, p)
+    col_norms = _colwise_pnorm(np.abs(x), p)
     norm_a = group_norm(a, q, s_exp)
-    b_x = _entrywise_pnorm(x, p)
+    b_x = group_norm(x, p, p)
     m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
     k = math.ceil(norm_a**2 * b_x**2 * m_pow / (eps * eps))
 
@@ -164,16 +164,3 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     w_hat *= beta / k
     return w_hat, result
 
-
-def _entrywise_colnorms(x, p):
-    b = np.abs(x)
-    if math.isinf(p):
-        return b.max(axis=0)
-    return np.sum(b**p, axis=0) ** (1.0 / p)
-
-
-def _entrywise_pnorm(x, p):
-    b = np.abs(x).ravel()
-    if math.isinf(p):
-        return float(b.max())
-    return float(np.sum(b**p) ** (1.0 / p))

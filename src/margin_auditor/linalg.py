@@ -145,7 +145,7 @@ def frobenius_norm(a):
 
 def norm_2_1_of_transpose(a):
     """(2,1) group norm of the transpose, i.e. the sum of row 2-norms of ``a``."""
-    return group_norm(as_matrix(a).T, 2.0, 1.0)
+    return group_norm(np.transpose(a), 2.0, 1.0)
 
 
 def _check_exponent(v, name):

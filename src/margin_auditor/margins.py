@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError
 from .linalg import as_matrix, frobenius_norm
+from .serialize import write_csv_17g
 
 
 @dataclass(frozen=True)
@@ -183,29 +184,16 @@ def summarize(md, bins):
     )
 
 
-def _f17(x):
-    return format(float(x), ".17g")
-
-
 def write_margins_csv(path, md):
     """Margin CSV: one row per example, header index,raw_margin,normalized_margin."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("index,raw_margin,normalized_margin\n")
-        for i, (r, s) in enumerate(zip(md.raw, md.normalized)):
-            f.write(f"{i},{_f17(r)},{_f17(s)}\n")
+    header = ("index", "raw_margin", "normalized_margin")
+    write_csv_17g(path, header, np.arange(len(md.raw)), md.raw, md.normalized)
 
 
 def write_histogram_csv(path, summary):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("bin_left,bin_right,density\n")
-        for left, right, d in zip(
-            summary.hist_edges[:-1], summary.hist_edges[1:], summary.hist_density
-        ):
-            f.write(f"{_f17(left)},{_f17(right)},{_f17(d)}\n")
+    edges, density = summary.hist_edges, summary.hist_density
+    write_csv_17g(path, ("bin_left", "bin_right", "density"), edges[:-1], edges[1:], density)
 
 
 def write_kde_csv(path, summary):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("kde_x,kde_density\n")
-        for x, d in zip(summary.kde_x, summary.kde_density):
-            f.write(f"{_f17(x)},{_f17(d)}\n")
+    write_csv_17g(path, ("kde_x", "kde_density"), summary.kde_x, summary.kde_density)

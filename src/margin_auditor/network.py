@@ -22,48 +22,39 @@ def _check_lipschitz_exponent(p):
         raise ParameterError(f"Lipschitz exponent p must be >= 1, got {p!r}")
 
 
-class Relu:
-    """Coordinatewise max(0, z); 1-Lipschitz for every p-norm and maps 0 to 0."""
+class _Coordinatewise:
+    """Coordinatewise map fixing 0: 1-Lipschitz for every p-norm, same dimension."""
+
+    def lipschitz(self, p):
+        _check_lipschitz_exponent(p)
+        return 1.0
+
+    def output_dim(self, input_dim):
+        return input_dim
+
+    def to_json(self):
+        return {"kind": self.kind}
+
+    def __eq__(self, other):
+        return isinstance(other, type(self))
+
+
+class Relu(_Coordinatewise):
+    """Coordinatewise max(0, z)."""
 
     kind = "relu"
 
     def apply(self, z):
         return np.maximum(z, 0.0)
 
-    def lipschitz(self, p):
-        _check_lipschitz_exponent(p)
-        return 1.0
 
-    def output_dim(self, input_dim):
-        return input_dim
-
-    def to_json(self):
-        return {"kind": "relu"}
-
-    def __eq__(self, other):
-        return isinstance(other, Relu)
-
-
-class Identity:
-    """The identity map; 1-Lipschitz, maps 0 to 0."""
+class Identity(_Coordinatewise):
+    """The identity map."""
 
     kind = "identity"
 
     def apply(self, z):
         return z
-
-    def lipschitz(self, p):
-        _check_lipschitz_exponent(p)
-        return 1.0
-
-    def output_dim(self, input_dim):
-        return input_dim
-
-    def to_json(self):
-        return {"kind": "identity"}
-
-    def __eq__(self, other):
-        return isinstance(other, Identity)
 
 
 class MaxPool:
@@ -238,7 +229,7 @@ def load_manifest(path):
         weight = read_mat1(os.path.join(base, entry["weight"]))
         ref_spec = entry.get("reference", "zero")
         if ref_spec == "zero":
-            reference = np.zeros_like(weight)
+            reference = None
         elif ref_spec == "identity":
             if weight.shape[0] != weight.shape[1]:
                 raise ParseError(

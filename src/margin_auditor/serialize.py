@@ -1,8 +1,8 @@
-"""JSON emission with floats printed at 17 significant digits.
+"""JSON and CSV emission with floats printed at 17 significant digits.
 
-The standard json encoder prints shortest round-trip floats; reports and
-snapshots instead pin 17 significant digits so goldens are byte-stable across
-platforms and numpy versions.
+The standard json encoder prints shortest round-trip floats; reports,
+snapshots and CSVs instead pin 17 significant digits so goldens are
+byte-stable across platforms and numpy versions.
 """
 
 import math
@@ -52,3 +52,17 @@ def dumps_17g(obj, indent=2):
 def write_json_17g(path, obj):
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(dumps_17g(obj))
+
+
+def write_csv_17g(path, header, *columns):
+    """Write a CSV: the ``header`` names, then one row per entry of ``columns``.
+
+    Float columns print at 17 significant digits like the JSON floats above;
+    integer columns, such as a row index, print as integers.
+    """
+    cells = []
+    for column in map(np.asarray, columns):
+        spec = "d" if column.dtype.kind in "iu" else ".17g"
+        cells.append([format(v, spec) for v in column.tolist()])
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells)))

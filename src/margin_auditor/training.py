@@ -208,23 +208,13 @@ def _sgd_step(weights, x, y, lr, l2_coefficient, scratch):
     return loss
 
 
-def _network_from_weights(weights):
-    layers = []
-    for i, w in enumerate(weights):
-        nl = Identity() if i == len(weights) - 1 else Relu()
-        layers.append(Layer(weight=w.copy(), nonlinearity=nl))
-    return Network(layers=tuple(layers))
-
-
-def _snapshot(epoch, steps, mean_loss, weights, train_ds, train_norm, test_ds):
-    net = _network_from_weights(weights)
+def _snapshot(epoch, steps, mean_loss, layers, weights, train_ds, train_norm, test_ds):
+    copies = (Layer(weight=w.copy(), nonlinearity=l.nonlinearity) for l, w in zip(layers, weights))
+    net = Network(layers=tuple(copies))
     train_outputs = net.forward(train_ds.X)
     train_err = _error_rate_of_outputs(train_outputs, train_ds.y)
     test_err = error_rate(net, test_ds)
     norms = layer_norms(net)
-    product = 1.0
-    for ln in norms:
-        product *= ln.s
     r_a = spectral_complexity(norms)
     md = _margin_distribution_of_outputs(train_outputs, train_ds.y, r_a, train_norm)
     digest = MarginDigest(
@@ -243,7 +233,7 @@ def _snapshot(epoch, steps, mean_loss, weights, train_ds, train_norm, test_ds):
         train_error=train_err,
         test_error=test_err,
         excess_risk=test_err - train_err,
-        product_spectral_norms=product,
+        product_spectral_norms=math.prod(ln.s for ln in norms),
         R_A=r_a,
         margin_summary=digest,
     )
@@ -293,7 +283,7 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
             loss_sum += loss
             steps += 1
         snap, net, md = _snapshot(
-            epoch, steps, loss_sum / steps, weights, train_ds, x_norm, test_ds
+            epoch, steps, loss_sum / steps, net0.layers, weights, train_ds, x_norm, test_ds
         )
         snapshots.append(snap)
         if snapshot_hook is not None:

@@ -251,3 +251,36 @@ class TestCsv:
         krows = list(csv.DictReader((tmp_path / "k.csv").read_text().splitlines()))
         assert len(krows) == 256
         assert set(krows[0]) == {"kde_x", "kde_density"}
+
+    def test_exact_bytes(self, tmp_path):
+        from margin_auditor import DistributionSummary, MarginDistribution
+
+        v = np.array([-0.0, 5e-324, 0.1, 1 / 3, 1e300, -1.7976931348623157e308, 2.0**53 + 1])
+        w = v[::-1].copy()
+        md = MarginDistribution(raw=v, normalized=w, normalizer=1.0)
+        s = DistributionSummary(
+            hist_edges=v, hist_density=w[:-1], kde_x=w, kde_density=v, bandwidth=1.0
+        )
+        write_margins_csv(tmp_path / "m.csv", md)
+        write_histogram_csv(tmp_path / "h.csv", s)
+        write_kde_csv(tmp_path / "k.csv", s)
+
+        def f(x):
+            return format(float(x), ".17g")
+
+        def expected(header, rows):
+            return header + "\n" + "".join(",".join(r) + "\n" for r in rows)
+
+        margins_rows = [(str(i), f(v[i]), f(w[i])) for i in range(7)]
+        hist_rows = [(f(v[i]), f(v[i + 1]), f(w[i])) for i in range(6)]
+        kde_rows = [(f(w[i]), f(v[i])) for i in range(7)]
+        for name, header, rows in (
+            ("m.csv", "index,raw_margin,normalized_margin", margins_rows),
+            ("h.csv", "bin_left,bin_right,density", hist_rows),
+            ("k.csv", "kde_x,kde_density", kde_rows),
+        ):
+            data = (tmp_path / name).read_bytes()
+            assert data == expected(header, rows).encode("utf-8")
+        lines = (tmp_path / "m.csv").read_text().splitlines()
+        assert lines[1] == "0,-0,9007199254740992"
+        assert lines[2] == "1,4.9406564584124654e-324,-1.7976931348623157e+308"

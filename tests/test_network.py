@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from margin_auditor import (
     save_manifest,
     spectral_norm,
 )
+from margin_auditor.network import _nonlinearity_from_json
 from conftest import random_network
 
 
@@ -140,6 +142,27 @@ class TestNonlinearities:
         for nl in (Relu(), Identity(), MaxPool([[0, 1], [2, 3]])):
             assert not nl.apply(z).any()
 
+    def test_equality_by_kind(self):
+        assert Relu() == Relu()
+        assert Identity() == Identity()
+        assert Relu() != Identity()
+        assert Identity() != Relu()
+
+    @pytest.mark.parametrize(
+        "nl, doc",
+        [
+            (Relu(), {"kind": "relu"}),
+            (Identity(), {"kind": "identity"}),
+            (MaxPool([[0, 2], [1]]), {"kind": "maxpool", "groups": [[0, 2], [1]]}),
+        ],
+        ids=["relu", "identity", "maxpool"],
+    )
+    def test_json_round_trip(self, nl, doc):
+        assert nl.to_json() == doc
+        back = _nonlinearity_from_json(nl.to_json())
+        assert type(back) is type(nl)
+        assert back == nl
+
 
 class TestPositiveHomogeneity:
     def test_scaling_one_layer_scales_output(self, rng):
@@ -184,14 +207,19 @@ class TestValidation:
 
 
 class TestManifest:
-    def test_round_trip(self, tmp_path, rng):
-        net = random_network(rng, depth=3, zero_refs=False)
+    @pytest.mark.parametrize("zero_refs", [False, True])
+    def test_round_trip(self, tmp_path, rng, zero_refs):
+        net = random_network(rng, depth=3, zero_refs=zero_refs)
         manifest = save_manifest(net, tmp_path, name="net")
+        with open(manifest, encoding="utf-8") as f:
+            entries = json.load(f)["layers"]
+        assert all((e["reference"] == "zero") == zero_refs for e in entries)
         back = load_manifest(manifest)
         assert len(back.layers) == len(net.layers)
         for a, b in zip(net.layers, back.layers):
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.reference, b.reference)
+            assert b.reference.any() != zero_refs
             assert a.nonlinearity == b.nonlinearity
 
     def test_identity_reference(self, tmp_path):

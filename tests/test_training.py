@@ -16,7 +16,7 @@ from margin_auditor import (
     synth_blobs,
     train,
 )
-from margin_auditor.network import Network
+from margin_auditor.network import Identity, Network, Relu
 from margin_auditor.training import _sgd_step
 
 
@@ -146,6 +146,21 @@ class TestTrain:
         for snap, net in zip(snaps, nets):
             assert snap.train_error == error_rate(net, train_ds)
             assert snap.excess_risk == pytest.approx(snap.test_error - snap.train_error)
+
+    def test_snapshot_networks_own_their_layers(self):
+        # Overlapping blobs keep the loss away from zero, so every layer moves.
+        train_ds = synth_blobs(200, 5, 2, separation=1.0, seed=1)
+        test_ds = synth_blobs(80, 5, 2, separation=1.0, seed=2)
+        cfg = TrainConfig(layer_widths=(5, 8, 6, 2), epochs=2, batch_size=16, seed=4)
+        nets = []
+        train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
+        assert len(nets) == 2
+        for net in nets:
+            kinds = [type(l.nonlinearity) for l in net.layers]
+            assert kinds == [Relu, Relu, Identity]
+            assert all(not l.reference.any() for l in net.layers)
+        for a, b in zip(nets[0].layers, nets[1].layers):
+            assert not np.array_equal(a.weight, b.weight)
 
     def test_snapshot_forwards_train_and_test_once(self, blob_pair, monkeypatch):
         train_ds, test_ds = blob_pair

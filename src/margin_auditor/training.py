@@ -6,10 +6,14 @@ initialization, the seeded per-epoch shuffles, and any seeded label/input
 randomization requested by the config.  Two runs with the same config and
 data produce bitwise-identical snapshots.
 
-Each SGD step is fused: the batch x width backprop factor is scaled by lr/n
-and every rank-batch update ``delta.T @ act`` is subtracted from its weight
-in place through a preallocated buffer, so no full-size gradient is formed.
-:func:`loss_and_gradients` is the unfused reference for that step.
+Each SGD step is deferred: a layer's weight is held as
+``scale * (W - D.T @ A)`` with up to 64 pending rows of lr/n-scaled
+residuals D and layer inputs A, and l2 decay multiplies the scalar ``scale``
+instead of the weights.  One GEMM per layer folds the rows into W when they
+are full and at every epoch end, before the snapshot, so a batch-4 step
+reads the weights but writes none of them (the compact-WY idea of Schreiber
+& Van Loan, 1989, with the ``w = s * v`` decay of Bottou, 2012).
+:func:`loss_and_gradients` is the eager reference for that step.
 """
 
 import json
@@ -123,6 +127,22 @@ def init_network(cfg):
     return Network(layers=tuple(layers))
 
 
+def _softmax_residual(logits, y):
+    """Mean softmax cross-entropy of ``logits`` against the 1-based labels
+    ``y``, and the residual ``probs - onehot(y)`` as a new array."""
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    rows, idx = np.arange(n), y - 1
+    # log(0) = -inf is deliberate: a fully-underflowed correct-class
+    # probability is a diverged state and must surface as a non-finite loss
+    with np.errstate(divide="ignore"):
+        loss = float(-np.mean(np.log(probs[rows, idx])))
+    probs[rows, idx] -= 1.0
+    return loss, probs
+
+
 def loss_and_gradients(weights, x, y, l2_coefficient=0.0):
     """Softmax cross-entropy loss and per-layer weight gradients on one batch.
 
@@ -130,35 +150,24 @@ def loss_and_gradients(weights, x, y, l2_coefficient=0.0):
     output layer; ``y`` holds 1-based labels.  The optional l2 term adds
     l2_coefficient * sum ||A_i||_2^2 to the loss.
 
-    This is the reference for the fused step :func:`train` takes: that step
-    must leave each weight at ``w - lr * g`` to within roundoff.
+    This is the reference for the deferred step :func:`train` takes: after
+    each step the effective weights must equal ``w - lr * g`` to within
+    roundoff.  It runs its own forward pass on plain matrices, so it does not
+    share the deferred algebra it checks.
     """
-    n = x.shape[0]
     activations = [x]
     pre = None
     for i, w in enumerate(weights):
         pre = activations[-1] @ w.T
         if i < len(weights) - 1:
             activations.append(np.maximum(pre, 0.0))
-    logits = pre
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    idx = y - 1
-    picked = probs[np.arange(n), idx]
-    # log(0) = -inf is deliberate: a fully-underflowed correct-class
-    # probability is a diverged state and must surface as a non-finite loss
-    with np.errstate(divide="ignore"):
-        loss = float(-np.mean(np.log(picked)))
+    loss, delta = _softmax_residual(pre, y)
     if l2_coefficient:
         for w in weights:
             loss += l2_coefficient * float(np.sum(w * w))
 
-    grad_logits = probs.copy()
-    grad_logits[np.arange(n), idx] -= 1.0
-    grad_logits /= n
+    delta /= x.shape[0]
     grads = [None] * len(weights)
-    delta = grad_logits
     for i in range(len(weights) - 1, -1, -1):
         grads[i] = delta.T @ activations[i]
         if l2_coefficient:
@@ -168,43 +177,94 @@ def loss_and_gradients(weights, x, y, l2_coefficient=0.0):
     return loss, grads
 
 
-def _sgd_step(weights, x, y, lr, l2_coefficient, scratch):
-    """One fused SGD step in place on ``weights``; returns the batch loss.
+# Pending rows per layer before a flush: 16 batch-4 steps.
+_PENDING_ROWS = 64
+# The lazy scale is folded into W before it leaves this range, so dividing a
+# residual by it can neither overflow nor underflow.
+_SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
 
-    The loss is that of :func:`loss_and_gradients` on the weights before the
-    step (its l2 term summed by ``np.vdot``).  The softmax residual is scaled
-    by lr/n once, each layer's next backprop factor is taken before that layer
-    changes, l2 acts as the decay ``w *= 1 - 2*lr*l2``, and ``delta.T @ act``
-    goes through ``scratch[i]`` (one buffer per weight) into ``w -=``.
+
+class _DeferredWeights:
+    """Weights held as ``W_eff = scale * (W - D[:pending].T @ A[:pending])``:
+    per layer the base ``weights`` W, the pending ``residuals`` D (rows x out,
+    each divided by the scale of its step) and layer ``inputs`` A (rows x in).
+    ``sq`` tracks each ``||W_eff||_F^2`` when l2 is on."""
+
+    def __init__(self, weights, rows, l2_coefficient):
+        self.weights = weights
+        self.residuals = [np.empty((rows, w.shape[0])) for w in weights]
+        self.inputs = [np.empty((rows, w.shape[1])) for w in weights]
+        self.rows = rows
+        self.pending, self.scale = 0, 1.0
+        self.sq = [float(np.vdot(w, w)) for w in weights] if l2_coefficient else None
+
+    def flush(self):
+        """``W <- scale * (W - D.T @ A)`` by one GEMM per layer; the tracked
+        norms are taken again exactly."""
+        p = self.pending
+        for w, d, a in zip(self.weights, self.residuals, self.inputs):
+            if p:
+                w -= d[:p].T @ a[:p]
+            if self.scale != 1.0:
+                w *= self.scale
+        self.pending, self.scale = 0, 1.0
+        if self.sq is not None:
+            self.sq = [float(np.vdot(w, w)) for w in self.weights]
+
+
+def _sgd_step(model, x, y, lr, l2_coefficient):
+    """One deferred SGD step on ``model`` (a :class:`_DeferredWeights`);
+    returns the batch loss on the effective weights before the step.
+
+    Forward and backprop use ``scale * (act @ W.T - (act @ A.T) @ D)`` and
+    ``scale * (delta @ W - (delta @ D.T) @ A)``.  The step multiplies the
+    scale by ``decay = 1 - 2*lr*l2`` and appends ``delta / scale`` and the
+    layer input as new rows; it flushes first when the rows would not fit or
+    the scale would leave its range, and applies a decay outside that range
+    to W directly.  The l2 term tracks ``||decay*W_eff - U||^2`` for
+    ``U = delta.T @ act``, with ``<W_eff, U> = <delta, pre-activation>``.
     """
     n = x.shape[0]
-    activations = [x]
-    for i, w in enumerate(weights):
-        pre = activations[-1] @ w.T
-        if i < len(weights) - 1:
-            activations.append(np.maximum(pre, 0.0))
-    shifted = pre - pre.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    idx = y - 1
-    picked = probs[np.arange(n), idx]
-    with np.errstate(divide="ignore"):
-        loss = float(-np.mean(np.log(picked)))
-    if l2_coefficient:
-        for w in weights:
-            loss += l2_coefficient * float(np.vdot(w, w))
-
-    delta = probs
-    delta[np.arange(n), idx] -= 1.0
-    delta *= lr / n
     decay = 1.0 - 2.0 * lr * l2_coefficient
-    for i in range(len(weights) - 1, -1, -1):
-        w = weights[i]
-        next_delta = (delta @ w) * (activations[i] > 0.0) if i else None
+    if model.pending + n > model.rows or not _SCALE_MIN <= abs(model.scale * decay) <= _SCALE_MAX:
+        model.flush()
+    p, c = model.pending, model.scale
+    eager = not _SCALE_MIN <= abs(c * decay) <= _SCALE_MAX
+    new_c = 1.0 if eager else c * decay
+    ws, ds, acts = model.weights, model.residuals, model.inputs
+    new = slice(p, p + n)
+    acts[0][new] = x
+    pres = []
+    for i, w in enumerate(ws):
+        act = acts[i][new]
+        pre = act @ w.T
+        pre -= (act @ acts[i][:p].T) @ ds[i][:p]
+        pre *= c
+        pres.append(pre)
+        if i < len(ws) - 1:
+            np.maximum(pre, 0.0, out=acts[i + 1][new])
+    loss, delta = _softmax_residual(pre, y)
+    if l2_coefficient:
+        for sq in model.sq:
+            loss += l2_coefficient * sq
+
+    delta *= lr / n
+    for i in range(len(ws) - 1, -1, -1):
+        w, act = ws[i], acts[i][new]
+        if i:
+            back = delta @ w
+            back -= (delta @ ds[i][:p].T) @ acts[i][:p]
+            back *= c
+            next_delta = np.multiply(back, act > 0.0, out=back)
         if l2_coefficient:
+            u_sq = float(np.vdot(delta @ delta.T, act @ act.T))
+            cross = float(np.vdot(delta, pres[i]))
+            model.sq[i] = decay * decay * model.sq[i] - 2.0 * decay * cross + u_sq
+        if eager:
             w *= decay
-        w -= np.matmul(delta.T, activations[i], out=scratch[i])
-        delta = next_delta
+        np.divide(delta, new_c, out=ds[i][new])
+        delta = next_delta if i else None
+    model.pending, model.scale = p + n, new_c
     return loss
 
 
@@ -267,7 +327,8 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     x = train_ds.X
     y = train_ds.y
     x_norm = frobenius_norm(x)
-    scratch = [np.empty_like(w) for w in weights]
+    rows = max(_PENDING_ROWS, min(cfg.batch_size, n))
+    model = _DeferredWeights(weights, rows, cfg.l2_coefficient)
     snapshots = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
@@ -275,13 +336,12 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
         steps = 0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss = _sgd_step(
-                weights, x[batch], y[batch], cfg.learning_rate, cfg.l2_coefficient, scratch
-            )
+            loss = _sgd_step(model, x[batch], y[batch], cfg.learning_rate, cfg.l2_coefficient)
             if not math.isfinite(loss):
                 raise TrainingDivergedError("loss is no longer finite", epoch=epoch)
             loss_sum += loss
             steps += 1
+        model.flush()
         snap, net, md = _snapshot(
             epoch, steps, loss_sum / steps, net0.layers, weights, train_ds, x_norm, test_ds
         )

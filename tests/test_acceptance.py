@@ -421,8 +421,10 @@ def test_criterion_11_budget_tau_property():
     )
 
 
-def test_zz_print_summary():
+def test_zz_print_summary(request):
     print()
     for line in PASS_LINES:
         print(line)
-    assert len(PASS_LINES) == 11
+    assert sum(name.startswith("test_criterion_") for name in globals()) == 11
+    collected = [i for i in request.session.items if i.name.startswith("test_criterion_")]
+    assert sum(line.startswith("[PASS]") for line in PASS_LINES) == len(collected)

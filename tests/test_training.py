@@ -17,7 +17,13 @@ from margin_auditor import (
     train,
 )
 from margin_auditor.network import Identity, Network, Relu
-from margin_auditor.training import _sgd_step
+from margin_auditor.training import (
+    _PENDING_ROWS,
+    _SCALE_MAX,
+    _SCALE_MIN,
+    _DeferredWeights,
+    _sgd_step,
+)
 
 
 @pytest.fixture
@@ -86,27 +92,70 @@ class TestGradients:
         assert loss1 <= loss0 + 1e-8
 
 
+def _effective(model):
+    """The materialized ``scale * (W - D.T @ A)`` of each layer."""
+    p = model.pending
+    return [
+        model.scale * (w - d[:p].T @ a[:p])
+        for w, d, a in zip(model.weights, model.residuals, model.inputs)
+    ]
+
+
+def _step_against_reference(model, batches, lr, l2):
+    """Take each batch through ``_sgd_step`` and check it against the eager
+    reference step from the current effective weights; returns the number of
+    steps that began with no pending rows (after any flush)."""
+    clean = 0
+    for x, y in batches:
+        x_before = x.copy()
+        current = _effective(model)
+        ref_loss, grads = loss_and_gradients(current, x, y, l2_coefficient=l2)
+        loss = _sgd_step(model, x, y, lr, l2)
+        started_clean = model.pending == len(x)
+        # Pending rows reassociate the logits' sums, which moves the loss by a
+        # few ulps; the l2 term adds the tracked norm's drift over at most
+        # _PENDING_ROWS / 4 steps, also a few ulps (both seen below 5e-16).
+        if started_clean and not l2:
+            assert loss == ref_loss
+        else:
+            assert loss == pytest.approx(ref_loss, rel=1e-14, abs=0)
+        clean += started_clean
+        for w, g, s in zip(current, grads, _effective(model)):
+            assert np.abs(s - (w - lr * g)).max() <= 1e-15 * np.abs(w).max()
+        assert np.array_equal(x, x_before)
+        assert _SCALE_MIN <= abs(model.scale) <= _SCALE_MAX
+    return clean
+
+
+def _net_and_batches(sizes, seed=13):
+    rng = np.random.default_rng(seed)
+    cfg = TrainConfig(layer_widths=(20, 16, 12, 5), epochs=1, batch_size=4, seed=6)
+    weights = [l.weight.copy() for l in init_network(cfg).layers]
+    batches = [(rng.standard_normal((n, 20)), rng.integers(1, 6, size=n)) for n in sizes]
+    return weights, batches
+
+
 class TestFusedStep:
     @pytest.mark.parametrize("l2", [0.0, 1e-3])
     def test_matches_reference_update(self, l2):
-        rng = np.random.default_rng(13)
-        cfg = TrainConfig(layer_widths=(20, 16, 12, 5), epochs=1, batch_size=4, seed=6)
-        weights = [l.weight.copy() for l in init_network(cfg).layers]
-        x = rng.standard_normal((4, 20))
-        y = rng.integers(1, 6, size=4)
-        x_before = x.copy()
-        lr = 0.05
-        ref_loss, grads = loss_and_gradients(weights, x, y, l2_coefficient=l2)
-        stepped = [w.copy() for w in weights]
-        scratch = [np.empty_like(w) for w in weights]
-        loss = _sgd_step(stepped, x, y, lr, l2, scratch)
-        if l2:
-            assert loss == pytest.approx(ref_loss, rel=1e-14, abs=0)
-        else:
-            assert loss == ref_loss
-        for w, g, s in zip(weights, grads, stepped):
-            assert np.abs(s - (w - lr * g)).max() <= 1e-15 * np.abs(w).max()
-        assert np.array_equal(x, x_before)
+        # 35 full batches and a short one: 143 rows, two flushes on the way
+        sizes = [4] * 35 + [3]
+        assert sum(sizes) > 2 * _PENDING_ROWS
+        weights, batches = _net_and_batches(sizes)
+        model = _DeferredWeights(weights, _PENDING_ROWS, l2)
+        clean = _step_against_reference(model, batches, 0.05, l2)
+        assert clean == 3
+        assert model.pending == sum(sizes) - 2 * _PENDING_ROWS
+
+    @pytest.mark.parametrize("lr, l2", [(0.25, 2.0), (0.05, 9.99)])
+    def test_decay_outside_scale_range(self, lr, l2):
+        # decay 1 - 2*lr*l2 is exactly 0, then about 1e-3: the scale would
+        # reach 0 at once, or a subnormal after a few steps, without a flush
+        weights, batches = _net_and_batches([4] * 10)
+        model = _DeferredWeights(weights, _PENDING_ROWS, l2)
+        _step_against_reference(model, batches, lr, l2)
+        assert model.pending < 40
+        assert all(np.isfinite(d).all() for d in model.residuals)
 
 
 class TestTrain:
@@ -161,6 +210,38 @@ class TestTrain:
             assert all(not l.reference.any() for l in net.layers)
         for a, b in zip(nets[0].layers, nets[1].layers):
             assert not np.array_equal(a.weight, b.weight)
+
+    def test_snapshot_holds_flushed_weights(self):
+        # 90 rows per epoch: one flush at 64 rows, 26 rows pending at the end
+        train_ds = synth_blobs(90, 5, 2, separation=1.0, seed=1)
+        test_ds = synth_blobs(40, 5, 2, separation=1.0, seed=2)
+        cfg = TrainConfig(layer_widths=(5, 8, 6, 2), epochs=2, batch_size=4, seed=4,
+                          l2_coefficient=1e-3)
+        nets = []
+        train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
+        weights = [l.weight.copy() for l in init_network(cfg).layers]
+        model = _DeferredWeights(weights, _PENDING_ROWS, cfg.l2_coefficient)
+        for epoch, net in enumerate(nets):
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(train_ds.n)
+            for start in range(0, train_ds.n, cfg.batch_size):
+                b = order[start : start + cfg.batch_size]
+                _sgd_step(model, train_ds.X[b], train_ds.y[b], cfg.learning_rate,
+                          cfg.l2_coefficient)
+            assert model.pending == 26
+            model.flush()
+            for layer, w in zip(net.layers, model.weights):
+                assert np.array_equal(layer.weight, w)
+
+    def test_batch_larger_than_training_set(self, blob_pair):
+        # the pending buffers are sized by the rows a step can take, not by
+        # the configured batch size
+        train_ds, test_ds = blob_pair
+        snaps = [
+            train(TrainConfig(layer_widths=(5, 8, 2), epochs=2, batch_size=b, seed=0),
+                  train_ds, test_ds)
+            for b in (train_ds.n, 10**12)
+        ]
+        assert [asdict(s) for s in snaps[0]] == [asdict(s) for s in snaps[1]]
 
     def test_snapshot_forwards_train_and_test_once(self, blob_pair, monkeypatch):
         train_ds, test_ds = blob_pair

@@ -1,10 +1,11 @@
 """Dense matrix norms, an exact spectral norm (one LAPACK eigenvalue call on a
-Gram matrix), a one-sided Jacobi SVD oracle, and the MAT1 binary matrix format.
+Gram matrix), a LAPACK-free one-sided Jacobi SVD oracle in Brent-Luk round-robin
+order (Brent & Luk 1985), and the MAT1 binary matrix format.
 
 All analysis arithmetic is 64-bit; every public operation validates its input
 through :func:`as_matrix` and is a pure function, safe for concurrent use.
-Every norm first scales its operand by an exact power of two, so it stays
-positively homogeneous at any finite float64 scale.
+Every norm, and the oracle, first scales its operand by an exact power of two,
+so it stays positively homogeneous at any finite float64 scale.
 """
 
 import math
@@ -22,6 +23,7 @@ from .errors import (
 
 _JACOBI_MAX_SWEEPS = 64
 _JACOBI_TOL = 1e-15
+_PAIR_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 MAT1_MAGIC = b"MAT1"
 
@@ -81,43 +83,51 @@ def _unscale(x, e):
 def jacobi_singular_values(a):
     """All singular values of ``a``, descending, by one-sided Jacobi rotations.
 
-    Completely independent of :func:`spectral_norm`: plane rotations
-    orthogonalize the columns until every pairwise dot product is negligible,
-    and the singular values are the final column norms.  Serves as the
-    high-accuracy oracle in the test suite.
+    The test suite's high-accuracy oracle, free of LAPACK and of
+    :func:`spectral_norm`.  Each Brent-Luk round of :func:`_round_robin`
+    rotates its disjoint column pairs (rows of the power-of-two prescaled
+    transpose) in one vectorized step, until every pairwise dot product is
+    negligible; the singular values are the final column norms.
     """
     a = as_matrix(a)
-    w = a.copy() if a.shape[0] >= a.shape[1] else a.T.copy()
-    m = w.shape[1]
+    e = _scale_exponent(max(float(a.max()), -float(a.min()))) or 0  # None for a zero matrix
+    wt = np.ldexp(a.T if a.shape[0] >= a.shape[1] else a, -e, order="C")
+    rounds = _round_robin(wt.shape[0])
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                ci = w[:, i]
-                cj = w[:, j]
-                pij = float(ci @ cj)
-                pii = float(ci @ ci)
-                pjj = float(cj @ cj)
-                if pii == 0.0 or pjj == 0.0:
-                    continue
-                if abs(pij) <= _JACOBI_TOL * math.sqrt(pii * pjj):
-                    continue
-                theta = 0.5 * math.atan2(2.0 * pij, pii - pjj)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                # ci and cj are views; build both rotated columns before writing.
-                new_i = c * ci + s * cj
-                new_j = c * cj - s * ci
-                w[:, i] = new_i
-                w[:, j] = new_j
+        for ij in rounds:
+            x = wt.take(ij, axis=0)
+            pii, pjj = np.einsum("kij,kij->ki", x, x)
+            pij = np.einsum("ij,ij->i", x[0], x[1])
+            # A squared norm that is 0, or whose product underflows, skips the pair.
+            threshold = _JACOBI_TOL * np.sqrt(pii * pjj)
+            active = (np.abs(pij) > threshold) & (threshold > 0.0)
+            if np.count_nonzero(active):
                 rotated = True
+                theta = np.arctan2(2.0 * pij, pii - pjj) * (0.5 * active)
+                c, s = np.cos(theta)[:, None], np.sin(theta)[:, None] * _PAIR_SIGNS
+                wt[ij] = x * c + x[::-1] * s  # (c*x_i + s*x_j, c*x_j - s*x_i)
         if not rotated:
             break
     else:
         raise NumericDegeneracyError("Jacobi sweeps did not converge")
-    sv = np.sqrt(np.sum(w * w, axis=0))
-    sv.sort()
-    return sv[::-1].copy()
+    sv = np.sort(np.sqrt(np.einsum("ij,ij->i", wt, wt)))[::-1]
+    _unscale(float(sv[0]), e)  # raises when sigma_1 exceeds the float64 range
+    return np.ldexp(sv, e)
+
+
+def _round_robin(m):
+    """Brent-Luk round-robin schedule for m columns, shape (rounds, 2, pairs).
+
+    With n = m rounded up to even, round r pairs column r with n - 1 and r + k
+    with r - k (mod n - 1); for odd m, n - 1 = m is a dummy, left out.  Each
+    pair lists its lower index first, so a rotation leaves the longer column
+    there; unordered pairs can swap two columns back and forth at roundoff.
+    """
+    n = m + (m & 1)
+    r, k = np.arange(n - 1)[:, None], np.arange(m & 1, n // 2)
+    p, q = (r + k) % (n - 1), np.where(k == 0, n - 1, (r - k) % (n - 1))
+    return np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
 
 
 def group_norm(a, p, q):

@@ -282,6 +282,7 @@ def _experiment_data():
     return train_ds, test_ds, substrate
 
 
+@pytest.mark.slow
 def test_criterion_09_desk_scale_experiment():
     start = time.monotonic()
     train_ds, test_ds, substrate = _experiment_data()

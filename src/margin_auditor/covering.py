@@ -1,18 +1,19 @@
 """Constructive covering machinery: Maurey sparsification of convex-hull
 representations, and the cover element it yields for a matrix product XA.
 
-The sparsifier is randomized but derandomized by resampling: the expected
-squared error already meets the guarantee, so a fresh seeded draw succeeds
-with constant probability and a handful of retries suffices in practice.
+Both run one seeded draw-and-retry loop; a fresh draw meets the guarantee with
+constant probability, so a handful of retries suffices in practice.  The cover
+element never builds its rank-one atoms and works on power-of-two prescaled
+inputs, so it is exactly homogeneous at any finite float64 scale.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError
-from .linalg import _colwise_pnorm, as_matrix, group_norm
+from .linalg import _colwise_pnorm, _scale_exponent, _unscale, as_matrix, group_norm
 
 _MAUREY_RETRY_CAP = 1000
 
@@ -56,30 +57,32 @@ def maurey_sparsify(atoms, alpha, k, seed=0):
         raise ParameterError("need one coefficient per atom")
     if np.any(a < 0.0) or not np.all(np.isfinite(a)):
         raise ParameterError("coefficients must be finite and nonnegative")
-    beta = float(a.sum())
-    if beta == 0.0:
+    if a.sum() == 0.0:
         raise ParameterError("coefficients must not all be zero")
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
+    return _draw(lambda c: v.T @ c, a, float(np.sum(v * v, axis=1).max()), k, seed)[0]
 
-    target = v.T @ a  # U, flattened
-    sq_norms = np.sum(v * v, axis=1)
-    guarantee = beta * beta / k * float(sq_norms.max())
+
+def _draw(combine, a, max_sq_norm, k, seed):
+    """The Maurey draw-and-retry loop over atoms known only through
+    ``combine(c) = sum_i c_i V_i`` and max_i ||V_i||^2.
+
+    Returns (SparsifyResult, (||a||_1/k) * combine(counts)) for the accepted draw.
+    """
+    beta = float(a.sum())
+    target = combine(a)
+    guarantee = beta * beta / k * max_sq_norm
     probs = a / beta
     rng = np.random.default_rng(seed)
     for attempt in range(_MAUREY_RETRY_CAP):
-        idx = rng.choice(a.shape[0], size=k, p=probs)
-        counts = np.bincount(idx, minlength=a.shape[0])
-        approx = (beta / k) * (v.T @ counts)
-        err = target - approx
+        counts = np.bincount(rng.choice(a.shape[0], size=k, p=probs), minlength=a.shape[0])
+        approx = (beta / k) * combine(counts)
+        err = (target - approx).ravel()
         err_sq = float(err @ err)
         if err_sq <= guarantee:
-            return SparsifyResult(
-                counts=tuple(int(c) for c in counts),
-                approx_error_sq=err_sq,
-                guarantee=guarantee,
-                retries=attempt,
-            )
+            counts = tuple(int(c) for c in counts)
+            return SparsifyResult(counts, err_sq, guarantee, retries=attempt), approx
     raise NumericDegeneracyError(
         f"sparsification failed to meet its guarantee within {_MAUREY_RETRY_CAP} draws"
     )
@@ -97,16 +100,23 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     """Construct W_hat with ||XA - W_hat||_2 <= eps by Maurey sparsification.
 
     Columns of X are rescaled to unit p-norm (p conjugate to q, p <= 2
-    required); the rescaling is folded into B = alpha (.) A, whose entries
-    weight signed rank-one atoms g * Y e_i e_j^T.  The atom budget is
-    k = ceil(a^2 b^2 m^(2/r) / eps^2) with a = ||A||_(q,s), b = ||X||_p
-    entrywise, and r conjugate to s_exp.
+    required), giving Y; the rescaling is folded into B = alpha (.) A.  The
+    atoms are sign(b_ij) * y_i e_j^T, weighted by |b_ij| in the row-major
+    order of B's nonzero entries, but they are never built: with C the d x m
+    matrix of drawn counts, W_hat = (||B||_1/k) * Y (sign(B) (.) C).  The atom
+    budget is k = ceil(a^2 b^2 m^(2/r) / eps^2) with a = ||A||_(q,s),
+    b = ||X||_p entrywise, and r conjugate to s_exp.
+
+    A, X and eps are first scaled by the powers of two that bring max|A| and
+    max|X| into [1, 2), and the results are scaled back exactly, so W_hat,
+    the counts, the error and the guarantee are homogeneous at any float64
+    scale.  A k, error or guarantee beyond the float64 range raises
+    NumericDegeneracyError.
 
     Returns (w_hat, result) where result is the SparsifyResult for the run
-    (counts empty and zero error when A is the zero matrix).
+    (counts empty and zero error when XA has no atoms, e.g. A = 0).
     """
-    a = as_matrix(a)
-    x = as_matrix(x)
+    a, x = as_matrix(a), as_matrix(x)
     if x.shape[1] != a.shape[0]:
         raise ParameterError(f"X has {x.shape[1]} columns but A has {a.shape[0]} rows")
     if not (eps > 0.0):
@@ -120,47 +130,36 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     if not x.any():
         raise ParameterError("X must not be the zero matrix")
 
-    n, d = x.shape
     m = a.shape[1]
-    if not a.any():
-        result = SparsifyResult(counts=(), approx_error_sq=0.0, guarantee=0.0, retries=0)
-        return np.zeros((n, m)), result
-
+    e_a = _scale_exponent(max(float(a.max()), -float(a.min()))) or 0  # None for A = 0
+    e_x = _scale_exponent(max(float(x.max()), -float(x.min())))
+    e = e_a + e_x
+    a, x = np.ldexp(a, -e_a), np.ldexp(x, -e_x)
     col_norms = _colwise_pnorm(np.abs(x), p)
+    # Y rescales nonzero columns of X to unit p-norm; B undoes it on A's side.
+    y = np.divide(x, col_norms, out=np.zeros_like(x), where=col_norms > 0.0)
+    b = a * col_norms[:, None]  # zero X columns zero out their row of B
+    nonzero = np.flatnonzero(b)
+    if not nonzero.size:
+        return np.zeros((x.shape[0], m)), SparsifyResult((), 0.0, 0.0, retries=0)
+
+    m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
     norm_a = group_norm(a, q, s_exp)
     b_x = group_norm(x, p, p)
-    m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
-    k = math.ceil(norm_a**2 * b_x**2 * m_pow / (eps * eps))
+    try:  # norm_a, b_x >= 1 now; the ratio rounds to 0 only when eps * eps overflows
+        eps = math.ldexp(eps, -e)
+        k = max(1, math.ceil(norm_a**2 * b_x**2 * m_pow / (eps * eps)))
+    except (OverflowError, ZeroDivisionError):
+        raise NumericDegeneracyError("atom budget k is out of the float64 range") from None
 
-    # Y rescales nonzero columns of X to unit p-norm; B undoes it on A's side.
-    nonzero = col_norms > 0.0
-    y = np.zeros_like(x)
-    y[:, nonzero] = x[:, nonzero] / col_norms[nonzero]
-    b = a * col_norms[:, None]  # zero X columns zero out their row of B
+    signs, grid = np.sign(b), np.zeros_like(b)  # grid: C, the d x m counts
 
-    atoms = []
-    weights = []
-    for i in range(d):
-        if not nonzero[i]:
-            continue
-        for j in range(m):
-            w = b[i, j]
-            if w == 0.0:
-                continue
-            atom = np.zeros((n, m))
-            atom[:, j] = math.copysign(1.0, w) * y[:, i]
-            atoms.append(atom)
-            weights.append(abs(w))
-    if not atoms:
-        result = SparsifyResult(counts=(), approx_error_sq=0.0, guarantee=0.0, retries=0)
-        return np.zeros((n, m)), result
+    def combine(c):
+        grid.flat[nonzero] = c
+        return y @ (signs * grid)
 
-    result = maurey_sparsify(atoms, weights, k, seed=seed)
-    beta = float(sum(weights))
-    w_hat = np.zeros((n, m))
-    for cnt, atom in zip(result.counts, atoms):
-        if cnt:
-            w_hat += cnt * atom
-    w_hat *= beta / k
-    return w_hat, result
-
+    max_sq_norm = float(np.sum(y * y, axis=0)[nonzero // m].max())
+    result, w_hat = _draw(combine, np.abs(b.ravel()[nonzero]), max_sq_norm, k, seed)
+    result = replace(result, approx_error_sq=_unscale(result.approx_error_sq, 2 * e),
+                     guarantee=_unscale(result.guarantee, 2 * e))
+    return np.ldexp(w_hat, e), result

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,3 +132,75 @@ class TestCoverElement:
             sizes.append(sum(result.counts))
             assert errs[-1] <= eps
         assert sizes[0] < sizes[1] < sizes[2]
+
+
+def explicit_atoms(a, x, q):
+    """The Lemma 3.2 atoms sign(b_ij) * y_i e_j^T of the cover for XA, built densely,
+    with their weights |b_ij| in the row-major order of B's nonzero entries."""
+    p = 1.0 if math.isinf(q) else q / (q - 1.0)
+    col_norms = np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
+    b = a * col_norms[:, None]
+    atoms, weights = [], []
+    for i, j in zip(*np.nonzero(b)):
+        atom = np.zeros((x.shape[0], a.shape[1]))
+        atom[:, j] = math.copysign(1.0, b[i, j]) * x[:, i] / col_norms[i]
+        atoms.append(atom)
+        weights.append(abs(b[i, j]))
+    return atoms, weights
+
+
+def cover_case(name):
+    r = np.random.default_rng(11)
+    n, d, m = {"a_1x1": (5, 1, 1), "a_1xm": (4, 1, 5), "a_dx1": (4, 5, 1)}.get(name, (6, 4, 3))
+    x, a = r.standard_normal((n, d)), r.standard_normal((d, m))
+    if name == "zero_row_of_a":
+        a[1] = 0.0
+    if name == "zero_column_of_x":
+        x[:, 2] = 0.0
+    return a, x, 0.4 * float(np.linalg.norm(x @ a))
+
+
+class TestAtomFreeCover:
+    @pytest.mark.parametrize("case", ["gaussian", "zero_row_of_a", "zero_column_of_x",
+                                      "a_1x1", "a_1xm", "a_dx1"])
+    @pytest.mark.parametrize("s_exp", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("q", [2.0, 3.0, math.inf])
+    def test_matches_sparsifying_explicit_atoms(self, q, s_exp, case):
+        a, x, eps = cover_case(case)
+        w_hat, result = cover_element_for(a, x, eps, q=q, s_exp=s_exp, seed=7)
+        atoms, weights = explicit_atoms(a, x, q)
+        k = sum(result.counts)
+        ref = maurey_sparsify(atoms, weights, k, seed=7)
+        assert result.counts == ref.counts
+        assert result.retries == ref.retries
+        assert result.guarantee == pytest.approx(ref.guarantee, rel=1e-14)
+        assert abs(result.approx_error_sq - ref.approx_error_sq) <= 1e-13 * ref.guarantee
+        ref_w_hat = float(np.sum(weights)) / k * sum(c * v for c, v in zip(ref.counts, atoms))
+        assert np.abs(w_hat - ref_w_hat).max() <= 1e-14 * np.abs(x @ a).max()
+        assert np.linalg.norm(x @ a - w_hat) <= eps
+
+    def test_peak_memory_builds_no_atoms(self):
+        # 4,096 dense 16 x 64 atoms would take 33.5 MB; the atom-free draw needs well under 1 MB
+        r = np.random.default_rng(0)
+        a, x = r.standard_normal((64, 64)), r.standard_normal((16, 64))
+        tracemalloc.start()
+        try:
+            _, result = cover_element_for(a, x, 800.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(result.counts) == 406
+        assert peak <= 1_000_000
+
+    def test_huge_eps_needs_one_atom(self, rng):
+        # eps * eps overflows in the atom budget; one atom already meets eps
+        a, x = rng.standard_normal((3, 2)), rng.standard_normal((4, 3))
+        w_hat, result = cover_element_for(a, x, 1e200, seed=1)
+        assert sum(result.counts) == 1
+        assert np.linalg.norm(x @ a - w_hat) <= 1e200
+
+    def test_budget_beyond_float64_range_rejected(self, rng):
+        a, x = rng.standard_normal((3, 2)), rng.standard_normal((4, 3))
+        with pytest.raises(NumericDegeneracyError):
+            cover_element_for(a, x, 1e-170)
+

@@ -12,7 +12,9 @@ residuals D and layer inputs A, and l2 decay multiplies the scalar ``scale``
 instead of the weights.  One GEMM per layer folds the rows into W when they
 are full and at every epoch end, before the snapshot, so a batch-4 step
 reads the weights but writes none of them (the compact-WY idea of Schreiber
-& Van Loan, 1989, with the ``w = s * v`` decay of Bottou, 2012).
+& Van Loan, 1989, with the ``w = s * v`` decay of Bottou, 2012).  Layer 0's
+inputs are the epoch's next rows, so two GEMMs per flush block take their
+logits against W and their products with A; a flush drops them.
 :func:`loss_and_gradients` is the eager reference for that step.
 """
 
@@ -188,57 +190,80 @@ class _DeferredWeights:
     """Weights held as ``W_eff = scale * (W - D[:pending].T @ A[:pending])``:
     per layer the base ``weights`` W, the pending ``residuals`` D (rows x out,
     each divided by the scale of its step) and layer ``inputs`` A (rows x in).
-    ``sq`` tracks each ``||W_eff||_F^2`` when l2 is on."""
+    ``sq`` tracks each ``||W_eff||_F^2`` when l2 is on.  Layer 0's inputs
+    from row ``block_start`` to ``prefetched`` are written ahead of their
+    steps, with ``base = A_blk @ W_0.T`` and ``gram = A_blk @ A_0.T``."""
 
     def __init__(self, weights, rows, l2_coefficient):
         self.weights = weights
         self.residuals = [np.empty((rows, w.shape[0])) for w in weights]
         self.inputs = [np.empty((rows, w.shape[1])) for w in weights]
         self.rows = rows
-        self.pending, self.scale = 0, 1.0
+        self.pending, self.scale, self.prefetched = 0, 1.0, 0
         self.sq = [float(np.vdot(w, w)) for w in weights] if l2_coefficient else None
 
     def flush(self):
         """``W <- scale * (W - D.T @ A)`` by one GEMM per layer; the tracked
-        norms are taken again exactly."""
+        norms are taken again exactly, and the prefetched rows are dropped."""
         p = self.pending
         for w, d, a in zip(self.weights, self.residuals, self.inputs):
             if p:
                 w -= d[:p].T @ a[:p]
             if self.scale != 1.0:
                 w *= self.scale
-        self.pending, self.scale = 0, 1.0
+        self.pending, self.scale, self.prefetched = 0, 1.0, 0
         if self.sq is not None:
             self.sq = [float(np.vdot(w, w)) for w in self.weights]
 
+    def reserve(self, x, upcoming, n, decay):
+        """Flush if ``n`` more rows would not fit or the scale times ``decay``
+        would leave its range; then, unless the step's rows ``x[upcoming[:n]]``
+        are prefetched, prefetch the whole ``n``-row steps of ``x[upcoming]`` that fit."""
+        if self.pending + n > self.rows or not _SCALE_MIN <= abs(self.scale * decay) <= _SCALE_MAX:
+            self.flush()
+        p = self.pending
+        if p + n > self.prefetched:
+            m = p + min(len(upcoming), self.rows - p) // n * n
+            block = self.inputs[0][p:m]
+            block[...] = x[upcoming[: m - p]]
+            self.base = block @ self.weights[0].T
+            # the last step reads the rows before its own, and its own for l2
+            self.gram = block @ self.inputs[0][: m if self.sq is not None else m - n].T
+            self.block_start, self.prefetched = p, m
 
-def _sgd_step(model, x, y, lr, l2_coefficient):
-    """One deferred SGD step on ``model`` (a :class:`_DeferredWeights`);
-    returns the batch loss on the effective weights before the step.
+
+def _sgd_step(model, x, upcoming, y, lr, l2_coefficient):
+    """One deferred SGD step on ``model`` (a :class:`_DeferredWeights`) for
+    the batch ``x[upcoming[:len(y)]]``, where ``upcoming`` goes on with the
+    batches to come; returns the batch loss on the effective weights before it.
 
     Forward and backprop use ``scale * (act @ W.T - (act @ A.T) @ D)`` and
-    ``scale * (delta @ W - (delta @ D.T) @ A)``.  The step multiplies the
-    scale by ``decay = 1 - 2*lr*l2`` and appends ``delta / scale`` and the
-    layer input as new rows; it flushes first when the rows would not fit or
-    the scale would leave its range, and applies a decay outside that range
-    to W directly.  The l2 term tracks ``||decay*W_eff - U||^2`` for
-    ``U = delta.T @ act``, with ``<W_eff, U> = <delta, pre-activation>``.
+    ``scale * (delta @ W - (delta @ D.T) @ A)``, layer 0 from its prefetched
+    rows.  The step multiplies the scale by ``decay = 1 - 2*lr*l2`` and
+    appends ``delta / scale`` and the layer input as new rows, after
+    :meth:`_DeferredWeights.reserve` made room; a decay outside the scale's
+    range goes to W directly, and the next step flushes.  The l2 term tracks
+    ``||decay*W_eff - U||^2`` for ``U = delta.T @ act``, with ``<W_eff, U> =
+    <delta, pre-activation>``.
     """
-    n = x.shape[0]
+    n = len(y)
     decay = 1.0 - 2.0 * lr * l2_coefficient
-    if model.pending + n > model.rows or not _SCALE_MIN <= abs(model.scale * decay) <= _SCALE_MAX:
-        model.flush()
+    model.reserve(x, upcoming, n, decay)
     p, c = model.pending, model.scale
     eager = not _SCALE_MIN <= abs(c * decay) <= _SCALE_MAX
     new_c = 1.0 if eager else c * decay
     ws, ds, acts = model.weights, model.residuals, model.inputs
     new = slice(p, p + n)
-    acts[0][new] = x
+    blk = slice(p - model.block_start, p - model.block_start + n)
     pres = []
     for i, w in enumerate(ws):
         act = acts[i][new]
-        pre = act @ w.T
-        pre -= (act @ acts[i][:p].T) @ ds[i][:p]
+        if i:
+            pre = act @ w.T
+            pre -= (act @ acts[i][:p].T) @ ds[i][:p]
+        else:
+            pre = model.gram[blk, :p] @ ds[0][:p]
+            np.subtract(model.base[blk], pre, out=pre)
         pre *= c
         pres.append(pre)
         if i < len(ws) - 1:
@@ -257,7 +282,7 @@ def _sgd_step(model, x, y, lr, l2_coefficient):
             back *= c
             next_delta = np.multiply(back, act > 0.0, out=back)
         if l2_coefficient:
-            u_sq = float(np.vdot(delta @ delta.T, act @ act.T))
+            u_sq = float(np.vdot(delta @ delta.T, act @ act.T if i else model.gram[blk, new]))
             cross = float(np.vdot(delta, pres[i]))
             model.sq[i] = decay * decay * model.sq[i] - 2.0 * decay * cross + u_sq
         if eager:
@@ -336,7 +361,8 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
         steps = 0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss = _sgd_step(model, x[batch], y[batch], cfg.learning_rate, cfg.l2_coefficient)
+            loss = _sgd_step(model, x, order[start:], y[batch], cfg.learning_rate,
+                             cfg.l2_coefficient)
             if not math.isfinite(loss):
                 raise TrainingDivergedError("loss is no longer finite", epoch=epoch)
             loss_sum += loss

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -16,6 +17,7 @@ from margin_auditor import (
     synth_blobs,
     train,
 )
+from margin_auditor import training
 from margin_auditor.network import Identity, Network, Relu
 from margin_auditor.training import (
     _PENDING_ROWS,
@@ -101,38 +103,62 @@ def _effective(model):
     ]
 
 
-def _step_against_reference(model, batches, lr, l2):
-    """Take each batch through ``_sgd_step`` and check it against the eager
-    reference step from the current effective weights; returns the number of
-    steps that began with no pending rows (after any flush)."""
-    clean = 0
-    for x, y in batches:
-        x_before = x.copy()
-        current = _effective(model)
-        ref_loss, grads = loss_and_gradients(current, x, y, l2_coefficient=l2)
-        loss = _sgd_step(model, x, y, lr, l2)
-        started_clean = model.pending == len(x)
-        # Pending rows reassociate the logits' sums, which moves the loss by a
-        # few ulps; the l2 term adds the tracked norm's drift over at most
-        # _PENDING_ROWS / 4 steps, also a few ulps (both seen below 5e-16).
-        if started_clean and not l2:
-            assert loss == ref_loss
-        else:
-            assert loss == pytest.approx(ref_loss, rel=1e-14, abs=0)
-        clean += started_clean
-        for w, g, s in zip(current, grads, _effective(model)):
-            assert np.abs(s - (w - lr * g)).max() <= 1e-15 * np.abs(w).max()
-        assert np.array_equal(x, x_before)
-        assert _SCALE_MIN <= abs(model.scale) <= _SCALE_MAX
-    return clean
+def _checked_step(model, x, upcoming, y, lr, l2, tally):
+    """``_sgd_step``, checked against the eager reference step from the
+    current effective weights.  ``tally`` counts the steps, those that began
+    with no pending rows (after any flush), those whose layer-0 base logits
+    differ bitwise from ``batch @ W_0.T``, and those whose prefetched rows a
+    flush dropped before they were used."""
+    n = len(y)
+    xb, x_before = x[upcoming[:n]], x.copy()
+    held = model.pending + n <= model.prefetched
+    current = _effective(model)
+    ref_loss, grads = loss_and_gradients(current, xb, y, l2_coefficient=l2)
+    loss = _sgd_step(model, x, upcoming, y, lr, l2)
+    clean = model.pending == n
+    # Pending rows reassociate the logits' sums, which moves the loss by a
+    # few ulps; the l2 term adds the tracked norm's drift over at most
+    # _PENDING_ROWS / 4 steps, also a few ulps (both seen below 5e-16).  A
+    # step that may prefetch later rows takes layer 0's logits from a taller
+    # GEMM, which may round them differently.
+    if clean and not l2 and len(upcoming) == n:
+        assert loss == ref_loss
+    else:
+        assert loss == pytest.approx(ref_loss, rel=1e-14, abs=0)
+    blk = slice(model.pending - n - model.block_start, model.pending - model.block_start)
+    tally.update(steps=1, clean=clean, dropped=held and clean,
+                 differ=not np.array_equal(model.base[blk], xb @ model.weights[0].T))
+    for w, g, s in zip(current, grads, _effective(model)):
+        assert np.abs(s - (w - lr * g)).max() <= 1e-15 * np.abs(w).max()
+    assert np.array_equal(x, x_before)
+    assert _SCALE_MIN <= abs(model.scale) <= _SCALE_MAX
+    return loss
 
 
-def _net_and_batches(sizes, seed=13):
+def _step_against_reference(model, x, y, sizes, lr, l2, block=False):
+    """Take batches of ``sizes`` consecutive rows of ``x`` through
+    :func:`_checked_step` and return its tally.  With ``block`` the model may
+    prefetch every later row, as in ``train``; otherwise only the batch's own,
+    which reproduces the eager arithmetic."""
+    tally = Counter()
+    start = 0
+    for n in sizes:
+        upcoming = np.arange(start, len(x) if block else start + n)
+        _checked_step(model, x, upcoming, y[start : start + n], lr, l2, tally)
+        start += n
+    return tally
+
+
+def _net_and_rows(sizes, widths=(20, 16, 12, 5), seed=13):
     rng = np.random.default_rng(seed)
-    cfg = TrainConfig(layer_widths=(20, 16, 12, 5), epochs=1, batch_size=4, seed=6)
+    cfg = TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=6)
     weights = [l.weight.copy() for l in init_network(cfg).layers]
-    batches = [(rng.standard_normal((n, 20)), rng.integers(1, 6, size=n)) for n in sizes]
-    return weights, batches
+    batches = [
+        (rng.standard_normal((n, widths[0])), rng.integers(1, widths[-1] + 1, size=n))
+        for n in sizes
+    ]
+    x, y = (np.concatenate(parts) for parts in zip(*batches))
+    return weights, x, y
 
 
 class TestFusedStep:
@@ -141,21 +167,53 @@ class TestFusedStep:
         # 35 full batches and a short one: 143 rows, two flushes on the way
         sizes = [4] * 35 + [3]
         assert sum(sizes) > 2 * _PENDING_ROWS
-        weights, batches = _net_and_batches(sizes)
+        weights, x, y = _net_and_rows(sizes)
         model = _DeferredWeights(weights, _PENDING_ROWS, l2)
-        clean = _step_against_reference(model, batches, 0.05, l2)
-        assert clean == 3
+        tally = _step_against_reference(model, x, y, sizes, 0.05, l2)
+        assert tally["clean"] == 3
+        assert tally["differ"] == 0
+        assert model.pending == sum(sizes) - 2 * _PENDING_ROWS
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_block_schedule_matches_reference_update(self, l2):
+        # train()'s schedule: a block of up to 16 batches prefetched after each
+        # flush; at 64 inputs its 64-row GEMM rounds some logits unlike a 4-row one
+        sizes = [4] * 35 + [3]
+        weights, x, y = _net_and_rows(sizes, widths=(64, 48, 32, 10))
+        model = _DeferredWeights(weights, _PENDING_ROWS, l2)
+        tally = _step_against_reference(model, x, y, sizes, 0.05, l2, block=True)
+        assert tally["clean"] == 3
+        assert tally["differ"] > 0
         assert model.pending == sum(sizes) - 2 * _PENDING_ROWS
 
     @pytest.mark.parametrize("lr, l2", [(0.25, 2.0), (0.05, 9.99)])
     def test_decay_outside_scale_range(self, lr, l2):
         # decay 1 - 2*lr*l2 is exactly 0, then about 1e-3: the scale would
         # reach 0 at once, or a subnormal after a few steps, without a flush
-        weights, batches = _net_and_batches([4] * 10)
+        weights, x, y = _net_and_rows([4] * 10)
         model = _DeferredWeights(weights, _PENDING_ROWS, l2)
-        _step_against_reference(model, batches, lr, l2)
+        _step_against_reference(model, x, y, [4] * 10, lr, l2)
         assert model.pending < 40
         assert all(np.isfinite(d).all() for d in model.residuals)
+
+    @pytest.mark.parametrize("lr, l2, rows", [(0.25, 2.0, 8), (0.05, 9.99, 143)])
+    def test_scale_flush_inside_block_through_train(self, lr, l2, rows, monkeypatch):
+        # The scale range flushes inside prefetched blocks, and every step
+        # train() takes is checked against the eager reference.  A whole-epoch
+        # eager loop is no reference at these decays: the weights collapse and
+        # roundoff grows ~20x and more per step.  At decay 0 every unit of this
+        # net dies after a few steps, and the snapshot rejects it, so that run
+        # takes two.
+        widths = (64, 48, 32, 10)
+        _, x, y = _net_and_rows([rows], widths=widths)
+        ds = Dataset(X=x, y=y, k=10)
+        tally = Counter()
+        monkeypatch.setattr(training, "_sgd_step", lambda *step: _checked_step(*step, tally))
+        cfg = TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=6,
+                          learning_rate=lr, l2_coefficient=l2)
+        train(cfg, ds, ds)
+        assert tally["steps"] == -(-rows // 4)
+        assert tally["dropped"] > 0
 
 
 class TestTrain:
@@ -212,25 +270,28 @@ class TestTrain:
             assert not np.array_equal(a.weight, b.weight)
 
     def test_snapshot_holds_flushed_weights(self):
-        # 90 rows per epoch: one flush at 64 rows, 26 rows pending at the end
-        train_ds = synth_blobs(90, 5, 2, separation=1.0, seed=1)
-        test_ds = synth_blobs(40, 5, 2, separation=1.0, seed=2)
-        cfg = TrainConfig(layer_widths=(5, 8, 6, 2), epochs=2, batch_size=4, seed=4,
-                          l2_coefficient=1e-3)
-        nets = []
-        train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
-        weights = [l.weight.copy() for l in init_network(cfg).layers]
-        model = _DeferredWeights(weights, _PENDING_ROWS, cfg.l2_coefficient)
-        for epoch, net in enumerate(nets):
-            order = np.random.default_rng([cfg.seed, epoch]).permutation(train_ds.n)
-            for start in range(0, train_ds.n, cfg.batch_size):
-                b = order[start : start + cfg.batch_size]
-                _sgd_step(model, train_ds.X[b], train_ds.y[b], cfg.learning_rate,
-                          cfg.l2_coefficient)
-            assert model.pending == 26
-            model.flush()
-            for layer, w in zip(net.layers, model.weights):
-                assert np.array_equal(layer.weight, w)
+        # 90 rows per epoch: one flush at 64 rows, 26 rows pending at the end.
+        # The steps follow train()'s prefetch schedule, which at 64 inputs
+        # rounds unlike prefetching one batch at a time.
+        for widths in ((5, 8, 6, 2), (64, 48, 32, 2)):
+            train_ds = synth_blobs(90, widths[0], 2, separation=1.0, seed=1)
+            test_ds = synth_blobs(40, widths[0], 2, separation=1.0, seed=2)
+            cfg = TrainConfig(layer_widths=widths, epochs=2, batch_size=4, seed=4,
+                              l2_coefficient=1e-3)
+            nets = []
+            train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
+            weights = [l.weight.copy() for l in init_network(cfg).layers]
+            model = _DeferredWeights(weights, _PENDING_ROWS, cfg.l2_coefficient)
+            for epoch, net in enumerate(nets):
+                order = np.random.default_rng([cfg.seed, epoch]).permutation(train_ds.n)
+                for start in range(0, train_ds.n, cfg.batch_size):
+                    b = order[start : start + cfg.batch_size]
+                    _sgd_step(model, train_ds.X, order[start:], train_ds.y[b],
+                              cfg.learning_rate, cfg.l2_coefficient)
+                assert model.pending == 26
+                model.flush()
+                for layer, w in zip(net.layers, model.weights):
+                    assert np.array_equal(layer.weight, w)
 
     def test_batch_larger_than_training_set(self, blob_pair):
         # the pending buffers are sized by the rows a step can take, not by

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNetworkError, ParameterError
-from .linalg import frobenius_norm, norm_2_1_of_transpose, spectral_norm
+from .linalg import _group_norm, _spectral_norm
 from .margins import _margin_distribution_of_outputs, _ramp_risk_of_margins, ramp_risk_empirical
 
 
@@ -69,16 +69,18 @@ def layer_norms(net):
     transposed deviation from the reference, rho_i the l2 Lipschitz constant
     of the nonlinearity.
     """
-    out = []
+    return _extract_norms(net)[0]
+
+
+def _extract_norms(net):
+    """(layer norms, ||W_i - M_i||_F per layer) from one deviation per layer."""
+    norms, deltas = [], []
     for layer in net.layers:
-        out.append(
-            LayerNorms(
-                s=spectral_norm(layer.weight),
-                b=norm_2_1_of_transpose(layer.weight - layer.reference),
-                rho=layer.nonlinearity.lipschitz(2.0),
-            )
-        )
-    return out
+        deviation = layer.weight - layer.reference
+        s, b = _spectral_norm(layer.weight), _group_norm(deviation.T, 2.0, 1.0)
+        norms.append(LayerNorms(s=s, b=b, rho=layer.nonlinearity.lipschitz(2.0)))
+        deltas.append(_group_norm(deviation, 2.0, 2.0))
+    return norms, deltas
 
 
 def _capacity_factors(norms):
@@ -132,10 +134,8 @@ def pac_bayes_complexity(norms, frob_deltas, width):
 
 def pac_bayes_complexity_of(net, norms=None):
     """Comparator capacity computed directly from a network."""
-    if norms is None:
-        norms = layer_norms(net)
-    deltas = [frobenius_norm(l.weight - l.reference) for l in net.layers]
-    return pac_bayes_complexity(norms, deltas, net.width)
+    extracted, deltas = _extract_norms(net)
+    return pac_bayes_complexity(extracted if norms is None else norms, deltas, net.width)
 
 
 def matrix_cover_logsize(a, b_x, m, r, eps, d):
@@ -297,7 +297,7 @@ def generalization_bound_uniform(net, ds, gamma, delta):
     the quantities it already holds.
     """
     return _uniform_bound(
-        ramp_risk_empirical(net, ds, gamma), frobenius_norm(ds.X), net.width,
+        ramp_risk_empirical(net, ds, gamma), _group_norm(ds.X, 2.0, 2.0), net.width,
         ds.X.shape[0], gamma, delta, layer_norms(net),
     )
 
@@ -357,12 +357,12 @@ def analyze_network(net, ds, gamma=None, delta=0.01):
     The data is forwarded once, the layer norms and ||X||_2 are extracted
     once, and the margins, ramp risk and both bounds all come from them.
     """
-    norms = layer_norms(net)
+    norms, deltas = _extract_norms(net)
     r_a = spectral_complexity(norms)
-    r_pb = pac_bayes_complexity_of(net, norms)
-    data_norm = frobenius_norm(ds.X)
+    r_pb = pac_bayes_complexity(norms, deltas, net.width)
+    data_norm = _group_norm(ds.X, 2.0, 2.0)  # a Dataset validated X
     n = ds.X.shape[0]
-    md = _margin_distribution_of_outputs(net.forward(ds.X), ds.y, r_a, data_norm, gamma)
+    md = _margin_distribution_of_outputs(net._forward(ds.X), ds.y, r_a, data_norm, gamma)
     gamma = md.gamma_used
     _check_bound_params(gamma, delta, n)
     ramp = _ramp_risk_of_margins(md.raw, gamma)

@@ -135,7 +135,7 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     e_x = _scale_exponent(max(float(x.max()), -float(x.min())))
     e = e_a + e_x
     a, x = np.ldexp(a, -e_a), np.ldexp(x, -e_x)
-    col_norms = _colwise_pnorm(np.abs(x), p)
+    col_norms = _colwise_pnorm(x, p)
     # Y rescales nonzero columns of X to unit p-norm; B undoes it on A's side.
     y = np.divide(x, col_norms, out=np.zeros_like(x), where=col_norms > 0.0)
     b = a * col_norms[:, None]  # zero X columns zero out their row of B

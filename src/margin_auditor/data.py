@@ -12,7 +12,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .linalg import as_matrix, read_mat1, write_mat1
+from .linalg import _check_payload, as_matrix, read_mat1, write_mat1
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -95,14 +95,9 @@ def load_idx(images_path, labels_path):
     n = _be_u32(raw, 4, images_path, "image count")
     rows = _be_u32(raw, 8, images_path, "row count")
     cols = _be_u32(raw, 12, images_path, "column count")
-    expected = 16 + n * rows * cols
-    if len(raw) != expected:
-        raise ParseError(
-            f"image payload has {len(raw)} bytes, expected {expected}",
-            path=images_path, offset=min(len(raw), expected),
-        )
+    _check_payload(raw, 16 + n * rows * cols, images_path, "image")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
-    x = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    x = np.divide(pixels.reshape(n, rows * cols), 255.0)  # one float64 pass
 
     lraw = _read_file(labels_path)
     lmagic = _be_u32(lraw, 0, labels_path, "magic")
@@ -116,11 +111,7 @@ def load_idx(images_path, labels_path):
         raise ParseError(
             f"label count {ln} does not match image count {n}", path=labels_path, offset=4
         )
-    if len(lraw) != 8 + ln:
-        raise ParseError(
-            f"label payload has {len(lraw)} bytes, expected {8 + ln}",
-            path=labels_path, offset=min(len(lraw), 8 + ln),
-        )
+    _check_payload(lraw, 8 + ln, labels_path, "label")
     labels = np.frombuffer(lraw, dtype=np.uint8, count=ln, offset=8).astype(np.int64) + 1
     k = max(int(labels.max()), 1)
     return Dataset(X=x, y=labels, k=k)
@@ -165,12 +156,7 @@ def load_dataset(matrix_path, labels_path):
     if raw[:4] != LBL1_MAGIC:
         raise ParseError(f"bad LBL1 magic {raw[:4]!r}", path=labels_path, offset=0)
     count, k = struct.unpack_from("<II", raw, 4)
-    expected = 12 + 4 * count
-    if len(raw) != expected:
-        raise ParseError(
-            f"LBL1 payload has {len(raw)} bytes, expected {expected}",
-            path=labels_path, offset=min(len(raw), expected),
-        )
+    _check_payload(raw, 12 + 4 * count, labels_path, "LBL1")
     y = np.frombuffer(raw, dtype="<u4", count=count, offset=12).astype(np.int64)
     return Dataset(X=x, y=y, k=int(k))
 

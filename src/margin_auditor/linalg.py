@@ -2,10 +2,10 @@
 Gram matrix), a LAPACK-free one-sided Jacobi SVD oracle in Brent-Luk round-robin
 order (Brent & Luk 1985), and the MAT1 binary matrix format.
 
-All analysis arithmetic is 64-bit; every public operation validates its input
-through :func:`as_matrix` and is a pure function, safe for concurrent use.
-Every norm, and the oracle, first scales its operand by an exact power of two,
-so it stays positively homogeneous at any finite float64 scale.
+All analysis arithmetic is 64-bit, pure and safe for concurrent use.  Each public
+norm is a wrapper that validates through :func:`as_matrix` over a private kernel
+trusting a finite 2-D float64 array.  Every norm, and the oracle, first scales
+by an exact power of two, so it stays homogeneous at any finite float64 scale.
 """
 
 import math
@@ -52,7 +52,11 @@ def spectral_norm(a):
     lose sigma_max^2 to underflow.  One LAPACK ``eigvalsh`` call gives that
     Gram matrix's top eigenvalue; its square root is scaled back exactly.
     """
-    a = as_matrix(a)
+    return _spectral_norm(as_matrix(a))
+
+
+def _spectral_norm(a):
+    """:func:`spectral_norm` of a trusted finite 2-D float64 array."""
     e = _scale_exponent(max(float(a.max()), -float(a.min())))
     if e is None:
         return 0.0
@@ -139,23 +143,17 @@ def group_norm(a, p, q):
     a = as_matrix(a)
     _check_exponent(p, "p")
     _check_exponent(q, "q")
-    b = np.abs(a)
-    e = _scale_exponent(float(b.max()))
-    if e is None:
-        return 0.0
-    if e:
-        np.ldexp(b, -e, out=b)
-    return _unscale(_vector_pnorm(_colwise_pnorm(b, p), q), e)
+    return _group_norm(a, p, q)
 
 
 def frobenius_norm(a):
     """Entrywise l2 norm; identical to group_norm(a, 2, 2)."""
-    return group_norm(a, 2.0, 2.0)
+    return _group_norm(as_matrix(a), 2.0, 2.0)
 
 
 def norm_2_1_of_transpose(a):
     """(2,1) group norm of the transpose, i.e. the sum of row 2-norms of ``a``."""
-    return group_norm(np.transpose(a), 2.0, 1.0)
+    return _group_norm(as_matrix(a).T, 2.0, 1.0)
 
 
 def _check_exponent(v, name):
@@ -163,14 +161,35 @@ def _check_exponent(v, name):
         raise ParameterError(f"norm exponent {name} must be >= 1, got {v!r}")
 
 
-def _colwise_pnorm(b, p):
-    if math.isinf(p):
-        return b.max(axis=0)
-    if p == 1.0:
-        return b.sum(axis=0)
+def _group_norm(a, p, q):
+    """:func:`group_norm` of a trusted finite 2-D float64 array, or a view of one."""
+    e = _scale_exponent(max(float(a.max()), -float(a.min())))
+    if e is None:
+        return 0.0
+    return _unscale(_vector_pnorm(_colwise_pnorm(a, p, e), q), e)
+
+
+def _colwise_pnorm(a, p, e=0):
+    """Column p-norms of 2**-e * |a| (trusted), through a C-ordered buffer of
+    64-row blocks whose row 0 carries the running aggregate; numpy reduces its
+    axis 0 row by row, bitwise as one whole-array pass.  A single column, which
+    numpy sums pairwise, is one block."""
+    n, d = a.shape
+    rows = n if d == 1 else min(n, 64)
+    buf = np.zeros((rows + 1, d))
+    reduce = np.maximum.reduce if math.isinf(p) else np.add.reduce
+    for start in range(0, n, rows):
+        b = np.abs(a[start : start + rows], out=buf[1 : 1 + min(rows, n - start)])
+        if e:
+            np.ldexp(b, -e, out=b)
+        if p == 2.0:
+            np.multiply(b, b, out=b)
+        elif not (p == 1.0 or math.isinf(p)):
+            np.power(b, p, out=b)
+        buf[0] = reduce(buf[0 if start else 1 : 1 + len(b)], axis=0)
     if p == 2.0:
-        return np.sqrt(np.sum(np.multiply(b, b, out=b), axis=0))
-    return np.sum(b**p, axis=0) ** (1.0 / p)
+        return np.sqrt(buf[0])
+    return buf[0] if p == 1.0 or math.isinf(p) else buf[0] ** (1.0 / p)
 
 
 def _vector_pnorm(v, q):
@@ -193,6 +212,13 @@ def write_mat1(path, a):
         f.write(a.astype("<f8", copy=False).tobytes(order="C"))
 
 
+def _check_payload(raw, expected, path, what):
+    """Parse error unless a file's bytes ``raw`` are exactly ``expected`` long."""
+    if len(raw) != expected:
+        raise ParseError(f"{what} payload has {len(raw)} bytes, expected {expected}",
+                         path=path, offset=min(len(raw), expected))
+
+
 def read_mat1(path):
     """Read a MAT1 file back into a float64 array; bit-exact round trip."""
     try:
@@ -205,13 +231,7 @@ def read_mat1(path):
     if raw[:4] != MAT1_MAGIC:
         raise ParseError(f"bad MAT1 magic {raw[:4]!r}", path=path, offset=0)
     rows, cols = struct.unpack_from("<II", raw, 4)
-    expected = 12 + 8 * rows * cols
-    if len(raw) != expected:
-        raise ParseError(
-            f"MAT1 payload has {len(raw)} bytes, expected {expected}",
-            path=path,
-            offset=min(len(raw), expected),
-        )
+    _check_payload(raw, 12 + 8 * rows * cols, path, "MAT1")
     data = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=12)
     try:
         return as_matrix(data.reshape(rows, cols))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError
-from .linalg import as_matrix, frobenius_norm
+from .linalg import _group_norm, as_matrix
 from .serialize import write_csv_17g
 
 
@@ -80,24 +80,20 @@ def ramp_loss(r, gamma):
     return 1.0 + r / gamma
 
 
-def _ramp_vec(r, gamma):
-    return np.clip(1.0 + r / gamma, 0.0, 1.0)
-
-
 def ramp_risk_empirical(net, ds, gamma):
     """Mean ramp loss of the negated margins over a dataset."""
     if not (gamma > 0.0):
         raise ParameterError(f"gamma must be positive, got {gamma!r}")
-    return _ramp_risk_of_margins(margins_of_outputs(net.forward(ds.X), ds.y), gamma)
+    return _ramp_risk_of_margins(margins_of_outputs(net._forward(ds.X), ds.y), gamma)
 
 
 def _ramp_risk_of_margins(raw, gamma):
-    return float(np.mean(_ramp_vec(-raw, gamma)))
+    return float(np.mean(np.clip(1.0 - raw / gamma, 0.0, 1.0)))
 
 
 def error_rate(net, ds):
     """Fraction of examples misclassified by the argmax rule, ties to the lowest index."""
-    return _error_rate_of_outputs(net.forward(ds.X), ds.y)
+    return _error_rate_of_outputs(net._forward(ds.X), ds.y)
 
 
 def _error_rate_of_outputs(outputs, labels):
@@ -121,7 +117,7 @@ def margin_distribution(net, ds, r_a, gamma=None):
     norm of the data matrix.  Requires r_a > 0 and a nonzero data matrix.
     """
     return _margin_distribution_of_outputs(
-        net.forward(ds.X), ds.y, r_a, frobenius_norm(ds.X), gamma
+        net._forward(ds.X), ds.y, r_a, _group_norm(ds.X, 2.0, 2.0), gamma
     )
 
 

@@ -179,20 +179,26 @@ class Network:
 
     def forward(self, x):
         """Evaluate the network on examples given as rows of ``x``."""
-        return self.forward_images(x)[-1]
+        return self._forward(as_matrix(x))
 
     def forward_images(self, x):
         """Per-layer forward images (X_0, ..., X_L), examples as rows; X_0 is the input."""
-        z = as_matrix(x)
+        return self._forward(as_matrix(x), keep=True)
+
+    def _forward(self, z, keep=False):
+        """Output on a trusted matrix ``z`` such as a ``Dataset.X``, or every image
+        if ``keep``; ReLU works in place on each fresh GEMM output."""
         if z.shape[1] != self.input_dim:
             raise DimensionError(
                 f"input has {z.shape[1]} columns, network expects {self.input_dim}"
             )
         images = [z]
         for layer in self.layers:
-            z = layer.nonlinearity.apply(z @ layer.weight.T)
-            images.append(z)
-        return images
+            nl, z = layer.nonlinearity, z @ layer.weight.T
+            z = np.maximum(z, 0.0, out=z) if isinstance(nl, Relu) else nl.apply(z)
+            if keep:
+                images.append(z)
+        return images if keep else z
 
 
 def _nonlinearity_from_json(obj):

@@ -26,8 +26,9 @@ import numpy as np
 
 from .complexity import layer_norms, spectral_complexity
 from .data import randomize_inputs_gaussian, randomize_labels
-from .errors import InputOutputError, ParameterError, ParseError, TrainingDivergedError
-from .linalg import frobenius_norm
+from .errors import (DegenerateNetworkError, InputOutputError, ParameterError, ParseError,
+                     TrainingDivergedError)
+from .linalg import _group_norm
 from .margins import _error_rate_of_outputs, _margin_distribution_of_outputs, error_rate
 from .network import Identity, Layer, Network, Relu
 
@@ -296,7 +297,7 @@ def _sgd_step(model, x, upcoming, y, lr, l2_coefficient):
 def _snapshot(epoch, steps, mean_loss, layers, weights, train_ds, train_norm, test_ds):
     copies = (Layer(weight=w.copy(), nonlinearity=l.nonlinearity) for l, w in zip(layers, weights))
     net = Network(layers=tuple(copies))
-    train_outputs = net.forward(train_ds.X)
+    train_outputs = net._forward(train_ds.X)
     train_err = _error_rate_of_outputs(train_outputs, train_ds.y)
     test_err = error_rate(net, test_ds)
     norms = layer_norms(net)
@@ -329,8 +330,8 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     """Minibatch SGD with seeded shuffles; one EpochSnapshot per epoch.
 
     Applies the config's label/input randomization to the training set first
-    (seeded by cfg.seed).  Raises a divergence error naming the epoch if the
-    loss stops being finite.
+    (seeded by cfg.seed).  A loss that stops being finite, or a snapshot layer
+    of spectral norm 0, raises an error naming the epoch.
     """
     if cfg.layer_widths[0] != train_ds.dim:
         raise ParameterError(
@@ -351,7 +352,7 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     n = train_ds.n
     x = train_ds.X
     y = train_ds.y
-    x_norm = frobenius_norm(x)
+    x_norm = _group_norm(x, 2.0, 2.0)
     rows = max(_PENDING_ROWS, min(cfg.batch_size, n))
     model = _DeferredWeights(weights, rows, cfg.l2_coefficient)
     snapshots = []
@@ -368,9 +369,11 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
             loss_sum += loss
             steps += 1
         model.flush()
-        snap, net, md = _snapshot(
-            epoch, steps, loss_sum / steps, net0.layers, weights, train_ds, x_norm, test_ds
-        )
+        try:
+            snap, net, md = _snapshot(epoch, steps, loss_sum / steps, net0.layers, weights,
+                                      train_ds, x_norm, test_ds)
+        except DegenerateNetworkError as exc:
+            raise DegenerateNetworkError(f"{exc} (epoch {epoch})") from None
         snapshots.append(snap)
         if snapshot_hook is not None:
             snapshot_hook(snap, net, md)

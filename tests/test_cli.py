@@ -120,16 +120,16 @@ class TestMargins:
         from margin_auditor.network import Network
 
         forwards = []
-        forward_images = Network.forward_images
+        forward = Network._forward
 
-        def counted(net, x):
+        def counted(net, x, keep=False):
             forwards.append(len(x))
-            return forward_images(net, x)
+            return forward(net, x, keep)
 
         def no_bound(*args, **kwargs):
             raise AssertionError("the margins command evaluated a bound")
 
-        monkeypatch.setattr(Network, "forward_images", counted)
+        monkeypatch.setattr(Network, "_forward", counted)
         monkeypatch.setattr(complexity, "generalization_bound_fixed", no_bound)
         monkeypatch.setattr(complexity, "_uniform_bound", no_bound)
         manifest, feats, labels = fixture_paths

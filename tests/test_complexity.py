@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from margin_auditor import (
     Network,
     ParameterError,
     Relu,
+    TrainConfig,
     analyze_network,
     cover_budget,
     cover_resolution,
@@ -20,6 +22,7 @@ from margin_auditor import (
     frobenius_norm,
     generalization_bound_fixed,
     generalization_bound_uniform,
+    init_network,
     jacobi_singular_values,
     layer_norms,
     margin_bound_assembly,
@@ -435,18 +438,52 @@ class TestAnalyzeNetwork:
         net = random_network(rng, depth=3)
         ds = random_dataset(rng, net, n=30)
         calls = {"forward": 0, "norms": 0}
-        forward_images = Network.forward_images
-        extract = complexity.layer_norms
+        forward = Network._forward
+        extract = complexity._extract_norms
 
-        def counted_forward(self, x):
+        def counted_forward(self, x, keep=False):
             calls["forward"] += 1
-            return forward_images(self, x)
+            return forward(self, x, keep)
 
         def counted_norms(net):
             calls["norms"] += 1
             return extract(net)
 
-        monkeypatch.setattr(Network, "forward_images", counted_forward)
-        monkeypatch.setattr(complexity, "layer_norms", counted_norms)
+        monkeypatch.setattr(Network, "_forward", counted_forward)
+        monkeypatch.setattr(complexity, "_extract_norms", counted_norms)
         analyze_network(net, ds, gamma=gamma, delta=0.05)
         assert calls == {"forward": 1, "norms": 1}
+
+    @pytest.mark.parametrize("entry", ["analyze_network", "margin_distribution"])
+    def test_data_validated_only_by_the_dataset(self, rng, monkeypatch, entry):
+        from margin_auditor import linalg, margins, network
+
+        net = random_network(rng, depth=3)
+        ds = random_dataset(rng, net, n=30)
+        seen = []
+        for module in (linalg, margins, network):
+            def counted(a, original=module.as_matrix):
+                seen.append(a is ds.X)
+                return original(a)
+
+            monkeypatch.setattr(module, "as_matrix", counted)
+        if entry == "analyze_network":
+            analyze_network(net, ds, delta=0.05)
+        else:
+            margins.margin_distribution(net, ds, 1.0)
+        assert seen and True not in seen
+
+    def test_peak_memory_below_data_size(self):
+        # The forward pass keeps only its running image and the data norm
+        # reduces in row blocks, so no temporary the size of X is built.
+        widths = (784, 256, 256, 10)
+        net = init_network(TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=3))
+        rng = np.random.default_rng(4)
+        ds = Dataset(X=rng.uniform(0.0, 1.0, (2000, 784)), y=rng.integers(1, 11, 2000), k=10)
+        tracemalloc.start()
+        try:
+            analyze_network(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.X.nbytes

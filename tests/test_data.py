@@ -14,6 +14,7 @@ from margin_auditor import (
     load_idx,
     randomize_inputs_gaussian,
     randomize_labels,
+    read_mat1,
     save_dataset,
     synth_blobs,
     synth_images,
@@ -107,6 +108,16 @@ class TestBinaryDataset:
         raw[0] = ord("X")
         (tmp_path / "y.lbl").write_bytes(bytes(raw))
         with pytest.raises(ParseError):
+            load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl")
+
+    def test_non_finite_features_are_a_parse_error(self, tmp_path):
+        save_dataset(synth_blobs(5, 2, 2, 1.0, seed=0), tmp_path / "x.mat", tmp_path / "y.lbl")
+        raw = bytearray((tmp_path / "x.mat").read_bytes())
+        struct.pack_into("<d", raw, 12 + 8 * 7, float("nan"))  # entry (3, 1)
+        (tmp_path / "x.mat").write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="invalid MAT1 contents"):
+            read_mat1(tmp_path / "x.mat")
+        with pytest.raises(ParseError, match="invalid MAT1 contents"):
             load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from margin_auditor import (
     Dataset,
+    DegenerateNetworkError,
     ParameterError,
     TrainConfig,
     TrainingDivergedError,
@@ -307,13 +308,13 @@ class TestTrain:
     def test_snapshot_forwards_train_and_test_once(self, blob_pair, monkeypatch):
         train_ds, test_ds = blob_pair
         rows = []
-        forward_images = Network.forward_images
+        forward = Network._forward
 
-        def counted(net, x):
+        def counted(net, x, keep=False):
             rows.append(len(x))
-            return forward_images(net, x)
+            return forward(net, x, keep)
 
-        monkeypatch.setattr(Network, "forward_images", counted)
+        monkeypatch.setattr(Network, "_forward", counted)
         cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=1, batch_size=16, seed=0)
         train(cfg, train_ds, test_ds)
         assert sorted(rows) == sorted([train_ds.n, test_ds.n])
@@ -324,12 +325,12 @@ class TestTrain:
         train_ds, test_ds = blob_pair
         seen = []
         for module in (margins, training):
-            if hasattr(module, "frobenius_norm"):
-                def counted(a, original=module.frobenius_norm):
+            if hasattr(module, "_group_norm"):
+                def counted(a, p, q, original=module._group_norm):
                     seen.append(a is train_ds.X)
-                    return original(a)
+                    return original(a, p, q)
 
-                monkeypatch.setattr(module, "frobenius_norm", counted)
+                monkeypatch.setattr(module, "_group_norm", counted)
         cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=3, batch_size=16, seed=0)
         train(cfg, train_ds, test_ds)
         assert seen.count(True) == 1
@@ -345,6 +346,18 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as err:
             train(cfg, train_ds, test_ds)
         assert err.value.epoch == 0
+
+    def test_degenerate_snapshot_names_epoch(self):
+        # decay 1 - 2*lr*l2 is exactly 0: every ReLU unit dies within a few
+        # steps, and the first snapshot finds a layer of spectral norm 0
+        widths = (64, 48, 32, 10)
+        _, x, y = _net_and_rows([64], widths=widths)
+        ds = Dataset(X=x, y=y, k=10)
+        cfg = TrainConfig(layer_widths=widths, epochs=2, batch_size=4, seed=6,
+                          learning_rate=0.25, l2_coefficient=2.0)
+        with pytest.raises(DegenerateNetworkError, match=r"\(epoch 0\)$") as err:
+            train(cfg, ds, ds)
+        assert err.value.exit_code == 4
 
     def test_random_labels_mode_sticks(self, blob_pair):
         train_ds, test_ds = blob_pair

@@ -18,19 +18,14 @@ import numpy as np
 from . import covering, lowerbound, margins, training
 from .complexity import _check_bound_params, analyze_network, layer_norms, spectral_complexity
 from .data import inspect_idx, load_dataset, load_idx
-from .errors import InputOutputError, MarginAuditorError, ParameterError
+from .errors import MarginAuditorError, ParameterError, _check_at_least
 from .linalg import MAT1_MAGIC, frobenius_norm, spectral_norm
 from .network import load_manifest, save_manifest
-from .serialize import dumps_17g, write_json_17g
+from .serialize import _read_input, dumps_17g, write_json_17g
 
 
 def _load_any_dataset(features_path, labels_path):
-    try:
-        with open(features_path, "rb") as f:
-            magic = f.read(4)
-    except FileNotFoundError:
-        raise InputOutputError(f"file not found: {features_path}") from None
-    if magic == MAT1_MAGIC:
+    if _read_input(features_path, size=4) == MAT1_MAGIC:
         return load_dataset(features_path, labels_path)
     return load_idx(features_path, labels_path)
 
@@ -43,8 +38,6 @@ def _ensure_out(path):
 def cmd_analyze(args):
     net = load_manifest(args.network)
     ds = _load_any_dataset(args.features, args.labels)
-    if not (0.0 < args.delta < 1.0):
-        raise ParameterError(f"delta must lie in (0,1), got {args.delta}")
     report, md = analyze_network(net, ds, gamma=args.gamma, delta=args.delta)
     out = _ensure_out(args.out)
     write_json_17g(os.path.join(out, "bound-report.json"), asdict(report))
@@ -93,6 +86,12 @@ def cmd_train(args):
     return 0
 
 
+def _emit(record):
+    """Print a demo command's record; exit 0 when its check is satisfied, else 1."""
+    sys.stdout.write(dumps_17g(record))
+    return 0 if record["satisfied"] else 1
+
+
 def cmd_coverdemo(args):
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.n, args.d))
@@ -108,8 +107,7 @@ def cmd_coverdemo(args):
         "eps": args.eps,
         "satisfied": bool(err <= args.eps),
     }
-    sys.stdout.write(dumps_17g(record))
-    return 0 if record["satisfied"] else 1
+    return _emit(record)
 
 
 def cmd_maurey(args):
@@ -125,12 +123,15 @@ def cmd_maurey(args):
         "retries": result.retries,
         "satisfied": bool(result.approx_error_sq <= result.guarantee),
     }
-    sys.stdout.write(dumps_17g(record))
-    return 0 if record["satisfied"] else 1
+    return _emit(record)
 
 
 def cmd_lowerbound(args):
-    a = np.array([float(v) for v in args.a.split(",")])
+    try:
+        a = np.array([float(v) for v in args.a.split(",")])
+    except ValueError:
+        raise ParameterError(f"--a must be comma-separated numbers, got {args.a!r}") from None
+    _check_at_least(args.trials, 2, "trials")  # the 3-sigma term needs a sample std
     net = lowerbound.build_linear_network(a, args.layers)
     rng = np.random.default_rng(args.seed)
     xs = rng.standard_normal((1000, a.size))
@@ -149,8 +150,7 @@ def cmd_lowerbound(args):
         "khintchine_floor": floor,
         "satisfied": bool(err <= 1e-12 and estimate >= floor - stderr3),
     }
-    sys.stdout.write(dumps_17g(record))
-    return 0 if record["satisfied"] else 1
+    return _emit(record)
 
 
 def cmd_idx_inspect(args):
@@ -166,24 +166,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="bound report + margins CSV for a network/dataset pair")
-    p.add_argument("network", help="network manifest JSON")
-    p.add_argument("--features", required=True, help="MAT1 or IDX feature file")
-    p.add_argument("--labels", required=True, help="LBL1 or IDX label file")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--out", default="./out")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("margins", help="margin distribution with histogram and KDE CSVs")
-    p.add_argument("network")
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--bins", type=int, default=30)
-    p.add_argument("--out", default="./out")
-    p.set_defaults(func=cmd_margins)
+    for name, func, text in (
+        ("analyze", cmd_analyze, "bound report + margins CSV for a network/dataset pair"),
+        ("margins", cmd_margins, "margin distribution with histogram and KDE CSVs"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("network", help="network manifest JSON")
+        p.add_argument("--features", required=True, help="MAT1 or IDX feature file")
+        p.add_argument("--labels", required=True, help="LBL1 or IDX label file")
+        p.add_argument("--gamma", type=float, default=None)
+        p.add_argument("--delta", type=float, default=0.01)
+        p.add_argument("--out", default="./out")
+        p.set_defaults(func=func)
+    p.add_argument("--bins", type=int, default=30)  # margins only
 
     p = sub.add_parser("train", help="deterministic SGD run writing per-epoch snapshots")
     p.add_argument("config", help="TrainConfig JSON")

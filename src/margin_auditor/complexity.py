@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNetworkError, ParameterError
-from .linalg import _group_norm, _spectral_norm
+from .covering import _cover_factor
+from .errors import DegenerateNetworkError, ParameterError, _check_at_least, _check_positive
+from .linalg import _check_exponent, _group_norm, _spectral_norm
 from .margins import _margin_distribution_of_outputs, _ramp_risk_of_margins, ramp_risk_empirical
 
 
@@ -141,22 +142,20 @@ def pac_bayes_complexity_of(net, norms=None):
 def matrix_cover_logsize(a, b_x, m, r, eps, d):
     """Log covering number of {XA : ||A||_(q,s) <= a} at scale eps:
     ceil(a^2 b^2 m^(2/r) / eps^2) * ln(2dm)."""
-    if not (a > 0.0 and b_x > 0.0 and eps > 0.0):
-        raise ParameterError("a, b and eps must be positive")
-    if d < 1 or m < 1:
-        raise ParameterError("d and m must be at least 1")
-    if not (r >= 1.0):
-        raise ParameterError(f"exponent r must be >= 1, got {r!r}")
-    m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
-    k = math.ceil(a * a * b_x * b_x * m_pow / (eps * eps))
+    _check_positive(a, "a")
+    _check_positive(b_x, "b")
+    _check_positive(eps, "eps")
+    _check_at_least(d, 1, "d")
+    _check_at_least(m, 1, "m")
+    _check_exponent(r, "r")
+    k = math.ceil(a * a * b_x * b_x * _cover_factor(m, r) / (eps * eps))
     return k * math.log(2.0 * d * m)
 
 
 def network_cover_logsize(data_norm, width, norms, eps):
     """Whole-network log covering number at scale eps:
     (||X||_2^2 ln(2 W^2) / eps^2) * prod(s_j^2 rho_j^2) * (sum (b_i/s_i)^(2/3))^3."""
-    if not (eps > 0.0):
-        raise ParameterError(f"eps must be positive, got {eps!r}")
+    _check_positive(eps, "eps")
     product, total = _capacity_factors(norms)
     return (
         data_norm * data_norm * math.log(2.0 * width * width) / (eps * eps)
@@ -169,8 +168,7 @@ def cover_budget(eps, norms):
     alpha_i is proportional to (b_i/s_i)^(2/3) and sums to one; layer i then
     receives eps_i = alpha_i * eps / (rho_i * prod_{j>i} rho_j s_j).
     """
-    if not (eps > 0.0):
-        raise ParameterError(f"eps must be positive, got {eps!r}")
+    _check_positive(eps, "eps")
     norms = list(norms)
     _, alpha_bar = _capacity_factors(norms)
     if alpha_bar == 0.0:
@@ -218,10 +216,8 @@ def dudley_closed_form(r_const, n):
     exceeds sqrt(n) the boundary value at a = sqrt(n) applies and the
     integral term is zero.
     """
-    if not (r_const > 0.0):
-        raise ParameterError(f"R must be positive, got {r_const!r}")
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
+    _check_positive(r_const, "R")
+    _check_at_least(n, 1, "n")
     sqrt_n = math.sqrt(n)
     alpha_star = 3.0 * math.sqrt(r_const / n)
     if alpha_star >= sqrt_n:
@@ -241,10 +237,8 @@ def dudley_numeric(log_n_fn, n, alpha):
     R/eps^2 entropy family exactly).  ``log_n_fn`` must be nonincreasing,
     which is checked on the quadrature nodes.
     """
-    if not (alpha > 0.0):
-        raise ParameterError(f"alpha must be positive, got {alpha!r}")
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
+    _check_positive(alpha, "alpha")
+    _check_at_least(n, 1, "n")
     sqrt_n = math.sqrt(n)
     head = 4.0 * alpha / sqrt_n
     if alpha >= sqrt_n:
@@ -272,8 +266,7 @@ def generalization_bound_fixed(ramp_risk, data_bound, width, n, gamma, delta, no
     Returns (term_const, term_complexity, term_confidence, total).
     """
     _check_bound_params(gamma, delta, n)
-    if not (data_bound > 0.0):
-        raise ParameterError(f"data norm bound must be positive, got {data_bound!r}")
+    _check_positive(data_bound, "data norm bound")
     product, total = _capacity_factors(norms)
     term_const = 8.0 / n
     term_complexity = (
@@ -333,20 +326,20 @@ def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
 
 def margin_bound_assembly(ramp_risk, rademacher, n, delta):
     """Three-term margin bound: ramp risk + 2 * Rademacher + 3 sqrt(ln(1/delta)/(2n))."""
-    if not (0.0 < delta < 1.0):
-        raise ParameterError(f"delta must lie in (0,1), got {delta!r}")
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
+    _check_delta(delta)
+    _check_at_least(n, 1, "n")
     return ramp_risk + 2.0 * rademacher + 3.0 * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
 
 def _check_bound_params(gamma, delta, n):
-    if not (gamma > 0.0):
-        raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    _check_positive(gamma, "gamma")
+    _check_delta(delta)
+    _check_at_least(n, 2, "n")
+
+
+def _check_delta(delta):
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0,1), got {delta!r}")
-    if n < 2:
-        raise ParameterError(f"need n >= 2 samples, got {n}")
 
 
 def analyze_network(net, ds, gamma=None, delta=0.01):

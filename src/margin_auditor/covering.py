@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError
-from .linalg import _colwise_pnorm, _scale_exponent, _unscale, as_matrix, group_norm
+from .errors import NumericDegeneracyError, ParameterError, _check_at_least, _check_positive
+from .linalg import _check_exponent, _colwise_pnorm, _scale_exponent, _unscale, as_matrix, group_norm
 
 _MAUREY_RETRY_CAP = 1000
 
@@ -59,8 +59,7 @@ def maurey_sparsify(atoms, alpha, k, seed=0):
         raise ParameterError("coefficients must be finite and nonnegative")
     if a.sum() == 0.0:
         raise ParameterError("coefficients must not all be zero")
-    if k < 1:
-        raise ParameterError(f"k must be at least 1, got {k}")
+    _check_at_least(k, 1, "k")
     return _draw(lambda c: v.T @ c, a, float(np.sum(v * v, axis=1).max()), k, seed)[0]
 
 
@@ -86,6 +85,11 @@ def _draw(combine, a, max_sq_norm, k, seed):
     raise NumericDegeneracyError(
         f"sparsification failed to meet its guarantee within {_MAUREY_RETRY_CAP} draws"
     )
+
+
+def _cover_factor(m, r):
+    """m^(2/r), the factor the column count m puts into the atom budget k."""
+    return 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
 
 
 def _conjugate(p):
@@ -119,10 +123,9 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     a, x = as_matrix(a), as_matrix(x)
     if x.shape[1] != a.shape[0]:
         raise ParameterError(f"X has {x.shape[1]} columns but A has {a.shape[0]} rows")
-    if not (eps > 0.0):
-        raise ParameterError(f"eps must be positive, got {eps!r}")
-    if not (q >= 1.0) or not (s_exp >= 1.0):
-        raise ParameterError("exponents q and s must be >= 1")
+    _check_positive(eps, "eps")
+    _check_exponent(q, "q")
+    _check_exponent(s_exp, "s")
     p = _conjugate(q)
     if p > 2.0:
         raise ParameterError(f"conjugate exponent p={p} exceeds 2; pick q >= 2")
@@ -131,8 +134,8 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
         raise ParameterError("X must not be the zero matrix")
 
     m = a.shape[1]
-    e_a = _scale_exponent(max(float(a.max()), -float(a.min()))) or 0  # None for A = 0
-    e_x = _scale_exponent(max(float(x.max()), -float(x.min())))
+    e_a = _scale_exponent(a) or 0  # None for A = 0
+    e_x = _scale_exponent(x)
     e = e_a + e_x
     a, x = np.ldexp(a, -e_a), np.ldexp(x, -e_x)
     col_norms = _colwise_pnorm(x, p)
@@ -143,12 +146,11 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     if not nonzero.size:
         return np.zeros((x.shape[0], m)), SparsifyResult((), 0.0, 0.0, retries=0)
 
-    m_pow = 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
     norm_a = group_norm(a, q, s_exp)
     b_x = group_norm(x, p, p)
     try:  # norm_a, b_x >= 1 now; the ratio rounds to 0 only when eps * eps overflows
         eps = math.ldexp(eps, -e)
-        k = max(1, math.ceil(norm_a**2 * b_x**2 * m_pow / (eps * eps)))
+        k = max(1, math.ceil(norm_a**2 * b_x**2 * _cover_factor(m, r) / (eps * eps)))
     except (OverflowError, ZeroDivisionError):
         raise NumericDegeneracyError("atom budget k is out of the float64 range") from None
 

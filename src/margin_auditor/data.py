@@ -6,17 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InputOutputError,
-    NumericDegeneracyError,
-    ParameterError,
-    ParseError,
-)
+from .errors import NumericDegeneracyError, ParameterError, ParseError, _check_at_least
 from .linalg import _check_payload, as_matrix, read_mat1, write_mat1
+from .serialize import _read_input
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 LBL1_MAGIC = b"LBL1"
+# magic: (kind, the u32 header fields after the magic as (key, name in errors))
+_IDX_HEADERS = {
+    IDX_IMAGES_MAGIC: ("images", (("count", "image count"), ("rows", "row count"),
+                                  ("cols", "column count"))),
+    IDX_LABELS_MAGIC: ("labels", (("count", "label count"),)),
+}
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,7 @@ class Dataset:
         y = np.asarray(self.y, dtype=np.int64)
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise ParameterError("need exactly one label per example row")
-        if self.k < 1:
-            raise ParameterError(f"label count k must be >= 1, got {self.k}")
+        _check_at_least(self.k, 1, "label count k")
         if y.min() < 1 or y.max() > self.k:
             raise ParameterError(f"labels must lie in 1..{self.k}")
         object.__setattr__(self, "X", x)
@@ -48,34 +49,30 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _read_file(path):
-    try:
-        with open(path, "rb") as f:
-            return f.read()
-    except FileNotFoundError:
-        raise InputOutputError(f"file not found: {path}") from None
-
-
 def _be_u32(raw, offset, path, what):
     if len(raw) < offset + 4:
         raise ParseError(f"truncated before {what}", path=path, offset=len(raw))
     return struct.unpack_from(">I", raw, offset)[0]
 
 
+def _idx_header(raw, path, want=None):
+    """(kind, {key: value} of the u32 header fields) of an IDX file's bytes;
+    a magic other than ``want``, when given, is a parse error at byte 0."""
+    magic = _be_u32(raw, 0, path, "magic")
+    if want is not None and magic != want:
+        raise ParseError(f"bad IDX magic 0x{magic:08x}, expected 0x{want:08x}",
+                         path=path, offset=0)
+    if magic not in _IDX_HEADERS:
+        raise ParseError(f"unrecognized IDX magic 0x{magic:08x}", path=path, offset=0)
+    kind, fields = _IDX_HEADERS[magic]
+    return kind, {key: _be_u32(raw, 4 + 4 * i, path, noun) for i, (key, noun) in enumerate(fields)}
+
+
 def inspect_idx(path):
     """Header of an IDX file as a dict; distinguishes image and label files."""
-    raw = _read_file(path)
-    magic = _be_u32(raw, 0, path, "magic")
-    if magic == IDX_IMAGES_MAGIC:
-        count = _be_u32(raw, 4, path, "image count")
-        rows = _be_u32(raw, 8, path, "row count")
-        cols = _be_u32(raw, 12, path, "column count")
-        return {"kind": "images", "count": count, "rows": rows, "cols": cols,
-                "payload_bytes": len(raw) - 16}
-    if magic == IDX_LABELS_MAGIC:
-        count = _be_u32(raw, 4, path, "label count")
-        return {"kind": "labels", "count": count, "payload_bytes": len(raw) - 8}
-    raise ParseError(f"unrecognized IDX magic 0x{magic:08x}", path=path, offset=0)
+    raw = _read_input(path)
+    kind, header = _idx_header(raw, path)
+    return {"kind": kind, **header, "payload_bytes": len(raw) - 4 - 4 * len(header)}
 
 
 def load_idx(images_path, labels_path):
@@ -85,28 +82,15 @@ def load_idx(images_path, labels_path):
     byte labels are shifted to 1-based.  Malformed input raises a parse error
     naming the byte offset.
     """
-    raw = _read_file(images_path)
-    magic = _be_u32(raw, 0, images_path, "magic")
-    if magic != IDX_IMAGES_MAGIC:
-        raise ParseError(
-            f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}",
-            path=images_path, offset=0,
-        )
-    n = _be_u32(raw, 4, images_path, "image count")
-    rows = _be_u32(raw, 8, images_path, "row count")
-    cols = _be_u32(raw, 12, images_path, "column count")
+    raw = _read_input(images_path)
+    header = _idx_header(raw, images_path, want=IDX_IMAGES_MAGIC)[1]
+    n, rows, cols = header["count"], header["rows"], header["cols"]
     _check_payload(raw, 16 + n * rows * cols, images_path, "image")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
     x = np.divide(pixels.reshape(n, rows * cols), 255.0)  # one float64 pass
 
-    lraw = _read_file(labels_path)
-    lmagic = _be_u32(lraw, 0, labels_path, "magic")
-    if lmagic != IDX_LABELS_MAGIC:
-        raise ParseError(
-            f"bad label magic 0x{lmagic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}",
-            path=labels_path, offset=0,
-        )
-    ln = _be_u32(lraw, 4, labels_path, "label count")
+    lraw = _read_input(labels_path)
+    ln = _idx_header(lraw, labels_path, want=IDX_LABELS_MAGIC)[1]["count"]
     if ln != n:
         raise ParseError(
             f"label count {ln} does not match image count {n}", path=labels_path, offset=4
@@ -150,7 +134,7 @@ def save_dataset(ds, matrix_path, labels_path):
 def load_dataset(matrix_path, labels_path):
     """Inverse of :func:`save_dataset`."""
     x = read_mat1(matrix_path)
-    raw = _read_file(labels_path)
+    raw = _read_input(labels_path)
     if len(raw) < 12:
         raise ParseError("LBL1 header truncated", path=labels_path, offset=len(raw))
     if raw[:4] != LBL1_MAGIC:
@@ -163,8 +147,6 @@ def load_dataset(matrix_path, labels_path):
 
 def randomize_labels(ds, seed=0):
     """Replace labels by iid uniform draws over {1..k}; features untouched."""
-    if ds.k == 1:
-        return Dataset(X=ds.X, y=ds.y.copy(), k=ds.k)
     rng = np.random.default_rng(seed)
     y = rng.integers(1, ds.k + 1, size=ds.n)
     return Dataset(X=ds.X, y=y.astype(np.int64), k=ds.k)
@@ -202,8 +184,8 @@ def synth_blobs(n, d, k, separation, seed=0):
     """
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
-    if k < 1 or d < 1:
-        raise ParameterError("k and d must be at least 1")
+    _check_at_least(k, 1, "k")
+    _check_at_least(d, 1, "d")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((k, d))
     lens = np.sqrt(np.sum(means * means, axis=1))

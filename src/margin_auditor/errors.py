@@ -1,4 +1,5 @@
-"""Exception hierarchy; the CLI maps each class to a fixed process exit code."""
+"""Exception hierarchy, and the argument checks shared across the package;
+the CLI maps each class to a fixed process exit code."""
 
 
 class MarginAuditorError(Exception):
@@ -54,3 +55,15 @@ class TrainingDivergedError(MarginAuditorError):
     def __init__(self, message, epoch):
         super().__init__(f"{message} (epoch {epoch})")
         self.epoch = epoch
+
+
+def _check_positive(value, name):
+    """ParameterError unless ``value > 0``; written so that NaN fails too."""
+    if not (value > 0.0):
+        raise ParameterError(f"{name} must be positive, got {value!r}")
+
+
+def _check_at_least(value, low, name):
+    """ParameterError unless ``value >= low``; written so that NaN fails too."""
+    if not (value >= low):
+        raise ParameterError(f"{name} must be at least {low}, got {value}")

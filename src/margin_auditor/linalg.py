@@ -13,13 +13,8 @@ import struct
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InputOutputError,
-    NumericDegeneracyError,
-    ParameterError,
-    ParseError,
-)
+from .errors import DimensionError, NumericDegeneracyError, ParameterError, ParseError
+from .serialize import _read_input
 
 _JACOBI_MAX_SWEEPS = 64
 _JACOBI_TOL = 1e-15
@@ -57,7 +52,7 @@ def spectral_norm(a):
 
 def _spectral_norm(a):
     """:func:`spectral_norm` of a trusted finite 2-D float64 array."""
-    e = _scale_exponent(max(float(a.max()), -float(a.min())))
+    e = _scale_exponent(a)
     if e is None:
         return 0.0
     if e:
@@ -70,8 +65,9 @@ def _spectral_norm(a):
     return _unscale(math.sqrt(max(lam, 0.0)), e)
 
 
-def _scale_exponent(top):
-    """Exponent e with ``top * 2**-e`` in [1, 2), or None when ``top`` is 0."""
+def _scale_exponent(a):
+    """Exponent e with ``max|a| * 2**-e`` in [1, 2), or None when ``a`` is all zero."""
+    top = max(float(a.max()), -float(a.min()))
     if top == 0.0:
         return None
     return math.frexp(top)[1] - 1
@@ -94,7 +90,7 @@ def jacobi_singular_values(a):
     negligible; the singular values are the final column norms.
     """
     a = as_matrix(a)
-    e = _scale_exponent(max(float(a.max()), -float(a.min()))) or 0  # None for a zero matrix
+    e = _scale_exponent(a) or 0  # None for a zero matrix
     wt = np.ldexp(a.T if a.shape[0] >= a.shape[1] else a, -e, order="C")
     rounds = _round_robin(wt.shape[0])
     for _ in range(_JACOBI_MAX_SWEEPS):
@@ -163,7 +159,7 @@ def _check_exponent(v, name):
 
 def _group_norm(a, p, q):
     """:func:`group_norm` of a trusted finite 2-D float64 array, or a view of one."""
-    e = _scale_exponent(max(float(a.max()), -float(a.min())))
+    e = _scale_exponent(a)
     if e is None:
         return 0.0
     return _unscale(_vector_pnorm(_colwise_pnorm(a, p, e), q), e)
@@ -221,11 +217,7 @@ def _check_payload(raw, expected, path, what):
 
 def read_mat1(path):
     """Read a MAT1 file back into a float64 array; bit-exact round trip."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except FileNotFoundError:
-        raise InputOutputError(f"matrix file not found: {path}") from None
+    raw = _read_input(path, "matrix file")
     if len(raw) < 12:
         raise ParseError("MAT1 header truncated", path=path, offset=len(raw))
     if raw[:4] != MAT1_MAGIC:

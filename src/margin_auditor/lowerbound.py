@@ -10,7 +10,7 @@ their difference.  Its product of spectral norms is exactly 2 ||a||_2.
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_at_least, _check_positive
 from .network import Identity, Layer, Network, Relu
 
 
@@ -27,8 +27,7 @@ def build_linear_network(a, depth, widths=None):
         raise ParameterError("direction vector a must be nonzero")
     if not np.all(np.isfinite(a)):
         raise ParameterError("direction vector a must be finite")
-    if depth < 2:
-        raise ParameterError(f"depth must be at least 2, got {depth}")
+    _check_at_least(depth, 2, "depth")
     if widths is None:
         widths = [2] * (depth - 1)
     widths = [int(w) for w in widths]
@@ -59,10 +58,8 @@ def rademacher_linear_trials(x, radius, trials, seed=0):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
         raise ParameterError("X must be a nonempty matrix of example rows")
-    if not (radius > 0.0):
-        raise ParameterError(f"radius must be positive, got {radius!r}")
-    if trials < 1:
-        raise ParameterError(f"trials must be at least 1, got {trials}")
+    _check_positive(radius, "radius")
+    _check_at_least(trials, 1, "trials")
     n = x.shape[0]
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(trials, n)) * 2.0 - 1.0

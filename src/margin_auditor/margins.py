@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError
+from .errors import NumericDegeneracyError, ParameterError, _check_positive
 from .linalg import _group_norm, as_matrix
 from .serialize import write_csv_17g
 
@@ -71,8 +71,7 @@ def margins_of_outputs(outputs, labels):
 
 def ramp_loss(r, gamma):
     """Ramp surrogate: 0 below -gamma, linear on [-gamma, 0], 1 above 0."""
-    if not (gamma > 0.0):
-        raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    _check_positive(gamma, "gamma")
     if r < -gamma:
         return 0.0
     if r > 0.0:
@@ -82,8 +81,7 @@ def ramp_loss(r, gamma):
 
 def ramp_risk_empirical(net, ds, gamma):
     """Mean ramp loss of the negated margins over a dataset."""
-    if not (gamma > 0.0):
-        raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    _check_positive(gamma, "gamma")
     return _ramp_risk_of_margins(margins_of_outputs(net._forward(ds.X), ds.y), gamma)
 
 
@@ -124,8 +122,7 @@ def margin_distribution(net, ds, r_a, gamma=None):
 def _margin_distribution_of_outputs(outputs, labels, r_a, data_norm, gamma=None):
     """:func:`margin_distribution` from the network's outputs on the data and
     the data's entrywise l2 norm, both already computed by the caller."""
-    if not (r_a > 0.0):
-        raise ParameterError(f"spectral complexity must be positive, got {r_a!r}")
+    _check_positive(r_a, "spectral complexity")
     if data_norm == 0.0:
         raise NumericDegeneracyError("zero data matrix: margin normalizer degenerates")
     raw = margins_of_outputs(outputs, labels)

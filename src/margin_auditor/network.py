@@ -13,20 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputOutputError, ParameterError, ParseError
-from .linalg import as_matrix, read_mat1, write_mat1
-
-
-def _check_lipschitz_exponent(p):
-    if not (p >= 1.0):
-        raise ParameterError(f"Lipschitz exponent p must be >= 1, got {p!r}")
+from .errors import DimensionError, ParameterError, ParseError
+from .linalg import _check_exponent, as_matrix, read_mat1, write_mat1
+from .serialize import _read_json
 
 
 class _Coordinatewise:
     """Coordinatewise map fixing 0: 1-Lipschitz for every p-norm, same dimension."""
 
     def lipschitz(self, p):
-        _check_lipschitz_exponent(p)
+        _check_exponent(p, "p")
         return 1.0
 
     def output_dim(self, input_dim):
@@ -89,7 +85,7 @@ class MaxPool:
         return np.stack([z[:, g].max(axis=1) for g in self.groups], axis=1)
 
     def lipschitz(self, p):
-        _check_lipschitz_exponent(p)
+        _check_exponent(p, "p")
         if math.isinf(p):
             return 1.0
         return float(self.multiplicity) ** (1.0 / p)
@@ -201,15 +197,15 @@ class Network:
         return images if keep else z
 
 
-def _nonlinearity_from_json(obj):
-    kind = obj.get("kind")
+def _nonlinearity_from_json(obj, path=None):
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "relu":
         return Relu()
     if kind == "identity":
         return Identity()
     if kind == "maxpool":
         return MaxPool(obj.get("groups", []))
-    raise ParseError(f"unknown nonlinearity kind {kind!r}")
+    raise ParseError(f"nonlinearity must be an object of a known kind, got {obj!r}", path=path)
 
 
 def load_manifest(path):
@@ -219,19 +215,15 @@ def load_manifest(path):
     (MAT1), a ``reference`` that is a path or "zero" or "identity", and a
     ``nonlinearity`` object.  Paths are resolved relative to the manifest.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise InputOutputError(f"manifest not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"manifest is not valid JSON: {exc}", path=path) from None
+    doc = _read_json(path, "manifest")
     base = os.path.dirname(os.path.abspath(path))
-    entries = doc.get("layers")
+    entries = doc.get("layers") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ParseError("manifest must contain a nonempty 'layers' list", path=path)
     layers = []
     for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("weight"), str)):
+            raise ParseError(f"manifest layer {entry!r} has no 'weight' path", path=path)
         weight = read_mat1(os.path.join(base, entry["weight"]))
         ref_spec = entry.get("reference", "zero")
         if ref_spec == "zero":
@@ -245,7 +237,7 @@ def load_manifest(path):
             reference = np.eye(weight.shape[0])
         else:
             reference = read_mat1(os.path.join(base, ref_spec))
-        nl = _nonlinearity_from_json(entry.get("nonlinearity", {"kind": "relu"}))
+        nl = _nonlinearity_from_json(entry.get("nonlinearity", {"kind": "relu"}), path)
         layers.append(Layer(weight=weight, nonlinearity=nl, reference=reference))
     return Network(layers=tuple(layers))
 

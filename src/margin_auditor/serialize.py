@@ -1,4 +1,9 @@
-"""JSON and CSV emission with floats printed at 17 significant digits.
+"""Input file readers, and JSON and CSV emission with floats printed at 17
+significant digits.
+
+Every input file is read through :func:`_read_input`, so a missing or
+unreadable file is always an InputOutputError, and every JSON input through
+:func:`_read_json`, so malformed JSON is always a ParseError.
 
 The standard json encoder prints shortest round-trip floats; reports,
 snapshots and CSVs instead pin 17 significant digits so goldens are
@@ -6,9 +11,30 @@ byte-stable across platforms and numpy versions.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
+
+from .errors import InputOutputError, ParseError
+
+
+def _read_input(path, what="file", size=-1):
+    """The first ``size`` bytes (all when -1) of the input file ``what`` at ``path``."""
+    try:
+        with open(path, "rb") as f:
+            return f.read(size)
+    except OSError as exc:
+        why = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({exc.strerror})"
+        raise InputOutputError(f"{what} {why}: {path}") from None
+
+
+def _read_json(path, what):
+    """The JSON document in the input file ``what`` at ``path``, decoded as UTF-8."""
+    try:
+        return json.loads(_read_input(path, what).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}", path=path) from None
 
 
 def _render(obj, indent, level):
@@ -37,8 +63,6 @@ def _render(obj, indent, level):
             raise ValueError(f"cannot serialize non-finite float {x!r}")
         return format(x, ".17g")
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if obj is None:
         return "null"

@@ -18,7 +18,6 @@ logits against W and their products with A; a flush drops them.
 :func:`loss_and_gradients` is the eager reference for that step.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,11 +25,12 @@ import numpy as np
 
 from .complexity import layer_norms, spectral_complexity
 from .data import randomize_inputs_gaussian, randomize_labels
-from .errors import (DegenerateNetworkError, InputOutputError, ParameterError, ParseError,
-                     TrainingDivergedError)
+from .errors import (DegenerateNetworkError, ParameterError, TrainingDivergedError,
+                     _check_at_least, _check_positive)
 from .linalg import _group_norm
 from .margins import _error_rate_of_outputs, _margin_distribution_of_outputs, error_rate
 from .network import Identity, Layer, Network, Relu
+from .serialize import _read_json
 
 LABEL_MODES = ("true_labels", "random_labels")
 INPUT_MODES = ("true_inputs", "gaussian_moment_matched")
@@ -53,12 +53,9 @@ class TrainConfig:
         widths = tuple(int(w) for w in self.layer_widths)
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ParameterError("layer_widths must chain input dim to class count")
-        if not (self.learning_rate > 0.0):
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be at least 1, got {self.batch_size}")
+        _check_positive(self.learning_rate, "learning_rate")
+        _check_at_least(self.epochs, 1, "epochs")
+        _check_at_least(self.batch_size, 1, "batch_size")
         if self.l2_coefficient < 0.0:
             raise ParameterError("l2_coefficient must be nonnegative")
         if self.label_mode not in LABEL_MODES:
@@ -69,13 +66,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path):
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-        except FileNotFoundError:
-            raise InputOutputError(f"config not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config is not valid JSON: {exc}", path=path) from None
+        doc = _read_json(path, "config")
         try:
             return cls(**doc)
         except TypeError as exc:

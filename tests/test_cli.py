@@ -13,6 +13,19 @@ from cli_fixture import build_fixture, build_idx_fixture
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
+# manifests that parse as JSON but do not describe a network
+MALFORMED_MANIFESTS = {
+    "top-level-list": "[]",
+    "layer-without-weight": '{"layers": [{"reference": "zero"}]}',
+    "string-layer": '{"layers": ["fixture_w0.mat"]}',
+    "string-nonlinearity": '{"layers": [{"weight": "fixture_w0.mat", "nonlinearity": "relu"}]}',
+}
+
+
+def golden_bytes(*parts):
+    with open(os.path.join(GOLDEN_DIR, *parts), "rb") as f:
+        return f.read()
+
 
 @pytest.fixture
 def fixture_paths(tmp_path):
@@ -53,6 +66,26 @@ class TestAnalyze:
         assert "no.json" in err
         assert json.loads(err)["error"] == "InputOutputError"
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS) + ["manifest-is-directory",
+                                                                    "idx-inspect-directory"])
+    def test_malformed_or_unreadable_input_exit_2(self, tmp_path, fixture_paths, capsys, case):
+        manifest, feats, labels = fixture_paths
+        error, bad = "InputOutputError", str(tmp_path) + os.sep  # the file the error names
+        if case in MALFORMED_MANIFESTS:
+            error, bad = "ParseError", os.path.join(os.path.dirname(manifest), "bad.json")
+            with open(bad, "w", encoding="utf-8") as f:
+                f.write(MALFORMED_MANIFESTS[case])
+        argv = ["analyze", bad, "--features", feats, "--labels", labels,
+                "--out", str(tmp_path / "out")]
+        if case == "idx-inspect-directory":
+            argv = ["idx-inspect", bad]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == error
+        assert bad in diagnostic["message"]
+
     def test_bad_delta_exit_3(self, fixture_paths):
         manifest, feats, labels = fixture_paths
         rc = main(["analyze", manifest, "--features", feats, "--labels", labels,
@@ -78,6 +111,14 @@ class TestAnalyze:
 
 
 class TestMargins:
+    def test_golden_byte_identical(self, tmp_path, fixture_paths):
+        manifest, feats, labels = fixture_paths
+        out = tmp_path / "m"
+        assert main(["margins", manifest, "--features", feats, "--labels", labels,
+                     "--out", str(out)]) == 0
+        for name in ("histogram.csv", "kde.csv", "margin-summary.json", "margins.csv"):
+            assert (out / name).read_bytes() == golden_bytes("margins", name), name
+
     def test_writes_all_artifacts(self, tmp_path, fixture_paths):
         manifest, feats, labels = fixture_paths
         out = str(tmp_path / "m")
@@ -235,6 +276,24 @@ class TestTrainCommand:
 
 
 class TestDemos:
+    @pytest.mark.parametrize("name, argv", [
+        ("coverdemo", ["coverdemo"]),
+        ("coverdemo-q3-s2-eps0.3", ["coverdemo", "--q", "3", "--s", "2", "--eps", "0.3"]),
+        ("maurey", ["maurey"]),
+        ("lowerbound-trials200", ["lowerbound", "--trials", "200"]),
+    ])
+    def test_golden_stdout(self, capsys, name, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == golden_bytes("demos", name + ".json")
+
+    @pytest.mark.parametrize("flags", [["--a", "3,x"], ["--a", ""], ["--trials", "1"]])
+    def test_lowerbound_bad_input_exit_3(self, capsys, flags):
+        assert main(["lowerbound"] + flags) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "ParameterError"
+
     def test_coverdemo_satisfied(self, capsys):
         assert main(["coverdemo", "--seed", "7"]) == 0
         record = json.loads(capsys.readouterr().out)

@@ -21,7 +21,7 @@ from .data import inspect_idx, load_dataset, load_idx
 from .errors import MarginAuditorError, ParameterError, _check_at_least
 from .linalg import MAT1_MAGIC, frobenius_norm, spectral_norm
 from .network import load_manifest, save_manifest
-from .serialize import _read_input, dumps_17g, write_json_17g
+from .serialize import _output_dir, _read_input, dumps_17g, write_json_17g
 
 
 def _load_any_dataset(features_path, labels_path):
@@ -30,16 +30,11 @@ def _load_any_dataset(features_path, labels_path):
     return load_idx(features_path, labels_path)
 
 
-def _ensure_out(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_analyze(args):
     net = load_manifest(args.network)
     ds = _load_any_dataset(args.features, args.labels)
     report, md = analyze_network(net, ds, gamma=args.gamma, delta=args.delta)
-    out = _ensure_out(args.out)
+    out = _output_dir(args.out)
     write_json_17g(os.path.join(out, "bound-report.json"), asdict(report))
     margins.write_margins_csv(os.path.join(out, "margins.csv"), md)
     return 0
@@ -52,7 +47,7 @@ def cmd_margins(args):
     md = margins.margin_distribution(net, ds, r_a, gamma=args.gamma)
     _check_bound_params(md.gamma_used, args.delta, ds.n)
     summary = margins.summarize(md, bins=args.bins)
-    out = _ensure_out(args.out)
+    out = _output_dir(args.out)
     margins.write_margins_csv(os.path.join(out, "margins.csv"), md)
     margins.write_histogram_csv(os.path.join(out, "histogram.csv"), summary)
     margins.write_kde_csv(os.path.join(out, "kde.csv"), summary)
@@ -73,7 +68,7 @@ def cmd_train(args):
     cfg = training.TrainConfig.from_json(args.config)
     train_ds = _load_any_dataset(args.train_features, args.train_labels)
     test_ds = _load_any_dataset(args.test_features, args.test_labels)
-    out = _ensure_out(args.out)
+    out = _output_dir(args.out)
 
     def hook(snap, net, md):
         stem = os.path.join(out, f"epoch_{snap.epoch:03d}")
@@ -230,9 +225,6 @@ def main(argv=None):
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diagnostic), file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "InputOutputError", "message": str(exc)}), file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import _cover_factor
-from .errors import DegenerateNetworkError, ParameterError, _check_at_least, _check_positive
+from .errors import (DegenerateNetworkError, NumericDegeneracyError, ParameterError,
+                     _check_at_least, _check_positive)
 from .linalg import _check_exponent, _group_norm, _spectral_norm
 from .margins import _margin_distribution_of_outputs, _ramp_risk_of_margins, ramp_risk_empirical
 
@@ -311,10 +312,13 @@ def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
             if j != i:
                 term *= 1.0 / length + other.s
         total += term ** (2.0 / 3.0)
-    term_complexity = (
-        144.0 * math.log(n) * math.log(2.0 * width) / (gamma * n)
-        * product_rho * (1.0 + data_norm) * total**1.5
-    )
+    try:
+        term_complexity = (
+            144.0 * math.log(n) * math.log(2.0 * width) / (gamma * n)
+            * product_rho * (1.0 + data_norm) * total**1.5
+        )
+    except OverflowError:
+        raise NumericDegeneracyError("the uniform bound exceeds the float64 range") from None
     log_sum = math.log(1.0 / delta) + math.log(2.0 * n / gamma)
     log_sum += 2.0 * math.log(2.0 + data_norm)
     for ln in norms:

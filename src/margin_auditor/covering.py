@@ -51,7 +51,7 @@ def maurey_sparsify(atoms, alpha, k, seed=0):
     guarantee ||alpha||_1^2/k * max ||V_i||^2; retries with fresh seeded draws
     up to a cap, past which the input is declared numerically degenerate.
     """
-    v = _flatten_atoms(atoms)
+    v = as_matrix(_flatten_atoms(atoms))
     a = np.asarray(alpha, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] != v.shape[0]:
         raise ParameterError("need one coefficient per atom")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError, ParseError, _check_at_least
 from .linalg import _check_payload, as_matrix, read_mat1, write_mat1
-from .serialize import _read_input
+from .serialize import _read_input, _write_output
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -114,21 +114,17 @@ def write_idx(ds, images_path, labels_path, rows=1, cols=None):
     if ds.k > 256:
         raise ParameterError("IDX labels are single bytes; need k <= 256")
     pixels = np.rint(np.clip(ds.X, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes(order="C"))
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        f.write((ds.y - 1).astype(np.uint8).tobytes())
+    _write_output(images_path, struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols),
+                  pixels.tobytes(order="C"))
+    _write_output(labels_path, struct.pack(">II", IDX_LABELS_MAGIC, n),
+                  (ds.y - 1).astype(np.uint8).tobytes())
 
 
 def save_dataset(ds, matrix_path, labels_path):
     """Dataset export: features as MAT1, labels as LBL1 (magic, u32 count, u32 k, u32 labels)."""
     write_mat1(matrix_path, ds.X)
-    with open(labels_path, "wb") as f:
-        f.write(LBL1_MAGIC)
-        f.write(struct.pack("<II", ds.n, ds.k))
-        f.write(ds.y.astype("<u4").tobytes())
+    _write_output(labels_path, LBL1_MAGIC, struct.pack("<II", ds.n, ds.k),
+                  ds.y.astype("<u4").tobytes())
 
 
 def load_dataset(matrix_path, labels_path):

@@ -1,6 +1,8 @@
 """Exception hierarchy, and the argument checks shared across the package;
 the CLI maps each class to a fixed process exit code."""
 
+import operator
+
 
 class MarginAuditorError(Exception):
     """Base class for all package errors."""
@@ -9,7 +11,8 @@ class MarginAuditorError(Exception):
 
 
 class InputOutputError(MarginAuditorError):
-    """Missing or unreadable input file."""
+    """Missing or unreadable input file, or an output file that cannot be
+    written (see ``serialize._write_output``)."""
 
     exit_code = 2
 
@@ -67,3 +70,11 @@ def _check_at_least(value, low, name):
     """ParameterError unless ``value >= low``; written so that NaN fails too."""
     if not (value >= low):
         raise ParameterError(f"{name} must be at least {low}, got {value}")
+
+
+def _check_integer(value, name):
+    """``value`` as an int; ParameterError unless it is an integer (numpy's included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .errors import DimensionError, NumericDegeneracyError, ParameterError, ParseError
-from .serialize import _read_input
+from .serialize import _read_input, _write_output
 
 _JACOBI_MAX_SWEEPS = 64
 _JACOBI_TOL = 1e-15
@@ -201,11 +201,8 @@ def _vector_pnorm(v, q):
 def write_mat1(path, a):
     """Write ``a`` in the MAT1 format: magic, u32le rows, u32le cols, f64le row-major."""
     a = as_matrix(a)
-    rows, cols = a.shape
-    with open(path, "wb") as f:
-        f.write(MAT1_MAGIC)
-        f.write(struct.pack("<II", rows, cols))
-        f.write(a.astype("<f8", copy=False).tobytes(order="C"))
+    _write_output(path, MAT1_MAGIC, struct.pack("<II", *a.shape),
+                  a.astype("<f8", copy=False).tobytes(order="C"))
 
 
 def _check_payload(raw, expected, path, what):

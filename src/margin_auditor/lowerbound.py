@@ -11,6 +11,7 @@ their difference.  Its product of spectral norms is exactly 2 ||a||_2.
 import numpy as np
 
 from .errors import ParameterError, _check_at_least, _check_positive
+from .linalg import as_matrix
 from .network import Identity, Layer, Network, Relu
 
 
@@ -55,9 +56,7 @@ def build_linear_network(a, depth, widths=None):
 
 def rademacher_linear_trials(x, radius, trials, seed=0):
     """Per-trial values radius * ||sum_t eps_t x_t||_2 / n for seeded sign vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise ParameterError("X must be a nonempty matrix of example rows")
+    x = as_matrix(x)
     _check_positive(radius, "radius")
     _check_at_least(trials, 1, "trials")
     n = x.shape[0]

@@ -127,6 +127,9 @@ def _margin_distribution_of_outputs(outputs, labels, r_a, data_norm, gamma=None)
         raise NumericDegeneracyError("zero data matrix: margin normalizer degenerates")
     raw = margins_of_outputs(outputs, labels)
     normalizer = r_a * data_norm / raw.shape[0]
+    if not 0.0 < normalizer < math.inf:
+        raise NumericDegeneracyError(f"margin normalizer R_A*||X||/n = {normalizer!r} "
+                                     "is outside the float64 range")
     if gamma is None:
         gamma = default_gamma(raw)
     return MarginDistribution(

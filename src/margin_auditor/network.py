@@ -6,7 +6,6 @@ Data flows through with examples as rows; evaluation is pure and
 deterministic, so concurrent use is safe.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ParseError
 from .linalg import _check_exponent, as_matrix, read_mat1, write_mat1
-from .serialize import _read_json
+from .serialize import _output_dir, _read_json, write_json_17g
 
 
 class _Coordinatewise:
@@ -204,7 +203,11 @@ def _nonlinearity_from_json(obj, path=None):
     if kind == "identity":
         return Identity()
     if kind == "maxpool":
-        return MaxPool(obj.get("groups", []))
+        try:
+            return MaxPool(obj.get("groups", []))
+        except (TypeError, ValueError):
+            raise ParseError(f"maxpool groups must be lists of indices, got {obj!r}",
+                             path=path) from None
     raise ParseError(f"nonlinearity must be an object of a known kind, got {obj!r}", path=path)
 
 
@@ -226,6 +229,8 @@ def load_manifest(path):
             raise ParseError(f"manifest layer {entry!r} has no 'weight' path", path=path)
         weight = read_mat1(os.path.join(base, entry["weight"]))
         ref_spec = entry.get("reference", "zero")
+        if not isinstance(ref_spec, str):
+            raise ParseError(f"manifest layer reference {ref_spec!r} is not a string", path=path)
         if ref_spec == "zero":
             reference = None
         elif ref_spec == "identity":
@@ -244,7 +249,7 @@ def load_manifest(path):
 
 def save_manifest(net, directory, name="network"):
     """Write a network as MAT1 weight files plus a manifest JSON; returns the manifest path."""
-    os.makedirs(directory, exist_ok=True)
+    _output_dir(directory)
     entries = []
     for idx, layer in enumerate(net.layers):
         wname = f"{name}_w{idx}.mat"
@@ -262,7 +267,5 @@ def save_manifest(net, directory, name="network"):
             {"weight": wname, "reference": ref, "nonlinearity": layer.nonlinearity.to_json()}
         )
     manifest_path = os.path.join(directory, f"{name}.json")
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump({"layers": entries}, f, indent=2)
-        f.write("\n")
+    write_json_17g(manifest_path, {"layers": entries})
     return manifest_path

@@ -1,9 +1,9 @@
-"""Input file readers, and JSON and CSV emission with floats printed at 17
+"""File input and output, and JSON and CSV emission with floats printed at 17
 significant digits.
 
-Every input file is read through :func:`_read_input`, so a missing or
-unreadable file is always an InputOutputError, and every JSON input through
-:func:`_read_json`, so malformed JSON is always a ParseError.
+Every file is read by :func:`_read_input` and written by :func:`_write_output`
+(directories by :func:`_output_dir`), so one that cannot be read or written is
+an InputOutputError; malformed JSON input (:func:`_read_json`) is a ParseError.
 
 The standard json encoder prints shortest round-trip floats; reports,
 snapshots and CSVs instead pin 17 significant digits so goldens are
@@ -13,10 +13,11 @@ byte-stable across platforms and numpy versions.
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 
-from .errors import InputOutputError, ParseError
+from .errors import InputOutputError, NumericDegeneracyError, ParseError
 
 
 def _read_input(path, what="file", size=-1):
@@ -27,6 +28,24 @@ def _read_input(path, what="file", size=-1):
     except OSError as exc:
         why = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({exc.strerror})"
         raise InputOutputError(f"{what} {why}: {path}") from None
+
+
+def _write_output(path, *chunks):
+    """Write the bytes or str (as UTF-8) ``chunks`` in order to the file at ``path``."""
+    try:
+        with open(path, "wb") as f:
+            f.writelines(c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
+    except OSError as exc:
+        raise InputOutputError(f"cannot write ({exc.strerror}): {path}") from None
+
+
+def _output_dir(path):
+    """Make the output directory ``path`` and its parents if missing; returns ``path``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputOutputError(f"cannot make directory ({exc.strerror}): {path}") from None
+    return path
 
 
 def _read_json(path, what):
@@ -60,7 +79,7 @@ def _render(obj, indent, level):
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite float {x!r}")
+            raise NumericDegeneracyError(f"cannot serialize non-finite float {x!r}")
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -75,8 +94,7 @@ def dumps_17g(obj, indent=2):
 
 
 def write_json_17g(path, obj):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_17g(obj))
+    _write_output(path, dumps_17g(obj))
 
 
 def write_csv_17g(path, header, *columns):
@@ -89,5 +107,4 @@ def write_csv_17g(path, header, *columns):
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
     rows = len(values) // len(columns) if columns else 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n" + (row * rows) % values)
+    _write_output(path, ",".join(header) + "\n", (row * rows) % values)

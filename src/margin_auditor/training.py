@@ -19,14 +19,15 @@ logits against W and their products with A; a flush drops them.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexity import layer_norms, spectral_complexity
 from .data import randomize_inputs_gaussian, randomize_labels
-from .errors import (DegenerateNetworkError, ParameterError, TrainingDivergedError,
-                     _check_at_least, _check_positive)
+from .errors import (DegenerateNetworkError, ParameterError, ParseError, TrainingDivergedError,
+                     _check_at_least, _check_integer, _check_positive)
 from .linalg import _group_norm
 from .margins import _error_rate_of_outputs, _margin_distribution_of_outputs, error_rate
 from .network import Identity, Layer, Network, Relu
@@ -50,14 +51,22 @@ class TrainConfig:
     input_mode: str = "true_inputs"
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
+        try:
+            widths = tuple(_check_integer(w, "each layer width") for w in self.layer_widths)
+        except TypeError:
+            raise ParameterError(f"layer_widths must be a list, got {self.layer_widths!r}") from None
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ParameterError("layer_widths must chain input dim to class count")
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
+        for name in ("learning_rate", "l2_coefficient"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
         _check_positive(self.learning_rate, "learning_rate")
         _check_at_least(self.epochs, 1, "epochs")
         _check_at_least(self.batch_size, 1, "batch_size")
-        if self.l2_coefficient < 0.0:
-            raise ParameterError("l2_coefficient must be nonnegative")
+        _check_at_least(self.seed, 0, "seed")
+        _check_at_least(self.l2_coefficient, 0.0, "l2_coefficient")
         if self.label_mode not in LABEL_MODES:
             raise ParameterError(f"label_mode must be one of {LABEL_MODES}")
         if self.input_mode not in INPUT_MODES:
@@ -67,6 +76,8 @@ class TrainConfig:
     @classmethod
     def from_json(cls, path):
         doc = _read_json(path, "config")
+        if not isinstance(doc, dict):
+            raise ParseError("config must be a JSON object", path=path)
         try:
             return cls(**doc)
         except TypeError as exc:

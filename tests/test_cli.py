@@ -9,7 +9,8 @@ import pytest
 
 import margin_auditor
 from margin_auditor.cli import main
-from cli_fixture import build_fixture, build_idx_fixture
+from cli_fixture import (TRAIN_GOLDEN_RUNS, build_fixture, build_idx_fixture,
+                         build_train_fixture, sha256_lines, write_train_config)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -19,7 +20,36 @@ MALFORMED_MANIFESTS = {
     "layer-without-weight": '{"layers": [{"reference": "zero"}]}',
     "string-layer": '{"layers": ["fixture_w0.mat"]}',
     "string-nonlinearity": '{"layers": [{"weight": "fixture_w0.mat", "nonlinearity": "relu"}]}',
+    "numeric-reference": '{"layers": [{"weight": "fixture_w0.mat", "reference": 3}]}',
+    "numeric-groups": '{"layers": [{"weight": "fixture_w0.mat", '
+                      '"nonlinearity": {"kind": "maxpool", "groups": 5}}]}',
+    "string-group-index": '{"layers": [{"weight": "fixture_w0.mat", '
+                          '"nonlinearity": {"kind": "maxpool", "groups": [["a"]]}}]}',
 }
+
+
+def unwritable_out(tmp_path, case):
+    """An ``--out`` that cannot be written, and the path the error must name."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    if case == "out-is-a-file":
+        return str(blocker), str(blocker)
+    if case == "out-under-a-file":
+        return str(blocker / "sub"), str(blocker / "sub")
+    out = tmp_path / "out"
+    (out / "margins.csv").mkdir(parents=True)  # case "output-is-a-directory"
+    return str(out), str(out / "margins.csv")
+
+
+UNWRITABLE_OUTS = ["out-is-a-file", "out-under-a-file", "output-is-a-directory"]
+
+
+def assert_one_line_error(capsys, error, path):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == error
+    assert path in diagnostic["message"]
 
 
 def golden_bytes(*parts):
@@ -86,6 +116,15 @@ class TestAnalyze:
         assert diagnostic["error"] == error
         assert bad in diagnostic["message"]
 
+    @pytest.mark.parametrize("command", ["analyze", "margins"])
+    @pytest.mark.parametrize("case", UNWRITABLE_OUTS)
+    def test_unwritable_out_exit_2(self, tmp_path, fixture_paths, capsys, command, case):
+        manifest, feats, labels = fixture_paths
+        out, bad = unwritable_out(tmp_path, case)
+        assert main([command, manifest, "--features", feats, "--labels", labels,
+                     "--out", out]) == 2
+        assert_one_line_error(capsys, "InputOutputError", bad)
+
     def test_bad_delta_exit_3(self, fixture_paths):
         manifest, feats, labels = fixture_paths
         rc = main(["analyze", manifest, "--features", feats, "--labels", labels,
@@ -101,6 +140,27 @@ class TestAnalyze:
         rc = main(["analyze", manifest, "--features", feats, "--labels", labels])
         assert rc == 4
         assert json.loads(capsys.readouterr().err)["error"] == "NumericDegeneracyError"
+
+    @pytest.mark.parametrize("command", ["analyze", "margins"])
+    def test_value_beyond_float64_exit_4_and_no_output(self, tmp_path, capsys, command):
+        from margin_auditor import (Dataset, Identity, Layer, Network, Relu, save_dataset,
+                                    save_manifest)
+
+        # R_A of a 16-8-3 net with entries near 1e154 is beyond float64
+        r = np.random.default_rng(22)
+        net = Network(layers=(
+            Layer(weight=1e154 * r.standard_normal((8, 16)), nonlinearity=Relu()),
+            Layer(weight=1e154 * r.standard_normal((3, 8)), nonlinearity=Identity()),
+        ))
+        ds = Dataset(X=1e-300 * r.standard_normal((20, 16)), y=np.arange(20) % 3 + 1, k=3)
+        manifest = save_manifest(net, str(tmp_path / "net"))
+        feats, labels = str(tmp_path / "x.mat"), str(tmp_path / "y.lbl")
+        save_dataset(ds, feats, labels)
+        out = tmp_path / "out"
+        assert main([command, manifest, "--features", feats, "--labels", labels,
+                     "--out", str(out)]) == 4
+        assert_one_line_error(capsys, "NumericDegeneracyError", "float64")
+        assert not out.exists()
 
     def test_accepts_idx_input(self, tmp_path, fixture_paths):
         manifest, _, _ = fixture_paths
@@ -179,6 +239,15 @@ class TestMargins:
         assert forwards == [40]  # cli_fixture: 40 examples
 
 
+def test_non_finite_value_is_rendered_before_the_file_opens(tmp_path):
+    from margin_auditor.serialize import write_json_17g
+
+    path = tmp_path / "report.json"
+    with pytest.raises(margin_auditor.NumericDegeneracyError):
+        write_json_17g(str(path), {"R_A": 1.0, "bound_total": math.inf})
+    assert not path.exists()
+
+
 class TestReportConsistency:
     def test_report_matches_public_wrappers_bitwise(self, fixture_paths):
         from margin_auditor import (
@@ -240,6 +309,17 @@ class TestTrainCommand:
         assert snap["steps"] == math.ceil(60 / 10)
         assert math.isfinite(snap["mean_loss"]) and snap["mean_loss"] > 0.0
 
+    def test_golden_byte_identical(self, tmp_path):
+        flags = build_train_fixture(str(tmp_path))
+        got = []
+        for run in sorted(TRAIN_GOLDEN_RUNS):
+            cfg = str(tmp_path / f"{run}.json")
+            write_train_config(cfg, run)
+            out = str(tmp_path / "runs" / run)
+            assert main(["train", cfg, *flags, "--out", out]) == 0
+            got += sha256_lines(out, run)
+        assert got == golden_bytes("train", "SHA256SUMS").decode("utf-8").splitlines(True)
+
     def test_rerun_bitwise_identical(self, tmp_path):
         cfg_path, paths = self._write_inputs(tmp_path)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -255,6 +335,32 @@ class TestTrainCommand:
                         open(os.path.join(p2, sub), "rb").read()
             else:
                 assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    @pytest.mark.parametrize("config, rc, error", [
+        ('{"layer_widths": [4, 8, 2], "epochs": 1.5, "batch_size": 10, "seed": 1}',
+         3, "ParameterError"),
+        ('[[4, 8, 2], 1, 10, 1]', 2, "ParseError"),
+    ], ids=["fractional-epochs", "list-config"])
+    def test_bad_config_exit_code(self, tmp_path, capsys, config, rc, error):
+        _, paths = self._write_inputs(tmp_path)
+        cfg_path = tmp_path / "bad-cfg.json"
+        cfg_path.write_text(config)
+        assert self._run(str(cfg_path), paths, str(tmp_path / "run")) == rc
+        assert_one_line_error(capsys, error, "epochs" if rc == 3 else str(cfg_path))
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("case", UNWRITABLE_OUTS[:2])
+    def test_unwritable_out_exit_2_before_training(self, tmp_path, capsys, monkeypatch, case):
+        from margin_auditor import training
+
+        def fail(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train", fail)
+        cfg_path, paths = self._write_inputs(tmp_path)
+        out, bad = unwritable_out(tmp_path, case)
+        assert self._run(cfg_path, paths, out) == 2
+        assert_one_line_error(capsys, "InputOutputError", bad)
 
     def test_divergence_exit_5(self, tmp_path):
         from margin_auditor import save_dataset, synth_blobs

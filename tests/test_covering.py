@@ -77,6 +77,9 @@ class TestMaureySparsify:
             maurey_sparsify([np.ones(2)], [-1.0], 3)
         with pytest.raises(ParameterError):
             maurey_sparsify([np.ones(2)], [1.0], 0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                maurey_sparsify([np.ones(2), np.array([1.0, bad])], [1.0, 1.0], 3)
 
 
 class TestCoverElement:

@@ -93,3 +93,8 @@ class TestRademacherEstimate:
             rademacher_linear_estimate(np.ones((2, 2)), radius=0.0, trials=5)
         with pytest.raises(ParameterError):
             rademacher_linear_estimate(np.ones((2, 2)), radius=1.0, trials=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                rademacher_linear_estimate(np.array([[1.0, bad]]), radius=1.0, trials=5)
+        with pytest.raises(ParameterError):
+            rademacher_linear_estimate(np.ones(3), radius=1.0, trials=5)

@@ -22,6 +22,7 @@ from margin_auditor import (
     analyze_network,
     cover_budget,
     cover_element_for,
+    generalization_bound_uniform,
     layer_norms,
     margin_distribution,
     network_cover_logsize,
@@ -132,3 +133,30 @@ def test_cover_element_error_beyond_float64_range_rejected(q):
     for a_k, x_k in ((a, np.ldexp(x, 560)), (np.ldexp(a, 560), x)):
         with pytest.raises(NumericDegeneracyError):
             cover_element_for(a_k, x_k, math.ldexp(0.7, 560), q=q, seed=3)
+
+
+def _beyond_range_cases():
+    """A 2-layer net with s_1 = s_2 = 1.1e154 and a 16-8-3 net with entries near
+    1e154, both on data near 1e-300, so every forward image is finite."""
+    r = np.random.default_rng(22)
+    w = np.diag([1.1e154, 0.0])
+    rank_one = Network(layers=(Layer(weight=w, nonlinearity=Relu()),
+                               Layer(weight=w, nonlinearity=Identity())))
+    wide = Network(layers=(Layer(weight=1e154 * r.standard_normal((8, 16)), nonlinearity=Relu()),
+                           Layer(weight=1e154 * r.standard_normal((3, 8)), nonlinearity=Identity())))
+    return ((rank_one, Dataset(X=1e-300 * np.abs(r.standard_normal((10, 2))),
+                               y=np.arange(10) % 2 + 1, k=2)),
+            (wide, Dataset(X=1e-300 * r.standard_normal((20, 16)), y=np.arange(20) % 3 + 1, k=3)))
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_analyze_beyond_float64_range_rejected(case):
+    net, ds = _beyond_range_cases()[case]
+    with pytest.raises(NumericDegeneracyError):
+        analyze_network(net, ds)
+
+
+def test_uniform_bound_beyond_float64_range_rejected():
+    net, ds = _beyond_range_cases()[0]
+    with pytest.raises(NumericDegeneracyError):
+        generalization_bound_uniform(net, ds, gamma=1.0, delta=0.01)

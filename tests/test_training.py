@@ -416,6 +416,20 @@ class TestConfig:
         with pytest.raises(ParameterError):
             TrainConfig(layer_widths=(4, 2), epochs=1, batch_size=4, seed=0,
                         learning_rate=0.0)
+        # values of the wrong type are rejected, not truncated or left to fail later
+        for field in ({"epochs": 1.5}, {"batch_size": 4.5}, {"seed": "x"}, {"seed": -1},
+                      {"layer_widths": [4, "a", 2]}, {"layer_widths": [4, 16.7, 2]},
+                      {"layer_widths": 5}, {"learning_rate": "x"}, {"l2_coefficient": "x"},
+                      {"l2_coefficient": float("nan")}):
+            with pytest.raises(ParameterError):
+                TrainConfig(**{"layer_widths": (4, 2), "epochs": 1, "batch_size": 4, "seed": 0,
+                               **field})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(layer_widths=np.array([4, 3, 2]), epochs=np.int64(2),
+                          batch_size=np.int32(4), seed=np.uint8(1))
+        assert cfg.layer_widths == (4, 3, 2)
+        assert (type(cfg.epochs), type(cfg.batch_size), type(cfg.seed)) == (int, int, int)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

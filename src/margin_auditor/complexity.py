@@ -17,7 +17,8 @@ from .covering import _cover_factor
 from .errors import (DegenerateNetworkError, NumericDegeneracyError, ParameterError,
                      _check_at_least, _check_positive)
 from .linalg import _check_exponent, _group_norm, _spectral_norm
-from .margins import _margin_distribution_of_outputs, _ramp_risk_of_margins, ramp_risk_empirical
+from .margins import (_margin_distribution_of_outputs, _outputs, _ramp_risk_of_margins,
+                      ramp_risk_empirical)
 
 
 @dataclass(frozen=True)
@@ -359,7 +360,7 @@ def analyze_network(net, ds, gamma=None, delta=0.01):
     r_pb = pac_bayes_complexity(norms, deltas, net.width)
     data_norm = _group_norm(ds.X, 2.0, 2.0)  # a Dataset validated X
     n = ds.X.shape[0]
-    md = _margin_distribution_of_outputs(net._forward(ds.X), ds.y, r_a, data_norm, gamma)
+    md = _margin_distribution_of_outputs(_outputs(net, ds.X), ds.y, r_a, data_norm, gamma)
     gamma = md.gamma_used
     _check_bound_params(gamma, delta, n)
     ramp = _ramp_risk_of_margins(md.raw, gamma)

@@ -73,8 +73,11 @@ def _check_at_least(value, low, name):
 
 
 def _check_integer(value, name):
-    """``value`` as an int; ParameterError unless it is an integer (numpy's included)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; ParameterError unless it is an integer (numpy's
+    included) other than a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")

@@ -83,31 +83,32 @@ def _unscale(x, e):
 def jacobi_singular_values(a):
     """All singular values of ``a``, descending, by one-sided Jacobi rotations.
 
-    The test suite's high-accuracy oracle, free of LAPACK and of
+    The test suite's high-accuracy oracle, free of LAPACK, BLAS and
     :func:`spectral_norm`.  Each Brent-Luk round of :func:`_round_robin`
     rotates its disjoint column pairs (rows of the power-of-two prescaled
-    transpose) in one vectorized step, until every pairwise dot product is
-    negligible; the singular values are the final column norms.
+    transpose) in one step, by the small angle |theta| <= pi/4 (Rutishauser;
+    Demmel & Veselic).  A sweep ends the loop if it rotated no pair, or if it
+    skipped one and :func:`_no_pair_active` then finds every pair negligible.
     """
     a = as_matrix(a)
     e = _scale_exponent(a) or 0  # None for a zero matrix
     wt = np.ldexp(a.T if a.shape[0] >= a.shape[1] else a, -e, order="C")
-    rounds = _round_robin(wt.shape[0])
+    rounds = _round_robin(wt.shape[0])  # rounds.size // 2 pairs per sweep
     for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
+        rotated = 0
         for ij in rounds:
             x = wt.take(ij, axis=0)
             pii, pjj = np.einsum("kij,kij->ki", x, x)
             pij = np.einsum("ij,ij->i", x[0], x[1])
-            # A squared norm that is 0, or whose product underflows, skips the pair.
-            threshold = _JACOBI_TOL * np.sqrt(pii * pjj)
-            active = (np.abs(pij) > threshold) & (threshold > 0.0)
-            if np.count_nonzero(active):
-                rotated = True
-                theta = np.arctan2(2.0 * pij, pii - pjj) * (0.5 * active)
+            active = _active(pij, pii, pjj)
+            count = np.count_nonzero(active)
+            if count:
+                rotated += count
+                d = pii - pjj
+                theta = np.arctan2(np.copysign(2.0, d) * pij, np.abs(d)) * (0.5 * active)
                 c, s = np.cos(theta)[:, None], np.sin(theta)[:, None] * _PAIR_SIGNS
                 wt[ij] = x * c + x[::-1] * s  # (c*x_i + s*x_j, c*x_j - s*x_i)
-        if not rotated:
+        if not rotated or rotated < rounds.size // 2 and _no_pair_active(wt):
             break
     else:
         raise NumericDegeneracyError("Jacobi sweeps did not converge")
@@ -116,13 +117,25 @@ def jacobi_singular_values(a):
     return np.ldexp(sv, e)
 
 
+def _active(pij, pii, pjj):
+    """Pairs to rotate; a squared norm that is 0, or whose product underflows, skips one."""
+    threshold = _JACOBI_TOL * np.sqrt(pii * pjj)
+    return (np.abs(pij) > threshold) & (threshold > 0.0)
+
+
+def _no_pair_active(wt):
+    """Whether no pair of rows of ``wt`` is :func:`_active`, by numpy's own einsum loops."""
+    g = np.einsum("ik,jk->ij", wt, wt)
+    norms = g.diagonal()
+    return not np.count_nonzero(np.triu(_active(g, norms[:, None], norms), 1))
+
+
 def _round_robin(m):
     """Brent-Luk round-robin schedule for m columns, shape (rounds, 2, pairs).
 
     With n = m rounded up to even, round r pairs column r with n - 1 and r + k
     with r - k (mod n - 1); for odd m, n - 1 = m is a dummy, left out.  Each
-    pair lists its lower index first, so a rotation leaves the longer column
-    there; unordered pairs can swap two columns back and forth at roundoff.
+    pair lists its lower index first, a canonical order only.
     """
     n = m + (m & 1)
     r, k = np.arange(n - 1)[:, None], np.arange(m & 1, n // 2)

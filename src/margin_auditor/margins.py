@@ -69,6 +69,16 @@ def margins_of_outputs(outputs, labels):
     return correct - masked.max(axis=1)
 
 
+def _outputs(net, x):
+    """``net``'s outputs on a trusted ``x``; outputs beyond the float64 range
+    are a NumericDegeneracyError, raised without a RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = net._forward(x)
+    if not np.all(np.isfinite(outputs)):
+        raise NumericDegeneracyError("network outputs on the data exceed the float64 range")
+    return outputs
+
+
 def ramp_loss(r, gamma):
     """Ramp surrogate: 0 below -gamma, linear on [-gamma, 0], 1 above 0."""
     _check_positive(gamma, "gamma")
@@ -82,7 +92,7 @@ def ramp_loss(r, gamma):
 def ramp_risk_empirical(net, ds, gamma):
     """Mean ramp loss of the negated margins over a dataset."""
     _check_positive(gamma, "gamma")
-    return _ramp_risk_of_margins(margins_of_outputs(net._forward(ds.X), ds.y), gamma)
+    return _ramp_risk_of_margins(margins_of_outputs(_outputs(net, ds.X), ds.y), gamma)
 
 
 def _ramp_risk_of_margins(raw, gamma):
@@ -91,7 +101,7 @@ def _ramp_risk_of_margins(raw, gamma):
 
 def error_rate(net, ds):
     """Fraction of examples misclassified by the argmax rule, ties to the lowest index."""
-    return _error_rate_of_outputs(net._forward(ds.X), ds.y)
+    return _error_rate_of_outputs(_outputs(net, ds.X), ds.y)
 
 
 def _error_rate_of_outputs(outputs, labels):
@@ -115,13 +125,13 @@ def margin_distribution(net, ds, r_a, gamma=None):
     norm of the data matrix.  Requires r_a > 0 and a nonzero data matrix.
     """
     return _margin_distribution_of_outputs(
-        net._forward(ds.X), ds.y, r_a, _group_norm(ds.X, 2.0, 2.0), gamma
+        _outputs(net, ds.X), ds.y, r_a, _group_norm(ds.X, 2.0, 2.0), gamma
     )
 
 
 def _margin_distribution_of_outputs(outputs, labels, r_a, data_norm, gamma=None):
-    """:func:`margin_distribution` from the network's outputs on the data and
-    the data's entrywise l2 norm, both already computed by the caller."""
+    """:func:`margin_distribution` from the network's :func:`_outputs` on the
+    data and the data's entrywise l2 norm, both already computed by the caller."""
     _check_positive(r_a, "spectral complexity")
     if data_norm == 0.0:
         raise NumericDegeneracyError("zero data matrix: margin normalizer degenerates")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ParseError
+from .errors import DimensionError, ParameterError, ParseError, _check_integer
 from .linalg import _check_exponent, as_matrix, read_mat1, write_mat1
 from .serialize import _output_dir, _read_json, write_json_17g
 
@@ -65,7 +65,7 @@ class MaxPool:
     kind = "maxpool"
 
     def __init__(self, groups):
-        groups = tuple(tuple(int(i) for i in g) for g in groups)
+        groups = tuple(tuple(_check_integer(i, "maxpool group index") for i in g) for g in groups)
         if not groups or any(not g for g in groups):
             raise ParameterError("maxpool needs at least one nonempty group")
         if any(i < 0 for g in groups for i in g):
@@ -205,9 +205,9 @@ def _nonlinearity_from_json(obj, path=None):
     if kind == "maxpool":
         try:
             return MaxPool(obj.get("groups", []))
-        except (TypeError, ValueError):
-            raise ParseError(f"maxpool groups must be lists of indices, got {obj!r}",
-                             path=path) from None
+        except (TypeError, ParameterError):
+            raise ParseError("maxpool groups must be nonempty lists of nonnegative indices, "
+                             f"got {obj!r}", path=path) from None
     raise ParseError(f"nonlinearity must be an object of a known kind, got {obj!r}", path=path)
 
 

@@ -29,7 +29,7 @@ from .data import randomize_inputs_gaussian, randomize_labels
 from .errors import (DegenerateNetworkError, ParameterError, ParseError, TrainingDivergedError,
                      _check_at_least, _check_integer, _check_positive)
 from .linalg import _group_norm
-from .margins import _error_rate_of_outputs, _margin_distribution_of_outputs, error_rate
+from .margins import _error_rate_of_outputs, _margin_distribution_of_outputs, _outputs, error_rate
 from .network import Identity, Layer, Network, Relu
 from .serialize import _read_json
 
@@ -299,7 +299,7 @@ def _sgd_step(model, x, upcoming, y, lr, l2_coefficient):
 def _snapshot(epoch, steps, mean_loss, layers, weights, train_ds, train_norm, test_ds):
     copies = (Layer(weight=w.copy(), nonlinearity=l.nonlinearity) for l, w in zip(layers, weights))
     net = Network(layers=tuple(copies))
-    train_outputs = net._forward(train_ds.X)
+    train_outputs = _outputs(net, train_ds.X)
     train_err = _error_rate_of_outputs(train_outputs, train_ds.y)
     test_err = error_rate(net, test_ds)
     norms = layer_norms(net)

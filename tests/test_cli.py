@@ -25,6 +25,10 @@ MALFORMED_MANIFESTS = {
                       '"nonlinearity": {"kind": "maxpool", "groups": 5}}]}',
     "string-group-index": '{"layers": [{"weight": "fixture_w0.mat", '
                           '"nonlinearity": {"kind": "maxpool", "groups": [["a"]]}}]}',
+    "fractional-group-index": '{"layers": [{"weight": "fixture_w0.mat", '
+                              '"nonlinearity": {"kind": "maxpool", "groups": [[0.7], [1]]}}]}',
+    "boolean-group-index": '{"layers": [{"weight": "fixture_w0.mat", '
+                           '"nonlinearity": {"kind": "maxpool", "groups": [[0], [1, true]]}}]}',
 }
 
 
@@ -160,6 +164,24 @@ class TestAnalyze:
         assert main([command, manifest, "--features", feats, "--labels", labels,
                      "--out", str(out)]) == 4
         assert_one_line_error(capsys, "NumericDegeneracyError", "float64")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "margins"])
+    def test_overflowed_forward_pass_exit_4(self, tmp_path, capsys, command):
+        from margin_auditor import Dataset, Identity, Layer, Network, save_dataset, save_manifest
+
+        # R_A stays finite, but the outputs on the data overflow
+        r = np.random.default_rng(0)
+        w = 1e300 * r.standard_normal((3, 4))
+        net = Network(layers=(Layer(weight=w, nonlinearity=Identity(), reference=w * (1 - 1e-6)),))
+        ds = Dataset(X=1e10 * r.standard_normal((20, 4)), y=np.arange(20) % 3 + 1, k=3)
+        manifest = save_manifest(net, str(tmp_path / "net"))
+        feats, labels = str(tmp_path / "x.mat"), str(tmp_path / "y.lbl")
+        save_dataset(ds, feats, labels)
+        out = tmp_path / "out"
+        assert main([command, manifest, "--features", feats, "--labels", labels,
+                     "--out", str(out)]) == 4
+        assert_one_line_error(capsys, "NumericDegeneracyError", "network outputs")
         assert not out.exists()
 
     def test_accepts_idx_input(self, tmp_path, fixture_paths):

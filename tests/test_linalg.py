@@ -48,7 +48,7 @@ class TestSpectralNorm:
     def test_matches_jacobi_oracle_on_seeded_8x8(self):
         a = np.random.default_rng(7).standard_normal((8, 8))
         oracle = jacobi_singular_values(a)[0]
-        assert spectral_norm(a) == pytest.approx(oracle, rel=1e-10)
+        assert spectral_norm(a) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     def test_near_degenerate_top_pair_matches_jacobi_oracle(self):
         # sigma_1 = 1 and sigma_2 = 1 - 1e-6: a solver that stops when its
@@ -173,6 +173,39 @@ class TestJacobiOracle:
     def test_result_beyond_float64_range_rejected(self):
         with pytest.raises(NumericDegeneracyError):
             jacobi_singular_values(np.full((3, 3), 1e308))
+
+    def test_seeded_64x64_converges_in_ten_sweeps(self, monkeypatch):
+        # Small-angle rotations need 10 sweeps here; large-angle ones plus a
+        # confirming sweep needed 15.
+        a = np.random.default_rng(7).standard_normal((64, 64))
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 10)
+        reference = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(jacobi_singular_values(a) - reference)) <= 1e-14 * reference[0]
+
+    @staticmethod
+    def _hadamard_rows():
+        # Exactly orthogonal rows with exactly computed dot products.
+        h = np.array([[1.0]])
+        for _ in range(3):
+            h = np.block([[h, h], [h, -h]])
+        return h
+
+    @pytest.mark.parametrize("cosine, accepted", [(0.0, True), (0.5e-15, True), (2e-15, False)])
+    def test_all_pairs_check_threshold(self, cosine, accepted):
+        wt = self._hadamard_rows()
+        wt[5] += cosine * wt[2]  # rows 2 and 5 now meet at about this cosine
+        assert linalg._no_pair_active(wt) is accepted
+
+    def test_all_pairs_check_skips_underflowing_pairs(self):
+        # Columns 1 and 3 have squared norms that underflow to 0 and nonzero
+        # dot products with the rest; with columns 0 and 2 made orthogonal,
+        # every pair left is skipped, so the rows count as converged.
+        wt = self._underflowing_columns().T.copy()
+        wt[2] -= (wt[0] @ wt[2]) / (wt[0] @ wt[0]) * wt[0]
+        assert wt[0] @ wt[1] != 0.0 and wt[0] @ wt[3] != 0.0
+        assert linalg._no_pair_active(wt)
+        wt[1] *= 1e150  # a squared norm in range again: the pair (0, 1) is active
+        assert not linalg._no_pair_active(wt)
 
     def test_sweep_cap_raises(self, monkeypatch):
         a = np.random.default_rng(13).standard_normal((8, 8))

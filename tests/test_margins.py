@@ -184,6 +184,21 @@ class TestMarginDistribution:
         with pytest.raises(NumericDegeneracyError):
             margin_distribution(net, zero_ds, r_a=1.0)
 
+    def test_overflowed_forward_pass_is_a_degeneracy(self):
+        # R_A stays finite, but the outputs on the data overflow; no RuntimeWarning escapes
+        from margin_auditor import analyze_network
+
+        r = np.random.default_rng(0)
+        w = 1e300 * r.standard_normal((3, 4))
+        net = Network(layers=(Layer(weight=w, nonlinearity=Identity(), reference=w * (1 - 1e-6)),))
+        ds = Dataset(X=1e10 * r.standard_normal((20, 4)), y=np.arange(20) % 3 + 1, k=3)
+        for run in (lambda: analyze_network(net, ds), lambda: margin_distribution(net, ds, 1.0),
+                    lambda: ramp_risk_empirical(net, ds, 1.0), lambda: error_rate(net, ds)):
+            with pytest.raises(NumericDegeneracyError, match="float64 range"):
+                run()
+        with pytest.raises(ParameterError):  # a caller's own non-finite outputs
+            margins_of_outputs(np.array([[np.nan, 1.0]]), np.array([1]))
+
     def test_default_gamma(self):
         assert default_gamma(np.array([-1.0, 2.0, 4.0])) == 3.0
         assert default_gamma(np.array([-1.0, -2.0])) == 1.0

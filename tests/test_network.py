@@ -188,6 +188,12 @@ class TestValidation:
         with pytest.raises(DimensionError):
             Layer(weight=np.eye(3), nonlinearity=MaxPool([[0, 1]]))
 
+    @pytest.mark.parametrize("groups", [[[0.7], [1]], [[0], [1, True]]],
+                             ids=["fractional", "boolean"])
+    def test_maxpool_index_must_be_an_integer(self, groups):
+        with pytest.raises(ParameterError, match="maxpool group index"):
+            MaxPool(groups)
+
     def test_chain_mismatch(self):
         l1 = Layer(weight=np.zeros((3, 2)) + 1.0, nonlinearity=Relu())
         l2 = Layer(weight=np.ones((2, 4)), nonlinearity=Relu())

@@ -417,8 +417,8 @@ class TestConfig:
             TrainConfig(layer_widths=(4, 2), epochs=1, batch_size=4, seed=0,
                         learning_rate=0.0)
         # values of the wrong type are rejected, not truncated or left to fail later
-        for field in ({"epochs": 1.5}, {"batch_size": 4.5}, {"seed": "x"}, {"seed": -1},
-                      {"layer_widths": [4, "a", 2]}, {"layer_widths": [4, 16.7, 2]},
+        for field in ({"epochs": 1.5}, {"epochs": True}, {"batch_size": 4.5}, {"seed": "x"},
+                      {"seed": -1}, {"layer_widths": [4, "a", 2]}, {"layer_widths": [4, 16.7, 2]},
                       {"layer_widths": 5}, {"learning_rate": "x"}, {"l2_coefficient": "x"},
                       {"l2_coefficient": float("nan")}):
             with pytest.raises(ParameterError):

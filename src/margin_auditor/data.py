@@ -85,6 +85,8 @@ def load_idx(images_path, labels_path):
     raw = _read_input(images_path)
     header = _idx_header(raw, images_path, want=IDX_IMAGES_MAGIC)[1]
     n, rows, cols = header["count"], header["rows"], header["cols"]
+    if not n * rows * cols:
+        raise ParseError(f"empty image set: {n} images of {rows}x{cols}", path=images_path)
     _check_payload(raw, 16 + n * rows * cols, images_path, "image")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
     x = np.divide(pixels.reshape(n, rows * cols), 255.0)  # one float64 pass
@@ -136,6 +138,9 @@ def load_dataset(matrix_path, labels_path):
     if raw[:4] != LBL1_MAGIC:
         raise ParseError(f"bad LBL1 magic {raw[:4]!r}", path=labels_path, offset=0)
     count, k = struct.unpack_from("<II", raw, 4)
+    if count != x.shape[0]:
+        raise ParseError(f"label count {count} does not match row count {x.shape[0]}",
+                         path=labels_path, offset=4)
     _check_payload(raw, 12 + 4 * count, labels_path, "LBL1")
     y = np.frombuffer(raw, dtype="<u4", count=count, offset=12).astype(np.int64)
     return Dataset(X=x, y=y, k=int(k))

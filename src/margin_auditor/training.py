@@ -7,14 +7,16 @@ randomization requested by the config.  Two runs with the same config and
 data produce bitwise-identical snapshots.
 
 Each SGD step is deferred: a layer's weight is held as
-``scale * (W - D.T @ A)`` with up to 64 pending rows of lr/n-scaled
-residuals D and layer inputs A, and l2 decay multiplies the scalar ``scale``
-instead of the weights.  One GEMM per layer folds the rows into W when they
-are full and at every epoch end, before the snapshot, so a batch-4 step
-reads the weights but writes none of them (the compact-WY idea of Schreiber
-& Van Loan, 1989, with the ``w = s * v`` decay of Bottou, 2012).  Layer 0's
-inputs are the epoch's next rows, so two GEMMs per flush block take their
-logits against W and their products with A; a flush drops them.
+``scale * (W - D.T @ A)`` with the pending rows of lr/n-scaled residuals D
+and layer inputs A, and l2 decay multiplies the scalar ``scale`` instead of
+the weights.  The steps run in flush blocks whose length is fixed once per
+run: as many steps as fit in 64 rows, fewer if the scale would leave its
+range sooner.  One GEMM per layer folds a block's rows into W after its last
+step, so a batch-4 step reads the weights but writes none of them (the
+compact-WY idea of Schreiber & Van Loan, 1989, with the ``w = s * v`` decay
+of Bottou, 2012).  An epoch's last block ends with the epoch, before the
+snapshot.  Layer 0's inputs are the block's rows of the data, so two GEMMs
+per block take all their logits against W and their products with A.
 :func:`loss_and_gradients` is the eager reference for that step.
 """
 
@@ -193,71 +195,53 @@ class _DeferredWeights:
     """Weights held as ``W_eff = scale * (W - D[:pending].T @ A[:pending])``:
     per layer the base ``weights`` W, the pending ``residuals`` D (rows x out,
     each divided by the scale of its step) and layer ``inputs`` A (rows x in).
-    ``sq`` tracks each ``||W_eff||_F^2`` when l2 is on.  Layer 0's inputs
-    from row ``block_start`` to ``prefetched`` are written ahead of their
-    steps, with ``base = A_blk @ W_0.T`` and ``gram = A_blk @ A_0.T``."""
+    ``sq`` tracks each ``||W_eff||_F^2`` when l2 is on.  :func:`train` writes
+    a flush block's layer-0 inputs A_0 before its first step and sets
+    ``base = A_0 @ W_0.T`` and ``gram = A_0 @ A_0.T``; each step reads them
+    at its own rows."""
 
     def __init__(self, weights, rows, l2_coefficient):
         self.weights = weights
         self.residuals = [np.empty((rows, w.shape[0])) for w in weights]
         self.inputs = [np.empty((rows, w.shape[1])) for w in weights]
-        self.rows = rows
-        self.pending, self.scale, self.prefetched = 0, 1.0, 0
+        self.pending, self.scale = 0, 1.0
         self.sq = [float(np.vdot(w, w)) for w in weights] if l2_coefficient else None
 
     def flush(self):
         """``W <- scale * (W - D.T @ A)`` by one GEMM per layer; the tracked
-        norms are taken again exactly, and the prefetched rows are dropped."""
+        norms are taken again exactly."""
         p = self.pending
         for w, d, a in zip(self.weights, self.residuals, self.inputs):
             if p:
                 w -= d[:p].T @ a[:p]
             if self.scale != 1.0:
                 w *= self.scale
-        self.pending, self.scale, self.prefetched = 0, 1.0, 0
+        self.pending, self.scale = 0, 1.0
         if self.sq is not None:
             self.sq = [float(np.vdot(w, w)) for w in self.weights]
 
-    def reserve(self, x, upcoming, n, decay):
-        """Flush if ``n`` more rows would not fit or the scale times ``decay``
-        would leave its range; then, unless the step's rows ``x[upcoming[:n]]``
-        are prefetched, prefetch the whole ``n``-row steps of ``x[upcoming]`` that fit."""
-        if self.pending + n > self.rows or not _SCALE_MIN <= abs(self.scale * decay) <= _SCALE_MAX:
-            self.flush()
-        p = self.pending
-        if p + n > self.prefetched:
-            m = p + min(len(upcoming), self.rows - p) // n * n
-            block = self.inputs[0][p:m]
-            block[...] = x[upcoming[: m - p]]
-            self.base = block @ self.weights[0].T
-            # the last step reads the rows before its own, and its own for l2
-            self.gram = block @ self.inputs[0][: m if self.sq is not None else m - n].T
-            self.block_start, self.prefetched = p, m
 
-
-def _sgd_step(model, x, upcoming, y, lr, l2_coefficient):
+def _sgd_step(model, y, lr, l2_coefficient):
     """One deferred SGD step on ``model`` (a :class:`_DeferredWeights`) for
-    the batch ``x[upcoming[:len(y)]]``, where ``upcoming`` goes on with the
-    batches to come; returns the batch loss on the effective weights before it.
+    the batch of labels ``y`` whose layer-0 inputs are the next ``len(y)``
+    rows of its flush block; returns the batch loss on the effective weights
+    before it.
 
     Forward and backprop use ``scale * (act @ W.T - (act @ A.T) @ D)`` and
-    ``scale * (delta @ W - (delta @ D.T) @ A)``, layer 0 from its prefetched
-    rows.  The step multiplies the scale by ``decay = 1 - 2*lr*l2`` and
-    appends ``delta / scale`` and the layer input as new rows, after
-    :meth:`_DeferredWeights.reserve` made room; a decay outside the scale's
-    range goes to W directly, and the next step flushes.  The l2 term tracks
-    ``||decay*W_eff - U||^2`` for ``U = delta.T @ act``, with ``<W_eff, U> =
-    <delta, pre-activation>``.
+    ``scale * (delta @ W - (delta @ D.T) @ A)``, layer 0 from the block's
+    ``base`` and ``gram``.  The step multiplies the scale by ``decay = 1 -
+    2*lr*l2`` and appends ``delta / scale`` and the layer input as new rows; a
+    decay outside the scale's range goes to W directly, in a block of one
+    step.  The l2 term tracks ``||decay*W_eff - U||^2`` for ``U = delta.T @
+    act``, with ``<W_eff, U> = <delta, pre-activation>``.
     """
     n = len(y)
     decay = 1.0 - 2.0 * lr * l2_coefficient
-    model.reserve(x, upcoming, n, decay)
     p, c = model.pending, model.scale
     eager = not _SCALE_MIN <= abs(c * decay) <= _SCALE_MAX
     new_c = 1.0 if eager else c * decay
     ws, ds, acts = model.weights, model.residuals, model.inputs
     new = slice(p, p + n)
-    blk = slice(p - model.block_start, p - model.block_start + n)
     pres = []
     for i, w in enumerate(ws):
         act = acts[i][new]
@@ -265,8 +249,8 @@ def _sgd_step(model, x, upcoming, y, lr, l2_coefficient):
             pre = act @ w.T
             pre -= (act @ acts[i][:p].T) @ ds[i][:p]
         else:
-            pre = model.gram[blk, :p] @ ds[0][:p]
-            np.subtract(model.base[blk], pre, out=pre)
+            pre = model.gram[new, :p] @ ds[0][:p]
+            np.subtract(model.base[new], pre, out=pre)
         pre *= c
         pres.append(pre)
         if i < len(ws) - 1:
@@ -285,7 +269,7 @@ def _sgd_step(model, x, upcoming, y, lr, l2_coefficient):
             back *= c
             next_delta = np.multiply(back, act > 0.0, out=back)
         if l2_coefficient:
-            u_sq = float(np.vdot(delta @ delta.T, act @ act.T if i else model.gram[blk, new]))
+            u_sq = float(np.vdot(delta @ delta.T, act @ act.T if i else model.gram[new, new]))
             cross = float(np.vdot(delta, pres[i]))
             model.sq[i] = decay * decay * model.sq[i] - 2.0 * decay * cross + u_sq
         if eager:
@@ -355,22 +339,36 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     x = train_ds.X
     y = train_ds.y
     x_norm = _group_norm(x, 2.0, 2.0)
-    rows = max(_PENDING_ROWS, min(cfg.batch_size, n))
+    step = min(cfg.batch_size, n)
+    rows = max(_PENDING_ROWS, step)
     model = _DeferredWeights(weights, rows, cfg.l2_coefficient)
+    # A flush block ends when its rows are full or the scale would next leave its range.
+    decay = 1.0 - 2.0 * cfg.learning_rate * cfg.l2_coefficient
+    k, c = 0, 1.0
+    while k < rows // step and _SCALE_MIN <= abs(c * decay) <= _SCALE_MAX:
+        k, c = k + 1, c * decay
+    block_rows = max(k, 1) * step
     snapshots = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         loss_sum = 0.0
         steps = 0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss = _sgd_step(model, x, order[start:], y[batch], cfg.learning_rate,
-                             cfg.l2_coefficient)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError("loss is no longer finite", epoch=epoch)
-            loss_sum += loss
-            steps += 1
-        model.flush()
+        for lo in range(0, n, block_rows):
+            block = order[lo : lo + block_rows]
+            a0 = model.inputs[0][: len(block)]
+            a0[...] = x[block]
+            model.base = a0 @ weights[0].T
+            # the last step reads the rows before its own, and its own for l2
+            last = (len(block) - 1) // step * step
+            model.gram = a0 @ a0[: len(block) if cfg.l2_coefficient else last].T
+            for start in range(0, len(block), step):
+                loss = _sgd_step(model, y[block[start : start + step]], cfg.learning_rate,
+                                 cfg.l2_coefficient)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError("loss is no longer finite", epoch=epoch)
+                loss_sum += loss
+                steps += 1
+            model.flush()
         try:
             snap, net, md = _snapshot(epoch, steps, loss_sum / steps, net0.layers, weights,
                                       train_ds, x_norm, test_ds)

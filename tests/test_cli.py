@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import struct
 import sys
 
 import numpy as np
@@ -14,7 +15,7 @@ from cli_fixture import (TRAIN_GOLDEN_RUNS, build_fixture, build_idx_fixture,
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
-# manifests that parse as JSON but do not describe a network
+# manifests that are not JSON or do not describe a network
 MALFORMED_MANIFESTS = {
     "top-level-list": "[]",
     "layer-without-weight": '{"layers": [{"reference": "zero"}]}',
@@ -29,6 +30,9 @@ MALFORMED_MANIFESTS = {
                               '"nonlinearity": {"kind": "maxpool", "groups": [[0.7], [1]]}}]}',
     "boolean-group-index": '{"layers": [{"weight": "fixture_w0.mat", '
                            '"nonlinearity": {"kind": "maxpool", "groups": [[0], [1, true]]}}]}',
+    "non-square-identity-reference": '{"layers": [{"weight": "fixture_w0.mat", '
+                                     '"reference": "identity"}]}',
+    "truncated-json": '{"layers": [',
 }
 
 
@@ -119,6 +123,17 @@ class TestAnalyze:
         diagnostic = json.loads(err)
         assert diagnostic["error"] == error
         assert bad in diagnostic["message"]
+
+    def test_empty_idx_images_exit_2(self, tmp_path, fixture_paths, capsys):
+        manifest = fixture_paths[0]
+        images, labels = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
+        with open(images, "wb") as f:
+            f.write(struct.pack(">IIII", 0x00000803, 0, 2, 2))
+        with open(labels, "wb") as f:
+            f.write(struct.pack(">II", 0x00000801, 0))
+        assert main(["margins", manifest, "--features", images, "--labels", labels,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys, "ParseError", images)
 
     @pytest.mark.parametrize("command", ["analyze", "margins"])
     @pytest.mark.parametrize("case", UNWRITABLE_OUTS)

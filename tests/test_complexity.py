@@ -127,6 +127,10 @@ class TestPacBayes:
     def test_zero_when_reference_matches(self):
         assert pac_bayes_complexity([LayerNorms(s=2.0, b=0.0, rho=1.0)], [0.0], 9) == 0.0
 
+    def test_one_deviation_per_layer(self):
+        with pytest.raises(ParameterError, match="one Frobenius deviation per layer"):
+            pac_bayes_complexity([LayerNorms(s=1.0, b=1.0, rho=1.0)], [1.0, 1.0], 4)
+
     def test_dominates_capacity_on_random_networks(self, rng):
         for _ in range(100):
             net = random_network(rng, depth=int(rng.integers(1, 5)), zero_refs=False)
@@ -275,6 +279,8 @@ class TestDudley:
     def test_numeric_rejects_increasing(self):
         with pytest.raises(ParameterError):
             dudley_numeric(lambda e: e, 100, 0.5)
+        with pytest.raises(ParameterError, match="must be nonnegative"):
+            dudley_numeric(lambda e: -1.0, 100, 0.5)
 
     def test_alpha_past_sqrt_n(self):
         assert dudley_numeric(lambda e: 1.0, 4, 5.0) == pytest.approx(10.0)

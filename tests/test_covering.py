@@ -77,6 +77,10 @@ class TestMaureySparsify:
             maurey_sparsify([np.ones(2)], [-1.0], 3)
         with pytest.raises(ParameterError):
             maurey_sparsify([np.ones(2)], [1.0], 0)
+        with pytest.raises(ParameterError, match="at least one atom"):
+            maurey_sparsify([], [], 3)
+        with pytest.raises(ParameterError, match="one coefficient per atom"):
+            maurey_sparsify([np.ones(2)], [0.5, 0.5], 3)
         for bad in (np.nan, np.inf):
             with pytest.raises(ParameterError):
                 maurey_sparsify([np.ones(2), np.array([1.0, bad])], [1.0, 1.0], 3)
@@ -116,6 +120,10 @@ class TestCoverElement:
     def test_all_zero_x_rejected(self):
         with pytest.raises(ParameterError):
             cover_element_for(np.ones((2, 2)), np.zeros((3, 2)), eps=1.0)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ParameterError, match="columns but A has"):
+            cover_element_for(np.ones((3, 2)), np.ones((4, 2)), eps=1.0)
 
     def test_conjugate_exponent_constraint(self, rng):
         # q < 2 makes the conjugate p > 2, outside the sparsifier's regime

@@ -70,6 +70,24 @@ class TestLoadIdx:
             load_idx(images, labels)
         assert "does not match image count" in str(err.value)
 
+    def test_lbl1_count_mismatch(self, tmp_path):
+        # the same mismatch in the MAT1/LBL1 pair is a parse error at the count too
+        save_dataset(synth_blobs(2, 2, 2, 1.0, seed=0), tmp_path / "x.mat", tmp_path / "y.lbl")
+        (tmp_path / "y.lbl").write_bytes(b"LBL1" + struct.pack("<5I", 3, 2, 1, 2, 1))
+        with pytest.raises(ParseError, match="does not match row count") as err:
+            load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl")
+        assert (err.value.path, err.value.offset) == (tmp_path / "y.lbl", 4)
+
+    @pytest.mark.parametrize("count, rows, cols", [(0, 2, 2), (2, 0, 2), (2, 2, 0)],
+                             ids=["no-images", "no-rows", "no-columns"])
+    def test_empty_image_set(self, tmp_path, count, rows, cols):
+        images, labels = tmp_path / "imgs", tmp_path / "lbls"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, count, rows, cols))
+        labels.write_bytes(struct.pack(">II", 0x00000801, count) + bytes(count))
+        with pytest.raises(ParseError, match="empty image set") as err:
+            load_idx(images, labels)
+        assert err.value.path == images
+
     def test_truncated_header(self, tmp_path):
         images, labels = hand_built_idx_pair(tmp_path)
         images.write_bytes(images.read_bytes()[:6])
@@ -84,6 +102,14 @@ class TestLoadIdx:
         again = load_idx(tmp_path / "i2", tmp_path / "l2")
         assert np.array_equal(again.X, ds.X)
         assert np.array_equal(again.y, ds.y)
+
+    def test_write_rejects_bad_shape_and_labels(self, tmp_path):
+        ds = synth_blobs(3, 4, 2, 1.0, seed=0)
+        with pytest.raises(ParameterError, match="must equal feature dim"):
+            write_idx(ds, tmp_path / "i", tmp_path / "l", rows=3, cols=2)
+        wide = Dataset(X=ds.X, y=np.array([1, 2, 257]), k=257)
+        with pytest.raises(ParameterError, match="need k <= 256"):
+            write_idx(wide, tmp_path / "i", tmp_path / "l", rows=2, cols=2)
 
     def test_inspect(self, tmp_path):
         images, labels = hand_built_idx_pair(tmp_path)
@@ -109,6 +135,14 @@ class TestBinaryDataset:
         (tmp_path / "y.lbl").write_bytes(bytes(raw))
         with pytest.raises(ParseError):
             load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl")
+
+    @pytest.mark.parametrize("name, header", [("x.mat", "MAT1"), ("y.lbl", "LBL1")])
+    def test_truncated_header(self, tmp_path, name, header):
+        save_dataset(synth_blobs(5, 2, 2, 1.0, seed=0), tmp_path / "x.mat", tmp_path / "y.lbl")
+        (tmp_path / name).write_bytes((tmp_path / name).read_bytes()[:7])
+        with pytest.raises(ParseError, match=f"{header} header truncated") as err:
+            load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl")
+        assert (err.value.path, err.value.offset) == (tmp_path / name, 7)
 
     def test_non_finite_features_are_a_parse_error(self, tmp_path):
         save_dataset(synth_blobs(5, 2, 2, 1.0, seed=0), tmp_path / "x.mat", tmp_path / "y.lbl")

@@ -65,6 +65,9 @@ class TestConstruction:
             build_linear_network([1.0], depth=3, widths=[1, 2])
         with pytest.raises(ParameterError):
             build_linear_network([1.0], depth=3, widths=[2])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="must be finite"):
+                build_linear_network([1.0, bad], depth=3)
 
 
 class TestRademacherEstimate:

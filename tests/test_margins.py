@@ -73,6 +73,11 @@ class TestMarginOperator:
             margin_operator([1.0], 1)
         with pytest.raises(ParameterError):
             margin_operator([1.0, 2.0], 3)
+        for outputs, labels, message in [(np.ones((2, 1)), [1, 1], "at least 2 output"),
+                                         (np.ones((2, 2)), [1], "one per output row"),
+                                         (np.ones((2, 2)), [1, 3], "out of range")]:
+            with pytest.raises(ParameterError, match=message):
+                margins_of_outputs(outputs, labels)
 
 
 class TestRampLoss:

@@ -194,6 +194,17 @@ class TestValidation:
         with pytest.raises(ParameterError, match="maxpool group index"):
             MaxPool(groups)
 
+    @pytest.mark.parametrize("groups, message", [
+        ([], "nonempty group"), ([[0], []], "nonempty group"), ([[0], [-1]], "nonnegative"),
+    ], ids=["no-groups", "empty-group", "negative"])
+    def test_maxpool_groups_nonempty_and_nonnegative(self, groups, message):
+        with pytest.raises(ParameterError, match=message):
+            MaxPool(groups)
+
+    def test_empty_network(self):
+        with pytest.raises(ParameterError, match="at least one layer"):
+            Network(layers=())
+
     def test_chain_mismatch(self):
         l1 = Layer(weight=np.zeros((3, 2)) + 1.0, nonlinearity=Relu())
         l2 = Layer(weight=np.ones((2, 4)), nonlinearity=Relu())

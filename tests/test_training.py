@@ -15,6 +15,7 @@ from margin_auditor import (
     error_rate,
     init_network,
     loss_and_gradients,
+    randomize_inputs_gaussian,
     synth_blobs,
     train,
 )
@@ -104,50 +105,57 @@ def _effective(model):
     ]
 
 
-def _checked_step(model, x, upcoming, y, lr, l2, tally):
+def _checked_step(model, y, lr, l2, tally):
     """``_sgd_step``, checked against the eager reference step from the
     current effective weights.  ``tally`` counts the steps, those that began
-    with no pending rows (after any flush), those whose layer-0 base logits
-    differ bitwise from ``batch @ W_0.T``, and those whose prefetched rows a
-    flush dropped before they were used."""
-    n = len(y)
-    xb, x_before = x[upcoming[:n]], x.copy()
-    held = model.pending + n <= model.prefetched
+    a flush block (no pending rows), and those whose layer-0 base logits
+    differ bitwise from ``batch @ W_0.T``."""
+    n, p = len(y), model.pending
+    xb = model.inputs[0][p : p + n].copy()
+    eager_base = xb @ model.weights[0].T
     current = _effective(model)
     ref_loss, grads = loss_and_gradients(current, xb, y, l2_coefficient=l2)
-    loss = _sgd_step(model, x, upcoming, y, lr, l2)
-    clean = model.pending == n
+    loss = _sgd_step(model, y, lr, l2)
     # Pending rows reassociate the logits' sums, which moves the loss by a
     # few ulps; the l2 term adds the tracked norm's drift over at most
     # _PENDING_ROWS / 4 steps, also a few ulps (both seen below 5e-16).  A
-    # step that may prefetch later rows takes layer 0's logits from a taller
-    # GEMM, which may round them differently.
-    if clean and not l2 and len(upcoming) == n:
+    # step in a longer block takes layer 0's logits from a taller GEMM, which
+    # may round them differently.
+    if p == 0 and not l2 and len(model.base) == n:
         assert loss == ref_loss
     else:
         assert loss == pytest.approx(ref_loss, rel=1e-14, abs=0)
-    blk = slice(model.pending - n - model.block_start, model.pending - model.block_start)
-    tally.update(steps=1, clean=clean, dropped=held and clean,
-                 differ=not np.array_equal(model.base[blk], xb @ model.weights[0].T))
+    tally.update(steps=1, clean=p == 0,
+                 differ=not np.array_equal(model.base[p : p + n], eager_base))
     for w, g, s in zip(current, grads, _effective(model)):
         assert np.abs(s - (w - lr * g)).max() <= 1e-15 * np.abs(w).max()
-    assert np.array_equal(x, x_before)
+    assert all(np.isfinite(d[: model.pending]).all() for d in model.residuals)
     assert _SCALE_MIN <= abs(model.scale) <= _SCALE_MAX
     return loss
 
 
-def _step_against_reference(model, x, y, sizes, lr, l2, block=False):
-    """Take batches of ``sizes`` consecutive rows of ``x`` through
-    :func:`_checked_step` and return its tally.  With ``block`` the model may
-    prefetch every later row, as in ``train``; otherwise only the batch's own,
-    which reproduces the eager arithmetic."""
+def _step_against_reference(model, x, y, blocks, lr, l2):
+    """Take consecutive rows of ``x`` through :func:`_checked_step` in flush
+    blocks as ``train`` does, ``blocks`` listing each block's batch sizes, and
+    return the tally."""
     tally = Counter()
     start = 0
-    for n in sizes:
-        upcoming = np.arange(start, len(x) if block else start + n)
-        _checked_step(model, x, upcoming, y[start : start + n], lr, l2, tally)
-        start += n
+    for sizes in blocks:
+        m = sum(sizes)
+        a0 = model.inputs[0][:m]
+        a0[...] = x[start : start + m]
+        model.base = a0 @ model.weights[0].T
+        model.gram = a0 @ a0[: m if l2 else m - sizes[-1]].T
+        for n in sizes:
+            _checked_step(model, y[start : start + n], lr, l2, tally)
+            start += n
+        model.flush()
     return tally
+
+
+def _blocks(sizes, steps):
+    """``sizes`` cut into flush blocks of ``steps`` batches."""
+    return [sizes[i : i + steps] for i in range(0, len(sizes), steps)]
 
 
 def _net_and_rows(sizes, widths=(20, 16, 12, 5), seed=13):
@@ -165,56 +173,67 @@ def _net_and_rows(sizes, widths=(20, 16, 12, 5), seed=13):
 class TestFusedStep:
     @pytest.mark.parametrize("l2", [0.0, 1e-3])
     def test_matches_reference_update(self, l2):
-        # 35 full batches and a short one: 143 rows, two flushes on the way
+        # one-step blocks: every step is clean and reproduces the eager
+        # arithmetic, so without l2 its loss is the reference loss exactly
         sizes = [4] * 35 + [3]
-        assert sum(sizes) > 2 * _PENDING_ROWS
         weights, x, y = _net_and_rows(sizes)
         model = _DeferredWeights(weights, _PENDING_ROWS, l2)
-        tally = _step_against_reference(model, x, y, sizes, 0.05, l2)
-        assert tally["clean"] == 3
+        tally = _step_against_reference(model, x, y, _blocks(sizes, 1), 0.05, l2)
+        assert tally["clean"] == tally["steps"] == 36
         assert tally["differ"] == 0
-        assert model.pending == sum(sizes) - 2 * _PENDING_ROWS
 
     @pytest.mark.parametrize("l2", [0.0, 1e-3])
     def test_block_schedule_matches_reference_update(self, l2):
-        # train()'s schedule: a block of up to 16 batches prefetched after each
-        # flush; at 64 inputs its 64-row GEMM rounds some logits unlike a 4-row one
+        # train()'s schedule: blocks of up to 16 batches, 143 rows, the last
+        # batch short; at 64 inputs a 64-row GEMM rounds some logits unlike a
+        # 4-row one
         sizes = [4] * 35 + [3]
+        assert sum(sizes) > 2 * _PENDING_ROWS
         weights, x, y = _net_and_rows(sizes, widths=(64, 48, 32, 10))
         model = _DeferredWeights(weights, _PENDING_ROWS, l2)
-        tally = _step_against_reference(model, x, y, sizes, 0.05, l2, block=True)
+        tally = _step_against_reference(model, x, y, _blocks(sizes, 16), 0.05, l2)
         assert tally["clean"] == 3
         assert tally["differ"] > 0
-        assert model.pending == sum(sizes) - 2 * _PENDING_ROWS
 
-    @pytest.mark.parametrize("lr, l2", [(0.25, 2.0), (0.05, 9.99)])
-    def test_decay_outside_scale_range(self, lr, l2):
+    @pytest.mark.parametrize("lr, l2, steps", [(0.25, 2.0, 1), (0.05, 9.99, 6)],
+                             ids=["0.25-2.0", "0.05-9.99"])
+    def test_decay_outside_scale_range(self, lr, l2, steps):
         # decay 1 - 2*lr*l2 is exactly 0, then about 1e-3: the scale would
-        # reach 0 at once, or a subnormal after a few steps, without a flush
+        # reach 0 at once, or leave its range at the 7th step; train() ends
+        # its blocks after 1 and 6 steps (checked through train below)
         weights, x, y = _net_and_rows([4] * 10)
         model = _DeferredWeights(weights, _PENDING_ROWS, l2)
-        _step_against_reference(model, x, y, [4] * 10, lr, l2)
-        assert model.pending < 40
-        assert all(np.isfinite(d).all() for d in model.residuals)
+        tally = _step_against_reference(model, x, y, _blocks([4] * 10, steps), lr, l2)
+        assert tally["clean"] == -(-10 // steps)
 
-    @pytest.mark.parametrize("lr, l2, rows", [(0.25, 2.0, 8), (0.05, 9.99, 143)])
-    def test_scale_flush_inside_block_through_train(self, lr, l2, rows, monkeypatch):
-        # The scale range flushes inside prefetched blocks, and every step
-        # train() takes is checked against the eager reference.  A whole-epoch
-        # eager loop is no reference at these decays: the weights collapse and
-        # roundoff grows ~20x and more per step.  At decay 0 every unit of this
-        # net dies after a few steps, and the snapshot rejects it, so that run
-        # takes two.
+    @pytest.mark.parametrize("lr, l2, rows, flushes", [(0.25, 2.0, 8, 2), (0.05, 9.99, 143, 6)],
+                             ids=["0.25-2.0-8", "0.05-9.99-143"])
+    def test_scale_flush_inside_block_through_train(self, lr, l2, rows, flushes, monkeypatch):
+        # The scale range ends train()'s blocks early, every step it takes is
+        # checked against the eager reference, and every flush consumes all
+        # the rows its block took in.  A whole-epoch eager loop is no
+        # reference at these decays: the weights collapse and roundoff grows
+        # ~20x and more per step.  At decay 0 every unit of this net dies
+        # after a few steps, and the snapshot rejects it, so that run takes two.
         widths = (64, 48, 32, 10)
         _, x, y = _net_and_rows([rows], widths=widths)
         ds = Dataset(X=x, y=y, k=10)
+        x_before = ds.X.copy()
         tally = Counter()
+        flush = _DeferredWeights.flush
+
+        def checked_flush(model):
+            tally.update(flushes=1, consumed=model.pending == len(model.base))
+            flush(model)
+
         monkeypatch.setattr(training, "_sgd_step", lambda *step: _checked_step(*step, tally))
+        monkeypatch.setattr(_DeferredWeights, "flush", checked_flush)
         cfg = TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=6,
                           learning_rate=lr, l2_coefficient=l2)
         train(cfg, ds, ds)
         assert tally["steps"] == -(-rows // 4)
-        assert tally["dropped"] > 0
+        assert tally["consumed"] == tally["flushes"] == flushes
+        assert np.array_equal(ds.X, x_before)
 
 
 class TestTrain:
@@ -271,9 +290,10 @@ class TestTrain:
             assert not np.array_equal(a.weight, b.weight)
 
     def test_snapshot_holds_flushed_weights(self):
-        # 90 rows per epoch: one flush at 64 rows, 26 rows pending at the end.
-        # The steps follow train()'s prefetch schedule, which at 64 inputs
-        # rounds unlike prefetching one batch at a time.
+        # 90 rows per epoch: a 64-row block and a 26-row block whose last
+        # batch is short, both flushed before the snapshot.  The steps follow
+        # train()'s block schedule, which at 64 inputs rounds unlike taking
+        # one batch at a time.
         for widths in ((5, 8, 6, 2), (64, 48, 32, 2)):
             train_ds = synth_blobs(90, widths[0], 2, separation=1.0, seed=1)
             test_ds = synth_blobs(40, widths[0], 2, separation=1.0, seed=2)
@@ -285,12 +305,10 @@ class TestTrain:
             model = _DeferredWeights(weights, _PENDING_ROWS, cfg.l2_coefficient)
             for epoch, net in enumerate(nets):
                 order = np.random.default_rng([cfg.seed, epoch]).permutation(train_ds.n)
-                for start in range(0, train_ds.n, cfg.batch_size):
-                    b = order[start : start + cfg.batch_size]
-                    _sgd_step(model, train_ds.X, order[start:], train_ds.y[b],
-                              cfg.learning_rate, cfg.l2_coefficient)
-                assert model.pending == 26
-                model.flush()
+                blocks = _blocks([4] * 22 + [2], 16)
+                tally = _step_against_reference(model, train_ds.X[order], train_ds.y[order],
+                                                blocks, cfg.learning_rate, cfg.l2_coefficient)
+                assert tally["clean"] == 2
                 for layer, w in zip(net.layers, model.weights):
                     assert np.array_equal(layer.weight, w)
 
@@ -369,6 +387,28 @@ class TestTrain:
         # separable data with shuffled labels cannot be fit in one epoch
         assert snaps[0].train_error > 0.2
 
+    def test_gaussian_moment_matched_inputs(self, blob_pair):
+        train_ds, test_ds = blob_pair
+
+        def run(mode):
+            cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=2, batch_size=16, seed=3,
+                              input_mode=mode)
+            nets = []
+            snaps = train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
+            return [asdict(s) for s in snaps], nets
+
+        snaps, nets = run("gaussian_moment_matched")
+        again, again_nets = run("gaussian_moment_matched")
+        assert again == snaps
+        for a, b in zip(nets, again_nets):
+            assert all(np.array_equal(la.weight, lb.weight) for la, lb in zip(a.layers, b.layers))
+        assert run("true_inputs")[0] != snaps
+        # the snapshots score the seeded Gaussian rows against the unchanged labels
+        gaussian = Dataset(X=randomize_inputs_gaussian(train_ds, seed=3).X, y=train_ds.y,
+                           k=train_ds.k)
+        for snap, net in zip(snaps, nets):
+            assert snap["train_error"] == error_rate(net, gaussian)
+
     def test_l2_shrinks_weights(self, blob_pair):
         train_ds, test_ds = blob_pair
         nets = {}
@@ -384,9 +424,14 @@ class TestTrain:
 
     def test_dimension_validation(self, blob_pair):
         train_ds, test_ds = blob_pair
-        cfg = TrainConfig(layer_widths=(7, 8, 2), epochs=1, batch_size=16, seed=0)
-        with pytest.raises(ParameterError):
-            train(cfg, train_ds, test_ds)
+        three_classes = synth_blobs(80, 5, 3, separation=1.0, seed=2)
+        wide_test = synth_blobs(80, 6, 2, separation=1.0, seed=2)
+        for widths, test, message in [((7, 8, 2), test_ds, "input width"),
+                                      ((5, 8, 2), three_classes, "output width"),
+                                      ((5, 8, 2), wide_test, "dims differ")]:
+            cfg = TrainConfig(layer_widths=widths, epochs=1, batch_size=16, seed=0)
+            with pytest.raises(ParameterError, match=message):
+                train(cfg, train_ds, test)
 
 
 class TestConfig:
@@ -420,7 +465,7 @@ class TestConfig:
         for field in ({"epochs": 1.5}, {"epochs": True}, {"batch_size": 4.5}, {"seed": "x"},
                       {"seed": -1}, {"layer_widths": [4, "a", 2]}, {"layer_widths": [4, 16.7, 2]},
                       {"layer_widths": 5}, {"learning_rate": "x"}, {"l2_coefficient": "x"},
-                      {"l2_coefficient": float("nan")}):
+                      {"l2_coefficient": float("nan")}, {"input_mode": "shuffled"}):
             with pytest.raises(ParameterError):
                 TrainConfig(**{"layer_widths": (4, 2), "epochs": 1, "batch_size": 4, "seed": 0,
                                **field})

@@ -16,10 +16,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import covering, lowerbound, margins, training
-from .complexity import _check_bound_params, analyze_network, layer_norms, spectral_complexity
+from .complexity import _check_bound_params, _norms_and_margins, analyze_network
 from .data import inspect_idx, load_dataset, load_idx
 from .errors import MarginAuditorError, ParameterError, _check_at_least
-from .linalg import MAT1_MAGIC, frobenius_norm, spectral_norm
+from .linalg import MAT1_MAGIC, _group_norm, frobenius_norm, spectral_norm
 from .network import load_manifest, save_manifest
 from .serialize import _output_dir, _read_input, dumps_17g, write_json_17g
 
@@ -43,8 +43,8 @@ def cmd_analyze(args):
 def cmd_margins(args):
     net = load_manifest(args.network)
     ds = _load_any_dataset(args.features, args.labels)
-    r_a = spectral_complexity(layer_norms(net))
-    md = margins.margin_distribution(net, ds, r_a, gamma=args.gamma)
+    _, _, r_a, md = _norms_and_margins(net, margins._outputs(net, ds.X), ds.y,
+                                       _group_norm(ds.X, 2.0, 2.0), args.gamma)
     _check_bound_params(md.gamma_used, args.delta, ds.n)
     summary = margins.summarize(md, bins=args.bins)
     out = _output_dir(args.out)

@@ -106,7 +106,9 @@ def spectral_complexity(norms):
 
     Layers with b_i = 0 contribute nothing to the sum; if every b_i is zero
     the result degenerates to 0.0 with a warning (the network equals its
-    references at this norm), which downstream margin normalization rejects.
+    references at this norm).  A product that underflows also gives 0.0; the
+    analysis core behind ``analyze``, ``margins`` and ``train`` rejects either
+    as a NumericDegeneracyError.
     """
     product, total = _capacity_factors(norms)
     if total == 0.0:
@@ -265,7 +267,8 @@ def generalization_bound_fixed(ramp_risk, data_bound, width, n, gamma, delta, no
     Terms: ramp risk, 8/n, the complexity term
     (72 B ln(2W) ln(n) / (gamma n)) * prod(s_i rho_i) * (sum (b_i/s_i)^(2/3))^(3/2),
     and the confidence term 3 sqrt(ln(1/delta) / (2n)).
-    Returns (term_const, term_complexity, term_confidence, total).
+    Returns (term_const, term_complexity, term_confidence, total); a total
+    beyond the float64 range is a NumericDegeneracyError.
     """
     _check_bound_params(gamma, delta, n)
     _check_positive(data_bound, "data norm bound")
@@ -275,9 +278,10 @@ def generalization_bound_fixed(ramp_risk, data_bound, width, n, gamma, delta, no
         72.0 * data_bound * math.log(2.0 * width) * math.log(n) / (gamma * n)
     ) * product * total**1.5
     term_confidence = 3.0 * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
-    return term_const, term_complexity, term_confidence, (
-        ramp_risk + term_const + term_complexity + term_confidence
-    )
+    bound = ramp_risk + term_const + term_complexity + term_confidence
+    if not math.isfinite(bound):
+        raise NumericDegeneracyError("the margin bound exceeds the float64 range")
+    return term_const, term_complexity, term_confidence, bound
 
 
 def generalization_bound_uniform(net, ds, gamma, delta):
@@ -299,7 +303,8 @@ def generalization_bound_uniform(net, ds, gamma, delta):
 
 def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
     """:func:`generalization_bound_uniform` from extracted quantities, in the
-    shape of :func:`generalization_bound_fixed`; a zero data norm is allowed."""
+    shape of :func:`generalization_bound_fixed`; a zero data norm is allowed,
+    a value beyond the float64 range is a NumericDegeneracyError."""
     _check_bound_params(gamma, delta, n)
     norms = list(norms)
     length = len(norms)
@@ -326,7 +331,10 @@ def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
         log_sum += 2.0 * math.log(2.0 + length * ln.b)
         log_sum += 2.0 * math.log(2.0 + length * ln.s)
     term_confidence = math.sqrt(9.0 / (2.0 * n)) * math.sqrt(log_sum)
-    return ramp_risk + 8.0 / n + term_complexity + term_confidence
+    bound = ramp_risk + 8.0 / n + term_complexity + term_confidence
+    if not math.isfinite(bound):
+        raise NumericDegeneracyError("the uniform bound exceeds the float64 range")
+    return bound
 
 
 def margin_bound_assembly(ramp_risk, rademacher, n, delta):
@@ -347,22 +355,29 @@ def _check_delta(delta):
         raise ParameterError(f"delta must lie in (0,1), got {delta!r}")
 
 
+def _norms_and_margins(net, outputs, labels, data_norm, gamma=None):
+    """The analysis core: layer norms, ||W_i - M_i||_F, R_A and the MarginDistribution."""
+    norms, deltas = _extract_norms(net)
+    r_a = spectral_complexity(norms)
+    if not r_a > 0.0:  # NaN when the product underflows and the ratio sum overflows
+        raise NumericDegeneracyError(f"spectral complexity is {r_a!r}: the norm product "
+                                     "underflows float64 or every layer equals its reference")
+    md = _margin_distribution_of_outputs(outputs, labels, r_a, data_norm, gamma)
+    return norms, deltas, r_a, md
+
+
 def analyze_network(net, ds, gamma=None, delta=0.01):
     """Full diagnostic pass: norms, capacities, margins, and both bounds.
 
     Returns (BoundReport, MarginDistribution).  When gamma is omitted it
     defaults to the median positive raw margin (1.0 if none are positive).
-    The data is forwarded once, the layer norms and ||X||_2 are extracted
-    once, and the margins, ramp risk and both bounds all come from them.
+    The data is forwarded once and ||X||_2 taken once; :func:`_norms_and_margins`
+    gives the layer norms, R_A (a NumericDegeneracyError unless positive) and the margins,
+    and the ramp risk and both bounds (which must lie in float64) come from them.
     """
-    norms, deltas = _extract_norms(net)
-    r_a = spectral_complexity(norms)
-    r_pb = pac_bayes_complexity(norms, deltas, net.width)
     data_norm = _group_norm(ds.X, 2.0, 2.0)  # a Dataset validated X
-    n = ds.X.shape[0]
-    md = _margin_distribution_of_outputs(_outputs(net, ds.X), ds.y, r_a, data_norm, gamma)
-    gamma = md.gamma_used
-    _check_bound_params(gamma, delta, n)
+    norms, deltas, r_a, md = _norms_and_margins(net, _outputs(net, ds.X), ds.y, data_norm, gamma)
+    n, gamma = ds.X.shape[0], md.gamma_used
     ramp = _ramp_risk_of_margins(md.raw, gamma)
     term_const, term_complexity, term_confidence, total = generalization_bound_fixed(
         ramp, data_norm, net.width, n, gamma, delta, norms
@@ -370,7 +385,7 @@ def analyze_network(net, ds, gamma=None, delta=0.01):
     report = BoundReport(
         layer_norms=tuple(norms),
         R_A=r_a,
-        R_PB=r_pb,
+        R_PB=pac_bayes_complexity(norms, deltas, net.width),
         data_norm_B=data_norm,
         W=net.width,
         n=n,
@@ -381,9 +396,7 @@ def analyze_network(net, ds, gamma=None, delta=0.01):
         term_complexity=term_complexity,
         term_confidence=term_confidence,
         bound_total=total,
-        uniform_bound_total=_uniform_bound(
-            ramp, data_norm, net.width, n, gamma, delta, norms
-        ),
+        uniform_bound_total=_uniform_bound(ramp, data_norm, net.width, n, gamma, delta, norms),
         uniform_bound_vacuous=gamma < 2.0 / n,
     )
     return report, md

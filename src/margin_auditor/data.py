@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError, ParseError, _check_at_least
-from .linalg import _check_payload, as_matrix, read_mat1, write_mat1
+from .linalg import _check_payload, _scale_exponent, as_matrix, read_mat1, write_mat1
 from .serialize import _read_input, _write_output
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -157,11 +157,14 @@ def randomize_inputs_gaussian(ds, seed=0):
     """Replace the feature rows by Gaussian draws matching their mean and covariance.
 
     The empirical covariance gets a diagonal shrinkage of 1e-6 * trace/d so the
-    Cholesky factorization is well-posed even with few samples.
+    Cholesky factorization is well-posed even with few samples.  X is prescaled
+    by a power of two, so the draws scale exactly with X at any finite scale; a
+    draw beyond the float64 range is a NumericDegeneracyError.
     """
     if ds.n < 2:
         raise ParameterError("need at least 2 examples to estimate input statistics")
-    x = ds.X
+    e = _scale_exponent(ds.X) or 0  # None for all-zero X
+    x = np.ldexp(ds.X, -e)
     mu = x.mean(axis=0)
     centered = x - mu
     cov = centered.T @ centered / ds.n
@@ -175,7 +178,11 @@ def randomize_inputs_gaussian(ds, seed=0):
         raise NumericDegeneracyError(f"covariance factorization failed: {exc}") from None
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((ds.n, d))
-    return Dataset(X=mu + z @ chol.T, y=ds.y.copy(), k=ds.k)
+    with np.errstate(over="ignore"):
+        draws = np.ldexp(mu + z @ chol.T, e)
+    if not np.all(np.isfinite(draws)):
+        raise NumericDegeneracyError("Gaussian input draws exceed the float64 range")
+    return Dataset(X=draws, y=ds.y.copy(), k=ds.k)
 
 
 def synth_blobs(n, d, k, separation, seed=0):

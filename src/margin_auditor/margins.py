@@ -122,7 +122,8 @@ def margin_distribution(net, ds, r_a, gamma=None):
     """Raw and normalized margins of a network on a dataset.
 
     The normalizer is r_a * ||X||_2 / n, where ||X||_2 is the entrywise l2
-    norm of the data matrix.  Requires r_a > 0 and a nonzero data matrix.
+    norm of the data matrix.  Requires r_a > 0, a nonzero data matrix and,
+    when given, gamma > 0.
     """
     return _margin_distribution_of_outputs(
         _outputs(net, ds.X), ds.y, r_a, _group_norm(ds.X, 2.0, 2.0), gamma
@@ -133,6 +134,8 @@ def _margin_distribution_of_outputs(outputs, labels, r_a, data_norm, gamma=None)
     """:func:`margin_distribution` from the network's :func:`_outputs` on the
     data and the data's entrywise l2 norm, both already computed by the caller."""
     _check_positive(r_a, "spectral complexity")
+    if gamma is not None:
+        _check_positive(gamma, "gamma")
     if data_norm == 0.0:
         raise NumericDegeneracyError("zero data matrix: margin normalizer degenerates")
     raw = margins_of_outputs(outputs, labels)

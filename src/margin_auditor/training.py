@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import layer_norms, spectral_complexity
+from .complexity import _norms_and_margins
 from .data import randomize_inputs_gaussian, randomize_labels
-from .errors import (DegenerateNetworkError, ParameterError, ParseError, TrainingDivergedError,
+from .errors import (NumericDegeneracyError, ParameterError, ParseError, TrainingDivergedError,
                      _check_at_least, _check_integer, _check_positive)
 from .linalg import _group_norm
-from .margins import _error_rate_of_outputs, _margin_distribution_of_outputs, _outputs, error_rate
+from .margins import _error_rate_of_outputs, _outputs, error_rate
 from .network import Identity, Layer, Network, Relu
 from .serialize import _read_json
 
@@ -286,9 +286,7 @@ def _snapshot(epoch, steps, mean_loss, layers, weights, train_ds, train_norm, te
     train_outputs = _outputs(net, train_ds.X)
     train_err = _error_rate_of_outputs(train_outputs, train_ds.y)
     test_err = error_rate(net, test_ds)
-    norms = layer_norms(net)
-    r_a = spectral_complexity(norms)
-    md = _margin_distribution_of_outputs(train_outputs, train_ds.y, r_a, train_norm)
+    norms, _, r_a, md = _norms_and_margins(net, train_outputs, train_ds.y, train_norm)
     digest = MarginDigest(
         normalizer=md.normalizer,
         raw_mean=float(md.raw.mean()),
@@ -316,8 +314,9 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     """Minibatch SGD with seeded shuffles; one EpochSnapshot per epoch.
 
     Applies the config's label/input randomization to the training set first
-    (seeded by cfg.seed).  A loss that stops being finite, or a snapshot layer
-    of spectral norm 0, raises an error naming the epoch.
+    (seeded by cfg.seed).  A loss that stops being finite, and any numeric
+    degeneracy in a snapshot (its R_A and margins come from the core that
+    ``analyze`` uses), raise an error of their own class naming the epoch.
     """
     if cfg.layer_widths[0] != train_ds.dim:
         raise ParameterError(
@@ -372,8 +371,8 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
         try:
             snap, net, md = _snapshot(epoch, steps, loss_sum / steps, net0.layers, weights,
                                       train_ds, x_norm, test_ds)
-        except DegenerateNetworkError as exc:
-            raise DegenerateNetworkError(f"{exc} (epoch {epoch})") from None
+        except NumericDegeneracyError as exc:
+            raise type(exc)(f"{exc} (epoch {epoch})") from None
         snapshots.append(snap)
         if snapshot_hook is not None:
             snapshot_hook(snap, net, md)

@@ -66,6 +66,7 @@ POSITIVE = {
     "ramp_loss.gamma": lambda v: ramp_loss(0.5, v),
     "ramp_risk_empirical.gamma": lambda v: ramp_risk_empirical(NET, DS, v),
     "margin_distribution.r_a": lambda v: margin_distribution(NET, DS, v),
+    "margin_distribution.gamma": lambda v: margin_distribution(NET, DS, 1.0, gamma=v),
     "rademacher_linear_trials.radius": lambda v: rademacher_linear_trials(X, v, 5),
     "rademacher_linear_estimate.radius": lambda v: rademacher_linear_estimate(X, v, 5),
     "TrainConfig.learning_rate": lambda v: config(learning_rate=v),

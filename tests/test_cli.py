@@ -182,6 +182,28 @@ class TestAnalyze:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "margins"])
+    def test_zero_spectral_complexity_exit_4_and_no_output(self, tmp_path, capsys, command):
+        from margin_auditor import (Dataset, Identity, Layer, Network, Relu, save_dataset,
+                                    save_manifest)
+
+        # every s_i of this 6-8-5-3 net is near 1e-137, so their product
+        # underflows to R_A = 0 while each layer's norms stay positive
+        r = np.random.default_rng(23)
+        net = Network(layers=tuple(
+            Layer(weight=1e-137 * r.standard_normal(shape), nonlinearity=nl)
+            for shape, nl in (((8, 6), Relu()), ((5, 8), Relu()), ((3, 5), Identity()))
+        ))
+        ds = Dataset(X=r.standard_normal((20, 6)), y=np.arange(20) % 3 + 1, k=3)
+        manifest = save_manifest(net, str(tmp_path / "net"))
+        feats, labels = str(tmp_path / "x.mat"), str(tmp_path / "y.lbl")
+        save_dataset(ds, feats, labels)
+        out = tmp_path / "out"
+        assert main([command, manifest, "--features", feats, "--labels", labels,
+                     "--out", str(out)]) == 4
+        assert_one_line_error(capsys, "NumericDegeneracyError", "spectral complexity is 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "margins"])
     def test_overflowed_forward_pass_exit_4(self, tmp_path, capsys, command):
         from margin_auditor import Dataset, Identity, Layer, Network, save_dataset, save_manifest
 
@@ -283,6 +305,13 @@ def test_non_finite_value_is_rendered_before_the_file_opens(tmp_path):
     with pytest.raises(margin_auditor.NumericDegeneracyError):
         write_json_17g(str(path), {"R_A": 1.0, "bound_total": math.inf})
     assert not path.exists()
+
+
+def test_unserializable_value_is_a_type_error():
+    from margin_auditor.serialize import dumps_17g
+
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        dumps_17g({"a": object()})
 
 
 class TestReportConsistency:

@@ -11,6 +11,7 @@ from margin_auditor import (
     Layer,
     LayerNorms,
     Network,
+    NumericDegeneracyError,
     ParameterError,
     Relu,
     TrainConfig,
@@ -436,6 +437,28 @@ class TestAnalyzeNetwork:
         assert report.n == 30
         assert md.normalized.shape == (30,)
         assert report.term_const == pytest.approx(8.0 / 30)
+
+    def test_network_equal_to_its_references_is_a_degeneracy(self, rng):
+        # every b_i is 0, so R_A is 0 and no margin can be normalized by it
+        net = random_network(rng, depth=3)
+        ds = random_dataset(rng, net, n=30)
+        same = Network(layers=tuple(
+            Layer(weight=l.weight, nonlinearity=l.nonlinearity, reference=l.weight)
+            for l in net.layers
+        ))
+        with pytest.warns(RuntimeWarning, match="equal their references"):
+            with pytest.raises(NumericDegeneracyError, match="spectral complexity is 0"):
+                analyze_network(same, ds)
+
+    def test_nan_spectral_complexity_is_a_degeneracy(self):
+        # s_i = 1e-300 against references near 1e8: the product of the s_i
+        # underflows to 0 and the (b_i/s_i)^(2/3) sum overflows, so R_A is NaN
+        w, m = np.diag([1e-300, 1e-300]), np.full((2, 2), 1.2e8)
+        net = Network(layers=(Layer(weight=w, nonlinearity=Relu(), reference=m),
+                              Layer(weight=w, nonlinearity=Identity(), reference=m)))
+        ds = Dataset(X=np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]]), y=np.array([1, 2, 1]), k=2)
+        with pytest.raises(NumericDegeneracyError, match="spectral complexity is nan"):
+            analyze_network(net, ds)
 
     @pytest.mark.parametrize("gamma", [None, 0.7])
     def test_one_forward_and_one_norm_extraction(self, rng, monkeypatch, gamma):

@@ -86,6 +86,14 @@ class TestMaureySparsify:
                 maurey_sparsify([np.ones(2), np.array([1.0, bad])], [1.0, 1.0], 3)
 
 
+    def test_retry_cap_exhausted_is_a_degeneracy(self, monkeypatch):
+        from margin_auditor import covering
+
+        monkeypatch.setattr(covering, "_MAUREY_RETRY_CAP", 0)
+        with pytest.raises(NumericDegeneracyError, match="within 0 draws"):
+            maurey_sparsify(np.eye(2), [0.5, 0.5], 4)
+
+
 class TestCoverElement:
     def test_zero_weight_matrix(self, rng):
         x = rng.standard_normal((5, 3))

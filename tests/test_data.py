@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -223,9 +224,44 @@ class TestRandomizeInputs:
         with pytest.raises(NumericDegeneracyError):
             randomize_inputs_gaussian(Dataset(X=np.ones((5, 2)), y=np.ones(5, dtype=int), k=1),
                                       seed=0)
+        # entries near the top of the float64 range: some draws land beyond it
+        x = np.ldexp(np.random.default_rng(4).uniform(-1.9, 1.9, (30, 6)), 1023)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDegeneracyError, match="float64 range"):
+                randomize_inputs_gaussian(Dataset(X=x, y=np.ones(30, dtype=int), k=1), seed=1)
+
+    def test_cholesky_failure_is_a_degeneracy(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        ds = synth_blobs(40, 3, 2, 2.0, seed=5)
+        with pytest.raises(NumericDegeneracyError, match="factorization failed"):
+            randomize_inputs_gaussian(ds, seed=0)
+
+    @pytest.mark.parametrize("k", [-900, -500, 500, 1000])
+    def test_exactly_homogeneous_at_any_finite_scale(self, k):
+        # the statistics are taken on power-of-two prescaled rows, so scaling
+        # X by 2**k scales every draw by 2**k bit for bit, without a warning
+        ds = synth_blobs(40, 5, 2, 2.0, seed=5)
+        base = randomize_inputs_gaussian(ds, seed=3).X
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = randomize_inputs_gaussian(Dataset(X=np.ldexp(ds.X, k), y=ds.y, k=ds.k),
+                                               seed=3)
+        assert np.array_equal(scaled.X, np.ldexp(base, k))
 
 
 class TestSynthGenerators:
+    @pytest.mark.parametrize("generate", [lambda n: synth_blobs(n, 2, 3, 1.0),
+                                          lambda n: synth_images(n, k=3, side=4)],
+                             ids=["blobs", "images"])
+    def test_fewer_rows_than_classes_rejected(self, generate):
+        with pytest.raises(ParameterError, match="need n >= k, got n=2, k=3"):
+            generate(2)
+        assert generate(3).n == 3
+
     def test_blobs_zero_separation(self):
         ds = synth_blobs(40, 3, 4, separation=0.0, seed=4)
         # all class means collapse to the origin: labels carry no signal

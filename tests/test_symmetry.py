@@ -22,6 +22,8 @@ from margin_auditor import (
     analyze_network,
     cover_budget,
     cover_element_for,
+    frobenius_norm,
+    generalization_bound_fixed,
     generalization_bound_uniform,
     layer_norms,
     margin_distribution,
@@ -160,3 +162,33 @@ def test_uniform_bound_beyond_float64_range_rejected():
     net, ds = _beyond_range_cases()[0]
     with pytest.raises(NumericDegeneracyError):
         generalization_bound_uniform(net, ds, gamma=1.0, delta=0.01)
+
+
+def _tiny_net_case(e):
+    """A 6-8-5-3 ReLU net whose seeded standard-normal weights are scaled by
+    10**e, on 40 rows of unit scale."""
+    r = np.random.default_rng(0)
+    layers = [Layer(weight=10.0**e * r.standard_normal(shape), nonlinearity=nl)
+              for shape, nl in (((8, 6), Relu()), ((5, 8), Relu()), ((3, 5), Identity()))]
+    x = np.random.default_rng(1).standard_normal((40, 6))
+    return Network(layers=tuple(layers)), Dataset(X=x, y=np.arange(40) % 3 + 1, k=3)
+
+
+@pytest.mark.parametrize("e, bound", [(-102, "uniform"), (-103, "margin")])
+def test_bound_beyond_float64_range_rejected(e, bound):
+    # at 10**-102 the default gamma is near 1e-306: the margin bound is still
+    # finite, but the uniform bound's (1/L + s_i) offsets do not shrink with
+    # the weights, so its complexity term leaves the float64 range; at
+    # 10**-103 the margin bound's complexity term leaves it as well
+    net, ds = _tiny_net_case(e)
+    gamma = margin_distribution(net, ds, 1.0).gamma_used
+    args = (0.0, frobenius_norm(ds.X), net.width, ds.n, gamma, 0.01, layer_norms(net))
+    if bound == "uniform":
+        assert math.isfinite(generalization_bound_fixed(*args)[3])
+    else:
+        with pytest.raises(NumericDegeneracyError, match="margin bound exceeds"):
+            generalization_bound_fixed(*args)
+    with pytest.raises(NumericDegeneracyError, match=f"the {bound} bound exceeds"):
+        analyze_network(net, ds)
+    with pytest.raises(NumericDegeneracyError, match="uniform bound exceeds"):
+        generalization_bound_uniform(net, ds, gamma=gamma, delta=0.01)

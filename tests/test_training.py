@@ -9,13 +9,16 @@ import pytest
 from margin_auditor import (
     Dataset,
     DegenerateNetworkError,
+    NumericDegeneracyError,
     ParameterError,
     TrainConfig,
     TrainingDivergedError,
+    analyze_network,
     error_rate,
     init_network,
     loss_and_gradients,
     randomize_inputs_gaussian,
+    randomize_labels,
     synth_blobs,
     train,
 )
@@ -25,6 +28,7 @@ from margin_auditor.training import (
     _PENDING_ROWS,
     _SCALE_MAX,
     _SCALE_MIN,
+    MarginDigest,
     _DeferredWeights,
     _sgd_step,
 )
@@ -376,6 +380,46 @@ class TestTrain:
         with pytest.raises(DegenerateNetworkError, match=r"\(epoch 0\)$") as err:
             train(cfg, ds, ds)
         assert err.value.exit_code == 4
+
+    def test_underflowed_spectral_complexity_names_epoch(self):
+        # l2 9.99 shrinks every layer until the product of the spectral norms,
+        # each still positive, underflows to R_A = 0
+        ds = synth_blobs(90, 64, 3, separation=1.0, seed=1)
+        cfg = TrainConfig(layer_widths=(64, 24, 16, 3), epochs=3, batch_size=4, seed=4,
+                          learning_rate=0.05, l2_coefficient=9.99)
+        with pytest.raises(NumericDegeneracyError,
+                           match=r"^spectral complexity is 0.*\(epoch 1\)$") as err:
+            train(cfg, ds, ds)
+        assert type(err.value) is NumericDegeneracyError
+        assert err.value.exit_code == 4
+
+    @pytest.mark.parametrize("label_mode", ["true_labels", "random_labels"])
+    def test_snapshot_matches_analysis(self, blob_pair, label_mode):
+        # the snapshot and analyze share one analysis core: on the training set
+        # the run actually fit, they agree bit for bit at every epoch
+        train_ds, test_ds = blob_pair
+        cfg = TrainConfig(layer_widths=(5, 8, 6, 2), epochs=3, batch_size=16, seed=0,
+                          label_mode=label_mode)
+        seen = []
+        train(cfg, train_ds, test_ds, snapshot_hook=lambda *args: seen.append(args))
+        if label_mode == "random_labels":
+            train_ds = randomize_labels(train_ds, seed=cfg.seed)
+        assert len(seen) == cfg.epochs
+        for snap, net, md in seen:
+            report, expected = analyze_network(net, train_ds)
+            assert snap.R_A == report.R_A
+            assert snap.product_spectral_norms == math.prod(ln.s for ln in report.layer_norms)
+            assert np.array_equal(md.raw, expected.raw)
+            assert np.array_equal(md.normalized, expected.normalized)
+            assert snap.margin_summary == MarginDigest(
+                normalizer=expected.normalizer,
+                raw_mean=float(expected.raw.mean()),
+                normalized_mean=float(expected.normalized.mean()),
+                normalized_median=float(np.median(expected.normalized)),
+                normalized_min=float(expected.normalized.min()),
+                normalized_max=float(expected.normalized.max()),
+                gamma_used=expected.gamma_used,
+            )
 
     def test_random_labels_mode_sticks(self, blob_pair):
         train_ds, test_ds = blob_pair

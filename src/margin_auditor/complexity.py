@@ -112,13 +112,14 @@ def spectral_complexity(norms):
     """
     product, total = _capacity_factors(norms)
     if total == 0.0:
-        warnings.warn(
-            "all layers equal their references in (2,1) norm; spectral complexity is 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return product * total**1.5
+        warnings.warn("all layers equal their references in (2,1) norm; spectral complexity is 0",
+                      RuntimeWarning, stacklevel=2)
+    return _spectral_complexity(product, total)
+
+
+def _spectral_complexity(product, total):
+    """R_A from the :func:`_capacity_factors`, 0.0 when the sum is 0; never warns."""
+    return product * total**1.5 if total else 0.0
 
 
 def pac_bayes_complexity(norms, frob_deltas, width):
@@ -358,7 +359,7 @@ def _check_delta(delta):
 def _norms_and_margins(net, outputs, labels, data_norm, gamma=None):
     """The analysis core: layer norms, ||W_i - M_i||_F, R_A and the MarginDistribution."""
     norms, deltas = _extract_norms(net)
-    r_a = spectral_complexity(norms)
+    r_a = _spectral_complexity(*_capacity_factors(norms))
     if not r_a > 0.0:  # NaN when the product underflows and the ratio sum overflows
         raise NumericDegeneracyError(f"spectral complexity is {r_a!r}: the norm product "
                                      "underflows float64 or every layer equals its reference")

@@ -1,6 +1,8 @@
 """Dense matrix norms, an exact spectral norm (one LAPACK eigenvalue call on a
-Gram matrix), a LAPACK-free one-sided Jacobi SVD oracle in Brent-Luk round-robin
-order (Brent & Luk 1985), and the MAT1 binary matrix format.
+Gram matrix), a one-sided Jacobi SVD oracle free of LAPACK and BLAS, and the MAT1
+binary matrix format.  The oracle rotates every column pair of a Brent-Luk round
+(Brent & Luk 1985) at once, unmasked, as complex x_i + i x_j times a unit phase;
+one all-pairs orthogonality test is its only exit.
 
 All analysis arithmetic is 64-bit, pure and safe for concurrent use.  Each public
 norm is a wrapper that validates through :func:`as_matrix` over a private kernel
@@ -18,7 +20,6 @@ from .serialize import _read_input, _write_output
 
 _JACOBI_MAX_SWEEPS = 64
 _JACOBI_TOL = 1e-15
-_PAIR_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 MAT1_MAGIC = b"MAT1"
 
@@ -84,50 +85,45 @@ def jacobi_singular_values(a):
     """All singular values of ``a``, descending, by one-sided Jacobi rotations.
 
     The test suite's high-accuracy oracle, free of LAPACK, BLAS and
-    :func:`spectral_norm`.  Each Brent-Luk round of :func:`_round_robin`
-    rotates its disjoint column pairs (rows of the power-of-two prescaled
-    transpose) in one step, by the small angle |theta| <= pi/4 (Rutishauser;
-    Demmel & Veselic).  A sweep ends the loop if it rotated no pair, or if it
-    skipped one and :func:`_no_pair_active` then finds every pair negligible.
+    :func:`spectral_norm`.  The prescaled columns (of ``a.T`` when ``a`` is wide),
+    with a zero column for an even count, move between slots as in Brent and
+    Luk's systolic array, so each :func:`_round_robin` round has its pairs side by
+    side.  As z = x_i + i x_j, a pair's sum of z**2 is d + 2i p_ij (d = p_ii - p_jj),
+    and z * exp(-i theta) rotates it by the small angle theta = atan2(sgn(d) 2 p_ij,
+    |d|) / 2 (Rutishauser; Demmel & Veselic), 0 when p_ij = 0; no pair is masked.
+    :func:`_no_pair_active`, before each sweep and after the last, is the only exit.
     """
     a = as_matrix(a)
     e = _scale_exponent(a) or 0  # None for a zero matrix
-    wt = np.ldexp(a.T if a.shape[0] >= a.shape[1] else a, -e, order="C")
-    rounds = _round_robin(wt.shape[0])  # rounds.size // 2 pairs per sweep
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = 0
-        for ij in rounds:
-            x = wt.take(ij, axis=0)
-            pii, pjj = np.einsum("kij,kij->ki", x, x)
-            pij = np.einsum("ij,ij->i", x[0], x[1])
-            active = _active(pij, pii, pjj)
-            count = np.count_nonzero(active)
-            if count:
-                rotated += count
-                d = pii - pjj
-                theta = np.arctan2(np.copysign(2.0, d) * pij, np.abs(d)) * (0.5 * active)
-                c, s = np.cos(theta)[:, None], np.sin(theta)[:, None] * _PAIR_SIGNS
-                wt[ij] = x * c + x[::-1] * s  # (c*x_i + s*x_j, c*x_j - s*x_i)
-        if not rotated or rotated < rounds.size // 2 and _no_pair_active(wt):
+    m = min(a.shape)
+    n = m + (m & 1)
+    slots = _round_robin(n).transpose(0, 2, 1).reshape(-1, n)  # column in each slot, per round
+    moves = np.take_along_axis(np.argsort(slots, axis=1), np.roll(slots, -1, axis=0), axis=1)
+    y = np.ldexp(np.pad(a if a.shape[1] == m else a.T, [(0, 0), (0, n - m)]), -e, order="C")
+    x = y.take(slots[0], axis=1)
+    zx, zy, zz = x.view(np.complex128), y.view(np.complex128), np.empty_like(x).view(np.complex128)
+    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
+        if _no_pair_active(x.T):
             break
-    else:
-        raise NumericDegeneracyError("Jacobi sweeps did not converge")
-    sv = np.sort(np.sqrt(np.einsum("ij,ij->i", wt, wt)))[::-1]
+        if sweep == _JACOBI_MAX_SWEEPS:
+            raise NumericDegeneracyError("Jacobi sweeps did not converge")
+        for move in moves:
+            g = np.add.reduce(np.multiply(zx, zx, out=zz), axis=0)  # d + 2i p_ij per pair
+            g *= np.copysign(1.0, g.real)
+            zx *= np.exp(np.arctan2(g.imag, g.real) * -0.5j)  # (c x_i + s x_j, c x_j - s x_i)
+            x.take(move, axis=1, out=y, mode="clip")  # into the next round's slots
+            x, y, zx, zy = y, x, zy, zx
+    sv = np.sort(np.sqrt(np.einsum("ij,ij->j", x, x)))[::-1][:m]  # less the zero column
     _unscale(float(sv[0]), e)  # raises when sigma_1 exceeds the float64 range
     return np.ldexp(sv, e)
 
 
-def _active(pij, pii, pjj):
-    """Pairs to rotate; a squared norm that is 0, or whose product underflows, skips one."""
-    threshold = _JACOBI_TOL * np.sqrt(pii * pjj)
-    return (np.abs(pij) > threshold) & (threshold > 0.0)
-
-
 def _no_pair_active(wt):
-    """Whether no pair of rows of ``wt`` is :func:`_active`, by numpy's own einsum loops."""
+    """Whether no rows i != j of ``wt`` have |p_ij| > _JACOBI_TOL sqrt(p_ii p_jj) > 0, by einsum."""
     g = np.einsum("ik,jk->ij", wt, wt)
     norms = g.diagonal()
-    return not np.count_nonzero(np.triu(_active(g, norms[:, None], norms), 1))
+    threshold = _JACOBI_TOL * np.sqrt(norms[:, None] * norms)
+    return not np.count_nonzero(np.triu((np.abs(g) > threshold) & (threshold > 0.0), 1))
 
 
 def _round_robin(m):

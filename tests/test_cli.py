@@ -530,6 +530,38 @@ class TestProcessInterface:
         assert "missing.idx" in proc.stderr
 
 
+    @pytest.mark.parametrize("command", ["analyze", "margins"])
+    def test_every_layer_at_its_reference_one_stderr_line(self, tmp_path, command):
+        import subprocess
+        import sys
+
+        from margin_auditor import (Dataset, Identity, Layer, Network, Relu, save_dataset,
+                                    save_manifest)
+
+        # a 3-4-2 net whose references equal its weights: R_A = 0, and the
+        # JSON diagnostic must be the only stderr line (no RuntimeWarning)
+        r = np.random.default_rng(24)
+        w0, w1 = r.standard_normal((4, 3)), r.standard_normal((2, 4))
+        net = Network(layers=(Layer(weight=w0, nonlinearity=Relu(), reference=w0),
+                              Layer(weight=w1, nonlinearity=Identity(), reference=w1)))
+        ds = Dataset(X=r.standard_normal((10, 3)), y=np.arange(10) % 2 + 1, k=2)
+        manifest = save_manifest(net, str(tmp_path / "net"))
+        feats, labels = str(tmp_path / "x.mat"), str(tmp_path / "y.lbl")
+        save_dataset(ds, feats, labels)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "margin_auditor.cli", command, manifest, "--features", feats,
+             "--labels", labels, "--out", str(out)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.count("\n") == 1
+        diagnostic = json.loads(proc.stderr)
+        assert diagnostic["error"] == "NumericDegeneracyError"
+        assert "spectral complexity is 0" in diagnostic["message"]
+        assert not out.exists()
+
+
 class TestIdxInspect:
     def test_header(self, tmp_path, capsys):
         images, labels = build_idx_fixture(str(tmp_path))

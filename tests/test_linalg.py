@@ -1,5 +1,8 @@
+import ast
+import inspect
 import itertools
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -212,6 +215,49 @@ class TestJacobiOracle:
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(NumericDegeneracyError, match="did not converge"):
             jacobi_singular_values(a)
+
+    @pytest.mark.parametrize("case", ["diagonal", "hadamard"])
+    def test_orthogonal_columns_need_no_sweep(self, monkeypatch, case):
+        # The all-pairs check runs before the first sweep, so a cap of 0
+        # sweeps still returns the exact values of orthogonal columns.
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
+        a, expected = {
+            "diagonal": (np.diag([2.0, -5.0, 1.0]), [5.0, 2.0, 1.0]),
+            "hadamard": (self._hadamard_rows(), [math.sqrt(8.0)] * 8),
+        }[case]
+        assert np.array_equal(jacobi_singular_values(a), expected)
+
+    def test_pair_with_zero_d_and_p_left_unrotated(self):
+        # Columns 0 and 3, a pair of round 0, are orthogonal with equal norms,
+        # so that round meets d = p_03 = 0, and arctan2(0, 0) = 0 must leave
+        # them unrotated; columns 1 and 2 still need rotations.
+        a = np.array([[1.0, 3.0, 1.0, 2.0],
+                      [2.0, -1.0, 2.0, 1.0],
+                      [2.0, 2.0, -1.0, -2.0],
+                      [0.0, 1.0, 3.0, 0.0],
+                      [0.0, 4.0, 1.0, 0.0]])
+        assert [0, 3] in linalg._round_robin(4)[0].T.tolist()
+        assert a[:, 0] @ a[:, 3] == 0.0 and a[:, 0] @ a[:, 0] == a[:, 3] @ a[:, 3]
+        assert a[:, 1] @ a[:, 2] != 0.0
+        reference = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(jacobi_singular_values(a) - reference)) <= 1e-14 * reference[0]
+
+    @pytest.mark.parametrize("name", ["jacobi_singular_values", "_no_pair_active", "_round_robin"])
+    def test_oracle_reaches_no_blas_or_lapack(self, name):
+        # The oracle checks spectral_norm's LAPACK call, so it must not share
+        # that route: no @, no dot-style product, no np.linalg, and no einsum
+        # with optimize=..., which hands contractions to BLAS.
+        tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(linalg, name))))
+        blas_routes = {"dot", "vdot", "inner", "matmul", "tensordot", "vecdot", "linalg"}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.MatMult), ast.unparse(node)
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in blas_routes, ast.unparse(node)
+            if isinstance(node, ast.Name):
+                assert node.id not in blas_routes, node.id
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("einsum"):
+                assert all(k.arg != "optimize" for k in node.keywords), ast.unparse(node)
 
 
 class TestGroupNorm:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .covering import _cover_factor
 from .errors import (DegenerateNetworkError, NumericDegeneracyError, ParameterError,
-                     _check_at_least, _check_positive)
+                     _check_count, _check_positive)
 from .linalg import _check_exponent, _group_norm, _spectral_norm
 from .margins import (_margin_distribution_of_outputs, _outputs, _ramp_risk_of_margins,
                       ramp_risk_empirical)
@@ -150,8 +150,8 @@ def matrix_cover_logsize(a, b_x, m, r, eps, d):
     _check_positive(a, "a")
     _check_positive(b_x, "b")
     _check_positive(eps, "eps")
-    _check_at_least(d, 1, "d")
-    _check_at_least(m, 1, "m")
+    _check_count(d, 1, "d")
+    _check_count(m, 1, "m")
     _check_exponent(r, "r")
     k = math.ceil(a * a * b_x * b_x * _cover_factor(m, r) / (eps * eps))
     return k * math.log(2.0 * d * m)
@@ -222,7 +222,7 @@ def dudley_closed_form(r_const, n):
     integral term is zero.
     """
     _check_positive(r_const, "R")
-    _check_at_least(n, 1, "n")
+    _check_count(n, 1, "n")
     sqrt_n = math.sqrt(n)
     alpha_star = 3.0 * math.sqrt(r_const / n)
     if alpha_star >= sqrt_n:
@@ -243,7 +243,7 @@ def dudley_numeric(log_n_fn, n, alpha):
     which is checked on the quadrature nodes.
     """
     _check_positive(alpha, "alpha")
-    _check_at_least(n, 1, "n")
+    _check_count(n, 1, "n")
     sqrt_n = math.sqrt(n)
     head = 4.0 * alpha / sqrt_n
     if alpha >= sqrt_n:
@@ -341,14 +341,14 @@ def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
 def margin_bound_assembly(ramp_risk, rademacher, n, delta):
     """Three-term margin bound: ramp risk + 2 * Rademacher + 3 sqrt(ln(1/delta)/(2n))."""
     _check_delta(delta)
-    _check_at_least(n, 1, "n")
+    _check_count(n, 1, "n")
     return ramp_risk + 2.0 * rademacher + 3.0 * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
 
 def _check_bound_params(gamma, delta, n):
     _check_positive(gamma, "gamma")
     _check_delta(delta)
-    _check_at_least(n, 2, "n")
+    _check_count(n, 2, "n")
 
 
 def _check_delta(delta):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError, _check_at_least, _check_positive
+from .errors import NumericDegeneracyError, ParameterError, _check_count, _check_positive
 from .linalg import _check_exponent, _colwise_pnorm, _scale_exponent, _unscale, as_matrix, group_norm
 
 _MAUREY_RETRY_CAP = 1000
@@ -59,7 +59,7 @@ def maurey_sparsify(atoms, alpha, k, seed=0):
         raise ParameterError("coefficients must be finite and nonnegative")
     if a.sum() == 0.0:
         raise ParameterError("coefficients must not all be zero")
-    _check_at_least(k, 1, "k")
+    k = _check_count(k, 1, "k")
     return _draw(lambda c: v.T @ c, a, float(np.sum(v * v, axis=1).max()), k, seed)[0]
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError, ParseError, _check_at_least
+from .errors import NumericDegeneracyError, ParameterError, ParseError, _check_count, _check_integer
 from .linalg import _check_payload, _scale_exponent, as_matrix, read_mat1, write_mat1
 from .serialize import _read_input, _write_output
 
@@ -34,7 +34,7 @@ class Dataset:
         y = np.asarray(self.y, dtype=np.int64)
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise ParameterError("need exactly one label per example row")
-        _check_at_least(self.k, 1, "label count k")
+        object.__setattr__(self, "k", _check_count(self.k, 1, "label count k"))
         if y.min() < 1 or y.max() > self.k:
             raise ParameterError(f"labels must lie in 1..{self.k}")
         object.__setattr__(self, "X", x)
@@ -109,8 +109,8 @@ def write_idx(ds, images_path, labels_path, rows=1, cols=None):
     Round-trips exactly for datasets that came from :func:`load_idx`.
     """
     n, d = ds.X.shape
-    if cols is None:
-        cols = d // rows
+    rows = _check_count(rows, 1, "rows")
+    cols = d // rows if cols is None else _check_integer(cols, "cols")
     if rows * cols != d:
         raise ParameterError(f"rows*cols={rows * cols} must equal feature dim {d}")
     if ds.k > 256:
@@ -190,10 +190,9 @@ def synth_blobs(n, d, k, separation, seed=0):
 
     Labels are balanced round-robin; fully deterministic under the seed.
     """
+    n, d, k = _check_integer(n, "n"), _check_count(d, 1, "d"), _check_count(k, 1, "k")
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
-    _check_at_least(k, 1, "k")
-    _check_at_least(d, 1, "d")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((k, d))
     lens = np.sqrt(np.sum(means * means, axis=1))
@@ -214,6 +213,7 @@ def synth_images(n, k=10, side=28, seed=0, smooth_noise=0.25, pixel_noise=0.15):
     pixel scale of handwritten-digit data for desk-scale experiments when real
     image data is not on disk.
     """
+    n, k = _check_integer(n, "n"), _check_count(k, 1, "k")
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     grid = 7

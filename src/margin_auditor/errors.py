@@ -81,3 +81,11 @@ def _check_integer(value, name):
         except TypeError:
             pass
     raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(value, low, name):
+    """``value`` as an int (see :func:`_check_integer`); ParameterError unless
+    it is at least ``low``."""
+    value = _check_integer(value, name)
+    _check_at_least(value, low, name)
+    return value

@@ -126,15 +126,12 @@ def _no_pair_active(wt):
     return not np.count_nonzero(np.triu((np.abs(g) > threshold) & (threshold > 0.0), 1))
 
 
-def _round_robin(m):
-    """Brent-Luk round-robin schedule for m columns, shape (rounds, 2, pairs).
-
-    With n = m rounded up to even, round r pairs column r with n - 1 and r + k
-    with r - k (mod n - 1); for odd m, n - 1 = m is a dummy, left out.  Each
-    pair lists its lower index first, a canonical order only.
+def _round_robin(n):
+    """Brent-Luk round-robin schedule for an even n columns, shape (rounds, 2,
+    pairs): round r pairs column r with n - 1 and r + k with r - k (mod n - 1).
+    Each pair lists its lower index first, a canonical order only.
     """
-    n = m + (m & 1)
-    r, k = np.arange(n - 1)[:, None], np.arange(m & 1, n // 2)
+    r, k = np.arange(n - 1)[:, None], np.arange(n // 2)
     p, q = (r + k) % (n - 1), np.where(k == 0, n - 1, (r - k) % (n - 1))
     return np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
 

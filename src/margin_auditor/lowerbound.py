@@ -10,7 +10,7 @@ their difference.  Its product of spectral norms is exactly 2 ||a||_2.
 
 import numpy as np
 
-from .errors import ParameterError, _check_at_least, _check_positive
+from .errors import ParameterError, _check_count, _check_integer, _check_positive
 from .linalg import as_matrix
 from .network import Identity, Layer, Network, Relu
 
@@ -28,10 +28,10 @@ def build_linear_network(a, depth, widths=None):
         raise ParameterError("direction vector a must be nonzero")
     if not np.all(np.isfinite(a)):
         raise ParameterError("direction vector a must be finite")
-    _check_at_least(depth, 2, "depth")
+    depth = _check_count(depth, 2, "depth")
     if widths is None:
         widths = [2] * (depth - 1)
-    widths = [int(w) for w in widths]
+    widths = [_check_integer(w, "each hidden width") for w in widths]
     if len(widths) != depth - 1:
         raise ParameterError(f"need {depth - 1} hidden widths for depth {depth}")
     if any(w < 2 for w in widths):
@@ -58,7 +58,7 @@ def rademacher_linear_trials(x, radius, trials, seed=0):
     """Per-trial values radius * ||sum_t eps_t x_t||_2 / n for seeded sign vectors."""
     x = as_matrix(x)
     _check_positive(radius, "radius")
-    _check_at_least(trials, 1, "trials")
+    trials = _check_count(trials, 1, "trials")
     n = x.shape[0]
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(trials, n)) * 2.0 - 1.0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError, _check_positive
+from .errors import NumericDegeneracyError, ParameterError, _check_count, _check_positive
 from .linalg import _group_norm, as_matrix
 from .serialize import write_csv_17g
 
@@ -173,8 +173,7 @@ def summarize(md, bins):
     KDE uses Silverman's rule-of-thumb bandwidth (floored at 1e-6) and is
     sampled at 256 points wide enough to capture all but ~1e-9 of the mass.
     """
-    if bins < 2:
-        raise ParameterError(f"need at least 2 bins, got {bins}")
+    bins = _check_count(bins, 2, "bins")
     data = np.asarray(md.normalized, dtype=np.float64)
     lo = float(data.min())
     hi = float(data.max())
@@ -184,7 +183,7 @@ def summarize(md, bins):
         edges = np.array([lo - 0.5, lo + 0.5])
         density = np.array([1.0])
     else:
-        density, edges = np.histogram(data, bins=int(bins), range=(lo, hi), density=True)
+        density, edges = np.histogram(data, bins=bins, range=(lo, hi), density=True)
     grid = np.linspace(lo - 6.0 * bw, hi + 6.0 * bw, 256)
     z = (grid[:, None] - data[None, :]) / bw
     kde = np.exp(-0.5 * z * z).sum(axis=1) / (data.shape[0] * bw * math.sqrt(2.0 * math.pi))

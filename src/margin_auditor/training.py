@@ -6,18 +6,17 @@ initialization, the seeded per-epoch shuffles, and any seeded label/input
 randomization requested by the config.  Two runs with the same config and
 data produce bitwise-identical snapshots.
 
-Each SGD step is deferred: a layer's weight is held as
-``scale * (W - D.T @ A)`` with the pending rows of lr/n-scaled residuals D
-and layer inputs A, and l2 decay multiplies the scalar ``scale`` instead of
-the weights.  The steps run in flush blocks whose length is fixed once per
-run: as many steps as fit in 64 rows, fewer if the scale would leave its
-range sooner.  One GEMM per layer folds a block's rows into W after its last
-step, so a batch-4 step reads the weights but writes none of them (the
+The steps run in flush blocks, and :func:`_sgd_block` is the one routine
+that takes them.  Within a block each layer's weight is held as ``scale *
+(W - D.T @ A)`` with the pending rows of lr/n-scaled residuals D and layer
+inputs A, and l2 decay multiplies the scalar ``scale`` instead of the
+weights; after the block's last step one GEMM per layer folds its rows into
+W, so a batch-4 step reads the weights but writes none of them (the
 compact-WY idea of Schreiber & Van Loan, 1989, with the ``w = s * v`` decay
-of Bottou, 2012).  An epoch's last block ends with the epoch, before the
-snapshot.  Layer 0's inputs are the block's rows of the data, so two GEMMs
-per block take all their logits against W and their products with A.
-:func:`loss_and_gradients` is the eager reference for that step.
+of Bottou, 2012).  :func:`_block_rows` fixes the block length once per run:
+as many steps as fit in 64 rows, fewer if the scale would leave its range
+sooner.  An epoch's last block ends with the epoch, before the snapshot.
+:func:`loss_and_gradients` is the eager reference for the step.
 """
 
 import math
@@ -29,7 +28,7 @@ import numpy as np
 from .complexity import _norms_and_margins
 from .data import randomize_inputs_gaussian, randomize_labels
 from .errors import (NumericDegeneracyError, ParameterError, ParseError, TrainingDivergedError,
-                     _check_at_least, _check_integer, _check_positive)
+                     _check_at_least, _check_count, _check_integer, _check_positive)
 from .linalg import _group_norm
 from .margins import _error_rate_of_outputs, _outputs, error_rate
 from .network import Identity, Layer, Network, Relu
@@ -59,15 +58,12 @@ class TrainConfig:
             raise ParameterError(f"layer_widths must be a list, got {self.layer_widths!r}") from None
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ParameterError("layer_widths must chain input dim to class count")
-        for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), low, name))
         for name in ("learning_rate", "l2_coefficient"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
         _check_positive(self.learning_rate, "learning_rate")
-        _check_at_least(self.epochs, 1, "epochs")
-        _check_at_least(self.batch_size, 1, "batch_size")
-        _check_at_least(self.seed, 0, "seed")
         _check_at_least(self.l2_coefficient, 0.0, "l2_coefficient")
         if self.label_mode not in LABEL_MODES:
             raise ParameterError(f"label_mode must be one of {LABEL_MODES}")
@@ -191,93 +187,88 @@ _PENDING_ROWS = 64
 _SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
 
 
-class _DeferredWeights:
-    """Weights held as ``W_eff = scale * (W - D[:pending].T @ A[:pending])``:
-    per layer the base ``weights`` W, the pending ``residuals`` D (rows x out,
-    each divided by the scale of its step) and layer ``inputs`` A (rows x in).
-    ``sq`` tracks each ``||W_eff||_F^2`` when l2 is on.  :func:`train` writes
-    a flush block's layer-0 inputs A_0 before its first step and sets
-    ``base = A_0 @ W_0.T`` and ``gram = A_0 @ A_0.T``; each step reads them
-    at its own rows."""
-
-    def __init__(self, weights, rows, l2_coefficient):
-        self.weights = weights
-        self.residuals = [np.empty((rows, w.shape[0])) for w in weights]
-        self.inputs = [np.empty((rows, w.shape[1])) for w in weights]
-        self.pending, self.scale = 0, 1.0
-        self.sq = [float(np.vdot(w, w)) for w in weights] if l2_coefficient else None
-
-    def flush(self):
-        """``W <- scale * (W - D.T @ A)`` by one GEMM per layer; the tracked
-        norms are taken again exactly."""
-        p = self.pending
-        for w, d, a in zip(self.weights, self.residuals, self.inputs):
-            if p:
-                w -= d[:p].T @ a[:p]
-            if self.scale != 1.0:
-                w *= self.scale
-        self.pending, self.scale = 0, 1.0
-        if self.sq is not None:
-            self.sq = [float(np.vdot(w, w)) for w in self.weights]
+def _block_rows(step, decay):
+    """Rows in a flush block of ``step``-row batches: as many steps as fit in
+    ``max(_PENDING_ROWS, step)`` rows, fewer if the scale ``decay**j`` would
+    sooner leave its range, and at least one."""
+    k, c = 0, 1.0
+    while k < max(_PENDING_ROWS, step) // step and _SCALE_MIN <= abs(c * decay) <= _SCALE_MAX:
+        k, c = k + 1, c * decay
+    return max(k, 1) * step
 
 
-def _sgd_step(model, y, lr, l2_coefficient):
-    """One deferred SGD step on ``model`` (a :class:`_DeferredWeights`) for
-    the batch of labels ``y`` whose layer-0 inputs are the next ``len(y)``
-    rows of its flush block; returns the batch loss on the effective weights
-    before it.
+def _sgd_block(weights, residuals, inputs, x, y, step, lr, l2, decay):
+    """Deferred SGD steps over one flush block: the rows ``x`` with labels
+    ``y``, in ``step``-row batches (the last may be short).  Yields each
+    step's batch loss on the effective weights before it, with the pending
+    row count p and scale c after it; resumed after the last step, it folds
+    the block into W by ``W <- c * (W - D[:p].T @ A[:p])``, one GEMM per layer.
 
-    Forward and backprop use ``scale * (act @ W.T - (act @ A.T) @ D)`` and
-    ``scale * (delta @ W - (delta @ D.T) @ A)``, layer 0 from the block's
-    ``base`` and ``gram``.  The step multiplies the scale by ``decay = 1 -
-    2*lr*l2`` and appends ``delta / scale`` and the layer input as new rows; a
-    decay outside the scale's range goes to W directly, in a block of one
-    step.  The l2 term tracks ``||decay*W_eff - U||^2`` for ``U = delta.T @
-    act``, with ``<W_eff, U> = <delta, pre-activation>``.
+    That expression is each layer's effective weight, for its rows of
+    ``residuals`` D (``delta / c`` per step) and ``inputs`` A.  Forward and
+    backprop use ``c * (act @ W.T - (act @ A.T) @ D)`` and ``c * (delta @ W -
+    (delta @ D.T) @ A)``, layer 0 from ``base = A_0 @ W_0.T`` and ``gram =
+    A_0 @ A_0.T``, two GEMMs at the block's start (A_0 is ``x``).  A step
+    multiplies c by ``decay = 1 - 2*lr*l2``, or W itself when the decay lies
+    outside the scale's range (then every block of the run is one step).  With
+    l2 the loss adds ``l2 * ||W_eff||^2`` per layer, taken exactly at the
+    block's start and then tracked as ``||decay*W_eff - U||^2`` for ``U =
+    delta.T @ act``, with ``<W_eff, U> = <delta, pre-activation>``.
     """
-    n = len(y)
-    decay = 1.0 - 2.0 * lr * l2_coefficient
-    p, c = model.pending, model.scale
-    eager = not _SCALE_MIN <= abs(c * decay) <= _SCALE_MAX
-    new_c = 1.0 if eager else c * decay
-    ws, ds, acts = model.weights, model.residuals, model.inputs
-    new = slice(p, p + n)
-    pres = []
-    for i, w in enumerate(ws):
-        act = acts[i][new]
-        if i:
-            pre = act @ w.T
-            pre -= (act @ acts[i][:p].T) @ ds[i][:p]
-        else:
-            pre = model.gram[new, :p] @ ds[0][:p]
-            np.subtract(model.base[new], pre, out=pre)
-        pre *= c
-        pres.append(pre)
-        if i < len(ws) - 1:
-            np.maximum(pre, 0.0, out=acts[i + 1][new])
-    loss, delta = _softmax_residual(pre, y)
-    if l2_coefficient:
-        for sq in model.sq:
-            loss += l2_coefficient * sq
+    m = len(y)
+    eager = not _SCALE_MIN <= abs(decay) <= _SCALE_MAX
+    a0 = inputs[0][:m]
+    a0[...] = x
+    base = a0 @ weights[0].T
+    # the last step reads the rows before its own, and its own for l2
+    gram = a0 @ a0[: m if l2 else (m - 1) // step * step].T
+    sqs = [float(np.vdot(w, w)) for w in weights] if l2 else None
+    p, c = 0, 1.0
+    while p < m:
+        yb = y[p : p + step]
+        n = len(yb)
+        new_c = 1.0 if eager else c * decay
+        new = slice(p, p + n)
+        pres = []
+        for i, w in enumerate(weights):
+            act = inputs[i][new]
+            if i:
+                pre = act @ w.T
+                pre -= (act @ inputs[i][:p].T) @ residuals[i][:p]
+            else:
+                pre = gram[new, :p] @ residuals[0][:p]
+                np.subtract(base[new], pre, out=pre)
+            pre *= c
+            pres.append(pre)
+            if i < len(weights) - 1:
+                np.maximum(pre, 0.0, out=inputs[i + 1][new])
+        loss, delta = _softmax_residual(pre, yb)
+        if l2:
+            for sq in sqs:
+                loss += l2 * sq
 
-    delta *= lr / n
-    for i in range(len(ws) - 1, -1, -1):
-        w, act = ws[i], acts[i][new]
-        if i:
-            back = delta @ w
-            back -= (delta @ ds[i][:p].T) @ acts[i][:p]
-            back *= c
-            next_delta = np.multiply(back, act > 0.0, out=back)
-        if l2_coefficient:
-            u_sq = float(np.vdot(delta @ delta.T, act @ act.T if i else model.gram[new, new]))
-            cross = float(np.vdot(delta, pres[i]))
-            model.sq[i] = decay * decay * model.sq[i] - 2.0 * decay * cross + u_sq
-        if eager:
-            w *= decay
-        np.divide(delta, new_c, out=ds[i][new])
-        delta = next_delta if i else None
-    model.pending, model.scale = p + n, new_c
-    return loss
+        delta *= lr / n
+        for i in range(len(weights) - 1, -1, -1):
+            w, act = weights[i], inputs[i][new]
+            if i:
+                back = delta @ w
+                back -= (delta @ residuals[i][:p].T) @ inputs[i][:p]
+                back *= c
+                next_delta = np.multiply(back, act > 0.0, out=back)
+            if l2:
+                u_sq = float(np.vdot(delta @ delta.T, act @ act.T if i else gram[new, new]))
+                cross = float(np.vdot(delta, pres[i]))
+                sqs[i] = decay * decay * sqs[i] - 2.0 * decay * cross + u_sq
+            if eager:
+                w *= decay
+            np.divide(delta, new_c, out=residuals[i][new])
+            delta = next_delta if i else None
+        p, c = p + n, new_c
+        yield loss, p, c
+    for w, d, a in zip(weights, residuals, inputs):
+        w -= d[:p].T @ a[:p]
+        if c != 1.0:
+            w *= c
 
 
 def _snapshot(epoch, steps, mean_loss, layers, weights, train_ds, train_norm, test_ds):
@@ -338,15 +329,12 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     x = train_ds.X
     y = train_ds.y
     x_norm = _group_norm(x, 2.0, 2.0)
+    lr, l2 = cfg.learning_rate, cfg.l2_coefficient
     step = min(cfg.batch_size, n)
-    rows = max(_PENDING_ROWS, step)
-    model = _DeferredWeights(weights, rows, cfg.l2_coefficient)
-    # A flush block ends when its rows are full or the scale would next leave its range.
-    decay = 1.0 - 2.0 * cfg.learning_rate * cfg.l2_coefficient
-    k, c = 0, 1.0
-    while k < rows // step and _SCALE_MIN <= abs(c * decay) <= _SCALE_MAX:
-        k, c = k + 1, c * decay
-    block_rows = max(k, 1) * step
+    decay = 1.0 - 2.0 * lr * l2
+    block_rows = _block_rows(step, decay)
+    residuals = [np.empty((block_rows, w.shape[0])) for w in weights]
+    inputs = [np.empty((block_rows, w.shape[1])) for w in weights]
     snapshots = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
@@ -354,20 +342,12 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
         steps = 0
         for lo in range(0, n, block_rows):
             block = order[lo : lo + block_rows]
-            a0 = model.inputs[0][: len(block)]
-            a0[...] = x[block]
-            model.base = a0 @ weights[0].T
-            # the last step reads the rows before its own, and its own for l2
-            last = (len(block) - 1) // step * step
-            model.gram = a0 @ a0[: len(block) if cfg.l2_coefficient else last].T
-            for start in range(0, len(block), step):
-                loss = _sgd_step(model, y[block[start : start + step]], cfg.learning_rate,
-                                 cfg.l2_coefficient)
+            for loss, _, _ in _sgd_block(weights, residuals, inputs, x[block], y[block], step,
+                                         lr, l2, decay):
                 if not math.isfinite(loss):
                     raise TrainingDivergedError("loss is no longer finite", epoch=epoch)
                 loss_sum += loss
                 steps += 1
-            model.flush()
         try:
             snap, net, md = _snapshot(epoch, steps, loss_sum / steps, net0.layers, weights,
                                       train_ds, x_norm, test_ds)

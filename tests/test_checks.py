@@ -1,7 +1,9 @@
 """The shared argument checks at every public call site: a value that must be
-positive rejects 0, -1 and NaN, and a count rejects one below its minimum."""
+positive rejects 0, -1 and NaN, and a count rejects one below its minimum and
+any value that is not an integer."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from margin_auditor import (
     generalization_bound_uniform,
     margin_bound_assembly,
     margin_distribution,
+    summarize,
     matrix_cover_logsize,
     maurey_sparsify,
     network_cover_logsize,
@@ -29,6 +32,8 @@ from margin_auditor import (
     ramp_loss,
     ramp_risk_empirical,
     synth_blobs,
+    synth_images,
+    write_idx,
 )
 from conftest import random_dataset, random_network
 
@@ -89,6 +94,19 @@ AT_LEAST = {
     "rademacher_linear_trials.trials": (1, lambda v: rademacher_linear_trials(X, 1.0, v)),
     "TrainConfig.epochs": (1, lambda v: config(epochs=v)),
     "TrainConfig.batch_size": (1, lambda v: config(batch_size=v)),
+    "TrainConfig.seed": (0, lambda v: config(seed=v)),
+    "synth_images.k": (1, lambda v: synth_images(2, k=v, side=2)),
+    "summarize.bins": (2, lambda v: summarize(margin_distribution(NET, DS, 1.0), v)),
+    "write_idx.rows": (1, lambda v: write_idx(DS, os.devnull, os.devnull, rows=v)),
+    "build_linear_network.widths": (2, lambda v: build_linear_network([3.0, 4.0], 3, [v, 2])),
+}
+
+# call site -> (a valid count, the call with the checked count set to v), for
+# counts bounded through another argument (n >= k, rows * cols = d)
+INTEGER = {
+    "synth_blobs.n": (2, lambda v: synth_blobs(v, 2, 2, 1.0)),
+    "synth_images.n": (2, lambda v: synth_images(v, k=2, side=2)),
+    "write_idx.cols": (1, lambda v: write_idx(DS, os.devnull, os.devnull, 1, v)),
 }
 
 
@@ -105,3 +123,10 @@ def test_at_least_check_rejects_one_below(site):
     with pytest.raises(ParameterError, match="must be at least"):
         call(low - 1)
     call(low)  # the minimum itself is accepted
+
+
+@pytest.mark.parametrize("site", sorted(AT_LEAST) + sorted(INTEGER))
+def test_count_check_rejects_non_integer(site):
+    low, call = AT_LEAST[site] if site in AT_LEAST else INTEGER[site]
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call(low + 0.5)

@@ -29,8 +29,8 @@ from margin_auditor.training import (
     _SCALE_MAX,
     _SCALE_MIN,
     MarginDigest,
-    _DeferredWeights,
-    _sgd_step,
+    _block_rows,
+    _sgd_block,
 )
 
 
@@ -100,66 +100,49 @@ class TestGradients:
         assert loss1 <= loss0 + 1e-8
 
 
-def _effective(model):
-    """The materialized ``scale * (W - D.T @ A)`` of each layer."""
-    p = model.pending
-    return [
-        model.scale * (w - d[:p].T @ a[:p])
-        for w, d, a in zip(model.weights, model.residuals, model.inputs)
-    ]
-
-
-def _checked_step(model, y, lr, l2, tally):
-    """``_sgd_step``, checked against the eager reference step from the
-    current effective weights.  ``tally`` counts the steps, those that began
-    a flush block (no pending rows), and those whose layer-0 base logits
-    differ bitwise from ``batch @ W_0.T``."""
-    n, p = len(y), model.pending
-    xb = model.inputs[0][p : p + n].copy()
-    eager_base = xb @ model.weights[0].T
-    current = _effective(model)
-    ref_loss, grads = loss_and_gradients(current, xb, y, l2_coefficient=l2)
-    loss = _sgd_step(model, y, lr, l2)
-    # Pending rows reassociate the logits' sums, which moves the loss by a
-    # few ulps; the l2 term adds the tracked norm's drift over at most
-    # _PENDING_ROWS / 4 steps, also a few ulps (both seen below 5e-16).  A
-    # step in a longer block takes layer 0's logits from a taller GEMM, which
-    # may round them differently.
-    if p == 0 and not l2 and len(model.base) == n:
-        assert loss == ref_loss
-    else:
-        assert loss == pytest.approx(ref_loss, rel=1e-14, abs=0)
-    tally.update(steps=1, clean=p == 0,
-                 differ=not np.array_equal(model.base[p : p + n], eager_base))
-    for w, g, s in zip(current, grads, _effective(model)):
-        assert np.abs(s - (w - lr * g)).max() <= 1e-15 * np.abs(w).max()
-    assert all(np.isfinite(d[: model.pending]).all() for d in model.residuals)
-    assert _SCALE_MIN <= abs(model.scale) <= _SCALE_MAX
-    return loss
-
-
-def _step_against_reference(model, x, y, blocks, lr, l2):
-    """Take consecutive rows of ``x`` through :func:`_checked_step` in flush
-    blocks as ``train`` does, ``blocks`` listing each block's batch sizes, and
-    return the tally."""
-    tally = Counter()
+def _checked_block(tally, weights, residuals, inputs, x, y, step, lr, l2, decay):
+    """:func:`_sgd_block`, each step checked against the eager reference
+    step from the current effective weights ``c * (W - D[:p].T @ A[:p])``;
+    yields what it yields.  ``tally`` counts the blocks, the steps, those that
+    began a block, the steps whose loss differs bitwise from the reference
+    loss, and the blocks whose fold took in all their rows."""
+    current = [w.copy() for w in weights]
     start = 0
-    for sizes in blocks:
-        m = sum(sizes)
-        a0 = model.inputs[0][:m]
-        a0[...] = x[start : start + m]
-        model.base = a0 @ model.weights[0].T
-        model.gram = a0 @ a0[: m if l2 else m - sizes[-1]].T
-        for n in sizes:
-            _checked_step(model, y[start : start + n], lr, l2, tally)
-            start += n
-        model.flush()
+    for loss, p, c in _sgd_block(weights, residuals, inputs, x, y, step, lr, l2, decay):
+        ref_loss, grads = loss_and_gradients(current, x[start:p], y[start:p], l2_coefficient=l2)
+        # Pending rows reassociate the logits' sums, which moves the loss by a
+        # few ulps; the l2 term adds the tracked norm's drift over at most
+        # _PENDING_ROWS / 4 steps, also a few ulps (both seen below 5e-16).  A
+        # step in a longer block takes layer 0's logits from a taller GEMM, which
+        # may round them differently.
+        if start == 0 and not l2 and p == len(x):
+            assert loss == ref_loss
+        else:
+            assert loss == pytest.approx(ref_loss, rel=1e-14, abs=0)
+        tally.update(steps=1, clean=start == 0, differ=loss != ref_loss)
+        after = [c * (w - d[:p].T @ a[:p]) for w, d, a in zip(weights, residuals, inputs)]
+        for w, g, s in zip(current, grads, after):
+            assert np.abs(s - (w - lr * g)).max() <= 1e-15 * np.abs(w).max()
+        assert all(np.isfinite(d[:p]).all() for d in residuals)
+        assert _SCALE_MIN <= abs(c) <= _SCALE_MAX
+        current, start = after, p
+        yield loss, p, c
+    tally.update(blocks=1, consumed=start == len(x))
+
+
+def _step_against_reference(weights, x, y, block_rows, lr, l2):
+    """Take the rows of ``x`` through :func:`_checked_block` in batches of 4
+    and flush blocks of ``block_rows`` rows, and return the tally."""
+    residuals = [np.empty((block_rows, w.shape[0])) for w in weights]
+    inputs = [np.empty((block_rows, w.shape[1])) for w in weights]
+    tally = Counter()
+    decay = 1.0 - 2.0 * lr * l2
+    for lo in range(0, len(x), block_rows):
+        rows = slice(lo, lo + block_rows)
+        for _ in _checked_block(tally, weights, residuals, inputs, x[rows], y[rows], 4, lr, l2,
+                                decay):
+            pass
     return tally
-
-
-def _blocks(sizes, steps):
-    """``sizes`` cut into flush blocks of ``steps`` batches."""
-    return [sizes[i : i + steps] for i in range(0, len(sizes), steps)]
 
 
 def _net_and_rows(sizes, widths=(20, 16, 12, 5), seed=13):
@@ -179,42 +162,42 @@ class TestFusedStep:
     def test_matches_reference_update(self, l2):
         # one-step blocks: every step is clean and reproduces the eager
         # arithmetic, so without l2 its loss is the reference loss exactly
-        sizes = [4] * 35 + [3]
-        weights, x, y = _net_and_rows(sizes)
-        model = _DeferredWeights(weights, _PENDING_ROWS, l2)
-        tally = _step_against_reference(model, x, y, _blocks(sizes, 1), 0.05, l2)
-        assert tally["clean"] == tally["steps"] == 36
-        assert tally["differ"] == 0
+        weights, x, y = _net_and_rows([4] * 35 + [3])
+        tally = _step_against_reference(weights, x, y, 4, 0.05, l2)
+        assert tally["clean"] == tally["steps"] == tally["blocks"] == 36
+        assert tally["consumed"] == 36
 
     @pytest.mark.parametrize("l2", [0.0, 1e-3])
     def test_block_schedule_matches_reference_update(self, l2):
         # train()'s schedule: blocks of up to 16 batches, 143 rows, the last
-        # batch short; at 64 inputs a 64-row GEMM rounds some logits unlike a
-        # 4-row one
+        # batch short; the pending rows, and at 64 inputs a 64-row GEMM of a
+        # block's logits, round some losses unlike the reference
         sizes = [4] * 35 + [3]
         assert sum(sizes) > 2 * _PENDING_ROWS
         weights, x, y = _net_and_rows(sizes, widths=(64, 48, 32, 10))
-        model = _DeferredWeights(weights, _PENDING_ROWS, l2)
-        tally = _step_against_reference(model, x, y, _blocks(sizes, 16), 0.05, l2)
-        assert tally["clean"] == 3
+        block_rows = _block_rows(4, 1.0 - 2.0 * 0.05 * l2)
+        assert block_rows == _PENDING_ROWS
+        tally = _step_against_reference(weights, x, y, block_rows, 0.05, l2)
+        assert tally["clean"] == tally["consumed"] == 3
         assert tally["differ"] > 0
 
     @pytest.mark.parametrize("lr, l2, steps", [(0.25, 2.0, 1), (0.05, 9.99, 6)],
                              ids=["0.25-2.0", "0.05-9.99"])
     def test_decay_outside_scale_range(self, lr, l2, steps):
         # decay 1 - 2*lr*l2 is exactly 0, then about 1e-3: the scale would
-        # reach 0 at once, or leave its range at the 7th step; train() ends
-        # its blocks after 1 and 6 steps (checked through train below)
+        # reach 0 at once, or leave its range at the 7th step, so the blocks
+        # end after 1 and 6 steps
+        block_rows = _block_rows(4, 1.0 - 2.0 * lr * l2)
+        assert block_rows == 4 * steps
         weights, x, y = _net_and_rows([4] * 10)
-        model = _DeferredWeights(weights, _PENDING_ROWS, l2)
-        tally = _step_against_reference(model, x, y, _blocks([4] * 10, steps), lr, l2)
+        tally = _step_against_reference(weights, x, y, block_rows, lr, l2)
         assert tally["clean"] == -(-10 // steps)
 
     @pytest.mark.parametrize("lr, l2, rows, flushes", [(0.25, 2.0, 8, 2), (0.05, 9.99, 143, 6)],
                              ids=["0.25-2.0-8", "0.05-9.99-143"])
     def test_scale_flush_inside_block_through_train(self, lr, l2, rows, flushes, monkeypatch):
         # The scale range ends train()'s blocks early, every step it takes is
-        # checked against the eager reference, and every flush consumes all
+        # checked against the eager reference, and every fold consumes all
         # the rows its block took in.  A whole-epoch eager loop is no
         # reference at these decays: the weights collapse and roundoff grows
         # ~20x and more per step.  At decay 0 every unit of this net dies
@@ -224,19 +207,12 @@ class TestFusedStep:
         ds = Dataset(X=x, y=y, k=10)
         x_before = ds.X.copy()
         tally = Counter()
-        flush = _DeferredWeights.flush
-
-        def checked_flush(model):
-            tally.update(flushes=1, consumed=model.pending == len(model.base))
-            flush(model)
-
-        monkeypatch.setattr(training, "_sgd_step", lambda *step: _checked_step(*step, tally))
-        monkeypatch.setattr(_DeferredWeights, "flush", checked_flush)
+        monkeypatch.setattr(training, "_sgd_block", lambda *block: _checked_block(tally, *block))
         cfg = TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=6,
                           learning_rate=lr, l2_coefficient=l2)
         train(cfg, ds, ds)
         assert tally["steps"] == -(-rows // 4)
-        assert tally["consumed"] == tally["flushes"] == flushes
+        assert tally["consumed"] == tally["blocks"] == flushes
         assert np.array_equal(ds.X, x_before)
 
 
@@ -295,7 +271,7 @@ class TestTrain:
 
     def test_snapshot_holds_flushed_weights(self):
         # 90 rows per epoch: a 64-row block and a 26-row block whose last
-        # batch is short, both flushed before the snapshot.  The steps follow
+        # batch is short, both folded before the snapshot.  The steps follow
         # train()'s block schedule, which at 64 inputs rounds unlike taking
         # one batch at a time.
         for widths in ((5, 8, 6, 2), (64, 48, 32, 2)):
@@ -306,14 +282,13 @@ class TestTrain:
             nets = []
             train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
             weights = [l.weight.copy() for l in init_network(cfg).layers]
-            model = _DeferredWeights(weights, _PENDING_ROWS, cfg.l2_coefficient)
+            block_rows = _block_rows(4, 1.0 - 2.0 * cfg.learning_rate * cfg.l2_coefficient)
             for epoch, net in enumerate(nets):
                 order = np.random.default_rng([cfg.seed, epoch]).permutation(train_ds.n)
-                blocks = _blocks([4] * 22 + [2], 16)
-                tally = _step_against_reference(model, train_ds.X[order], train_ds.y[order],
-                                                blocks, cfg.learning_rate, cfg.l2_coefficient)
+                tally = _step_against_reference(weights, train_ds.X[order], train_ds.y[order],
+                                                block_rows, cfg.learning_rate, cfg.l2_coefficient)
                 assert tally["clean"] == 2
-                for layer, w in zip(net.layers, model.weights):
+                for layer, w in zip(net.layers, weights):
                     assert np.array_equal(layer.weight, w)
 
     def test_batch_larger_than_training_set(self, blob_pair):

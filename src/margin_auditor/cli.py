@@ -18,14 +18,14 @@ import numpy as np
 from . import covering, lowerbound, margins, training
 from .complexity import _check_bound_params, _norms_and_margins, analyze_network
 from .data import inspect_idx, load_dataset, load_idx
-from .errors import MarginAuditorError, ParameterError, _check_at_least
+from .errors import MarginAuditorError, ParameterError, _check_at_least, _check_count
 from .linalg import MAT1_MAGIC, _group_norm, frobenius_norm, spectral_norm
 from .network import load_manifest, save_manifest
 from .serialize import _output_dir, _read_input, dumps_17g, write_json_17g
 
 
 def _load_any_dataset(features_path, labels_path):
-    if _read_input(features_path, size=4) == MAT1_MAGIC:
+    if _read_input(features_path, reader=lambda f: f.read(4)) == MAT1_MAGIC:
         return load_dataset(features_path, labels_path)
     return load_idx(features_path, labels_path)
 
@@ -88,7 +88,7 @@ def _emit(record):
 
 
 def cmd_coverdemo(args):
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_count(args.seed, 0, "seed"))
     x = rng.standard_normal((args.n, args.d))
     a = rng.standard_normal((args.d, args.m))
     w_hat, result = covering.cover_element_for(
@@ -106,7 +106,7 @@ def cmd_coverdemo(args):
 
 
 def cmd_maurey(args):
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_count(args.seed, 0, "seed"))
     atoms = rng.standard_normal((args.atoms, args.dim))
     alpha = rng.uniform(0.1, 1.0, size=args.atoms)
     result = covering.maurey_sparsify(atoms, alpha, args.k, seed=args.seed)
@@ -128,7 +128,7 @@ def cmd_lowerbound(args):
         raise ParameterError(f"--a must be comma-separated numbers, got {args.a!r}") from None
     _check_at_least(args.trials, 2, "trials")  # the 3-sigma term needs a sample std
     net = lowerbound.build_linear_network(a, args.layers)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_count(args.seed, 0, "seed"))
     xs = rng.standard_normal((1000, a.size))
     outputs = net.forward(xs)[:, 0]
     err = float(np.abs(outputs - xs @ a).max())

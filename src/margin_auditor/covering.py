@@ -59,7 +59,7 @@ def maurey_sparsify(atoms, alpha, k, seed=0):
         raise ParameterError("coefficients must be finite and nonnegative")
     if a.sum() == 0.0:
         raise ParameterError("coefficients must not all be zero")
-    k = _check_count(k, 1, "k")
+    k, seed = _check_count(k, 1, "k"), _check_count(seed, 0, "seed")
     return _draw(lambda c: v.T @ c, a, float(np.sum(v * v, axis=1).max()), k, seed)[0]
 
 
@@ -126,6 +126,7 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     _check_positive(eps, "eps")
     _check_exponent(q, "q")
     _check_exponent(s_exp, "s")
+    seed = _check_count(seed, 0, "seed")
     p = _conjugate(q)
     if p > 2.0:
         raise ParameterError(f"conjugate exponent p={p} exceeds 2; pick q >= 2")

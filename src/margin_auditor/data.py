@@ -30,15 +30,27 @@ class Dataset:
     k: int
 
     def __post_init__(self):
-        x = as_matrix(self.X)
-        y = np.asarray(self.y, dtype=np.int64)
+        self._adopt(as_matrix(self.X), self.y, self.k)
+
+    @classmethod
+    def _of_matrix(cls, x, y, k):
+        """The Dataset of an ``x`` known to pass :func:`as_matrix` unchanged (a
+        nonempty, finite, C-contiguous float64 matrix), without another pass
+        over it; ``y`` and ``k`` are checked as usual."""
+        ds = object.__new__(cls)
+        ds._adopt(x, y, k)
+        return ds
+
+    def _adopt(self, x, y, k):
+        """Check ``y`` and ``k`` against the validated matrix ``x``; set the fields."""
+        y = np.asarray(y, dtype=np.int64)
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise ParameterError("need exactly one label per example row")
-        object.__setattr__(self, "k", _check_count(self.k, 1, "label count k"))
-        if y.min() < 1 or y.max() > self.k:
-            raise ParameterError(f"labels must lie in 1..{self.k}")
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "y", y)
+        k = _check_count(k, 1, "label count k")
+        if y.min() < 1 or y.max() > k:
+            raise ParameterError(f"labels must lie in 1..{k}")
+        for name, value in (("X", x), ("y", y), ("k", k)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -87,7 +99,7 @@ def load_idx(images_path, labels_path):
     n, rows, cols = header["count"], header["rows"], header["cols"]
     if not n * rows * cols:
         raise ParseError(f"empty image set: {n} images of {rows}x{cols}", path=images_path)
-    _check_payload(raw, 16 + n * rows * cols, images_path, "image")
+    _check_payload(len(raw), 16 + n * rows * cols, images_path, "image")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
     x = np.divide(pixels.reshape(n, rows * cols), 255.0)  # one float64 pass
 
@@ -97,10 +109,10 @@ def load_idx(images_path, labels_path):
         raise ParseError(
             f"label count {ln} does not match image count {n}", path=labels_path, offset=4
         )
-    _check_payload(lraw, 8 + ln, labels_path, "label")
+    _check_payload(len(lraw), 8 + ln, labels_path, "label")
     labels = np.frombuffer(lraw, dtype=np.uint8, count=ln, offset=8).astype(np.int64) + 1
     k = max(int(labels.max()), 1)
-    return Dataset(X=x, y=labels, k=k)
+    return Dataset._of_matrix(x, labels, k)  # bytes / 255 are finite
 
 
 def write_idx(ds, images_path, labels_path, rows=1, cols=None):
@@ -130,7 +142,8 @@ def save_dataset(ds, matrix_path, labels_path):
 
 
 def load_dataset(matrix_path, labels_path):
-    """Inverse of :func:`save_dataset`."""
+    """Inverse of :func:`save_dataset`.  X is the owned, aligned, writable array
+    :func:`read_mat1` returns, checked for finiteness once."""
     x = read_mat1(matrix_path)
     raw = _read_input(labels_path)
     if len(raw) < 12:
@@ -141,16 +154,16 @@ def load_dataset(matrix_path, labels_path):
     if count != x.shape[0]:
         raise ParseError(f"label count {count} does not match row count {x.shape[0]}",
                          path=labels_path, offset=4)
-    _check_payload(raw, 12 + 4 * count, labels_path, "LBL1")
+    _check_payload(len(raw), 12 + 4 * count, labels_path, "LBL1")
     y = np.frombuffer(raw, dtype="<u4", count=count, offset=12).astype(np.int64)
-    return Dataset(X=x, y=y, k=int(k))
+    return Dataset._of_matrix(x, y, int(k))  # read_mat1 validated x
 
 
 def randomize_labels(ds, seed=0):
     """Replace labels by iid uniform draws over {1..k}; features untouched."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count(seed, 0, "seed"))
     y = rng.integers(1, ds.k + 1, size=ds.n)
-    return Dataset(X=ds.X, y=y.astype(np.int64), k=ds.k)
+    return Dataset._of_matrix(ds.X, y, ds.k)
 
 
 def randomize_inputs_gaussian(ds, seed=0):
@@ -176,13 +189,13 @@ def randomize_inputs_gaussian(ds, seed=0):
         chol = np.linalg.cholesky(cov + lam * np.eye(d))
     except np.linalg.LinAlgError as exc:
         raise NumericDegeneracyError(f"covariance factorization failed: {exc}") from None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count(seed, 0, "seed"))
     z = rng.standard_normal((ds.n, d))
     with np.errstate(over="ignore"):
         draws = np.ldexp(mu + z @ chol.T, e)
     if not np.all(np.isfinite(draws)):
         raise NumericDegeneracyError("Gaussian input draws exceed the float64 range")
-    return Dataset(X=draws, y=ds.y.copy(), k=ds.k)
+    return Dataset._of_matrix(draws, ds.y.copy(), ds.k)
 
 
 def synth_blobs(n, d, k, separation, seed=0):
@@ -193,7 +206,7 @@ def synth_blobs(n, d, k, separation, seed=0):
     n, d, k = _check_integer(n, "n"), _check_count(d, 1, "d"), _check_count(k, 1, "k")
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count(seed, 0, "seed"))
     means = rng.standard_normal((k, d))
     lens = np.sqrt(np.sum(means * means, axis=1))
     lens[lens == 0.0] = 1.0
@@ -217,7 +230,7 @@ def synth_images(n, k=10, side=28, seed=0, smooth_noise=0.25, pixel_noise=0.15):
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     grid = 7
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count(seed, 0, "seed"))
     interp = _bilinear_matrix(grid, side)
     protos = np.einsum("ag,kgh,bh->kab", interp, rng.standard_normal((k, grid, grid)), interp)
     protos = 0.5 + 0.5 * protos / np.abs(protos).max()

@@ -11,6 +11,8 @@ by an exact power of two, so it stays homogeneous at any finite float64 scale.
 """
 
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -211,24 +213,40 @@ def write_mat1(path, a):
                   a.astype("<f8", copy=False).tobytes(order="C"))
 
 
-def _check_payload(raw, expected, path, what):
-    """Parse error unless a file's bytes ``raw`` are exactly ``expected`` long."""
-    if len(raw) != expected:
-        raise ParseError(f"{what} payload has {len(raw)} bytes, expected {expected}",
-                         path=path, offset=min(len(raw), expected))
+def _check_payload(length, expected, path, what):
+    """Parse error unless a file of ``length`` bytes is exactly ``expected`` long."""
+    if length != expected:
+        raise ParseError(f"{what} payload has {length} bytes, expected {expected}",
+                         path=path, offset=min(length, expected))
 
 
 def read_mat1(path):
-    """Read a MAT1 file back into a float64 array; bit-exact round trip."""
-    raw = _read_input(path, "matrix file")
-    if len(raw) < 12:
-        raise ParseError("MAT1 header truncated", path=path, offset=len(raw))
-    if raw[:4] != MAT1_MAGIC:
-        raise ParseError(f"bad MAT1 magic {raw[:4]!r}", path=path, offset=0)
-    rows, cols = struct.unpack_from("<II", raw, 4)
-    _check_payload(raw, 12 + 8 * rows * cols, path, "MAT1")
-    data = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=12)
+    """Read a MAT1 file into an owned, aligned, writable, C-contiguous float64
+    array, validated as by :func:`as_matrix`; bit-exact round trip."""
+    x = _read_input(path, "matrix file", reader=lambda f: _read_mat1_payload(f, path))
     try:
-        return as_matrix(data.reshape(rows, cols))
+        return as_matrix(x)
     except (DimensionError, ParameterError) as exc:
         raise ParseError(f"invalid MAT1 contents: {exc}", path=path) from None
+
+
+def _read_mat1_payload(f, path):
+    """The (rows, cols) little-endian float64 array of the open MAT1 file ``f``,
+    read straight into a fresh array, unvalidated."""
+    head = f.read(12)
+    if len(head) < 12:
+        raise ParseError("MAT1 header truncated", path=path, offset=len(head))
+    if head[:4] != MAT1_MAGIC:
+        raise ParseError(f"bad MAT1 magic {head[:4]!r}", path=path, offset=0)
+    rows, cols = struct.unpack_from("<II", head, 4)
+    expected = 12 + 8 * rows * cols
+    st = os.fstat(f.fileno())
+    regular = stat.S_ISREG(st.st_mode)
+    if regular:  # so a header claiming more than the file allocates nothing
+        _check_payload(st.st_size, expected, path, "MAT1")
+    x = np.empty((rows, cols), dtype="<f8")
+    length = 12 + f.readinto(x)
+    if length == expected and not regular:  # a pipe's size is known only at its end
+        length += len(f.read())
+    _check_payload(length, expected, path, "MAT1")
+    return x

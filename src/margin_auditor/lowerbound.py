@@ -31,7 +31,10 @@ def build_linear_network(a, depth, widths=None):
     depth = _check_count(depth, 2, "depth")
     if widths is None:
         widths = [2] * (depth - 1)
-    widths = [_check_integer(w, "each hidden width") for w in widths]
+    try:
+        widths = [_check_integer(w, "each hidden width") for w in widths]
+    except TypeError:
+        raise ParameterError(f"widths must be a list, got {widths!r}") from None
     if len(widths) != depth - 1:
         raise ParameterError(f"need {depth - 1} hidden widths for depth {depth}")
     if any(w < 2 for w in widths):
@@ -60,7 +63,7 @@ def rademacher_linear_trials(x, radius, trials, seed=0):
     _check_positive(radius, "radius")
     trials = _check_count(trials, 1, "trials")
     n = x.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count(seed, 0, "seed"))
     signs = rng.integers(0, 2, size=(trials, n)) * 2.0 - 1.0
     sums = signs @ x
     return radius * np.sqrt(np.sum(sums * sums, axis=1)) / n

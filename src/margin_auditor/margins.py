@@ -10,6 +10,8 @@ from .errors import NumericDegeneracyError, ParameterError, _check_count, _check
 from .linalg import _group_norm, as_matrix
 from .serialize import write_csv_17g
 
+_KDE_BLOCK = 16  # grid points per KDE block: its temporaries hold 16 x n floats
+
 
 @dataclass(frozen=True)
 class MarginDistribution:
@@ -185,11 +187,21 @@ def summarize(md, bins):
     else:
         density, edges = np.histogram(data, bins=bins, range=(lo, hi), density=True)
     grid = np.linspace(lo - 6.0 * bw, hi + 6.0 * bw, 256)
-    z = (grid[:, None] - data[None, :]) / bw
-    kde = np.exp(-0.5 * z * z).sum(axis=1) / (data.shape[0] * bw * math.sqrt(2.0 * math.pi))
+    kde = _kde_sums(grid, data, bw) / (data.shape[0] * bw * math.sqrt(2.0 * math.pi))
     return DistributionSummary(
         hist_edges=edges, hist_density=density, kde_x=grid, kde_density=kde, bandwidth=bw
     )
+
+
+def _kde_sums(grid, data, bw):
+    """sum_j exp(-z_j**2 / 2), z_j = (g - data_j) / bw, at each grid point g, over
+    _KDE_BLOCK grid points at a time; each point's sum is its own row reduction,
+    so the result is bitwise that of one (len(grid), n) array."""
+    sums = np.empty(grid.shape[0])
+    for start in range(0, grid.shape[0], _KDE_BLOCK):
+        z = (grid[start : start + _KDE_BLOCK, None] - data[None, :]) / bw
+        sums[start : start + _KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=1)
+    return sums
 
 
 def write_margins_csv(path, md):

@@ -20,11 +20,12 @@ import numpy as np
 from .errors import InputOutputError, NumericDegeneracyError, ParseError
 
 
-def _read_input(path, what="file", size=-1):
-    """The first ``size`` bytes (all when -1) of the input file ``what`` at ``path``."""
+def _read_input(path, what="file", reader=None):
+    """The bytes of the input file ``what`` at ``path``, or what ``reader``
+    returns when called on the file opened for binary reading."""
     try:
         with open(path, "rb") as f:
-            return f.read(size)
+            return f.read() if reader is None else reader(f)
     except OSError as exc:
         why = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({exc.strerror})"
         raise InputOutputError(f"{what} {why}: {path}") from None

@@ -1,6 +1,6 @@
 """The shared argument checks at every public call site: a value that must be
 positive rejects 0, -1 and NaN, and a count rejects one below its minimum and
-any value that is not an integer."""
+any value that is not an integer; every seed is a count from 0."""
 
 import math
 import os
@@ -31,6 +31,8 @@ from margin_auditor import (
     rademacher_linear_trials,
     ramp_loss,
     ramp_risk_empirical,
+    randomize_inputs_gaussian,
+    randomize_labels,
     synth_blobs,
     synth_images,
     write_idx,
@@ -99,6 +101,15 @@ AT_LEAST = {
     "summarize.bins": (2, lambda v: summarize(margin_distribution(NET, DS, 1.0), v)),
     "write_idx.rows": (1, lambda v: write_idx(DS, os.devnull, os.devnull, rows=v)),
     "build_linear_network.widths": (2, lambda v: build_linear_network([3.0, 4.0], 3, [v, 2])),
+    "synth_blobs.seed": (0, lambda v: synth_blobs(5, 2, 2, 1.0, seed=v)),
+    "synth_images.seed": (0, lambda v: synth_images(2, k=2, side=2, seed=v)),
+    "maurey_sparsify.seed": (0, lambda v: maurey_sparsify(np.eye(2), [0.5, 0.5], 1, seed=v)),
+    "cover_element_for.seed": (0, lambda v: cover_element_for(np.ones((3, 2)), X, 1.0, seed=v)),
+    "rademacher_linear_trials.seed": (0, lambda v: rademacher_linear_trials(X, 1.0, 5, seed=v)),
+    "rademacher_linear_estimate.seed":
+        (0, lambda v: rademacher_linear_estimate(X, 1.0, 5, seed=v)),
+    "randomize_labels.seed": (0, lambda v: randomize_labels(DS, seed=v)),
+    "randomize_inputs_gaussian.seed": (0, lambda v: randomize_inputs_gaussian(DS, seed=v)),
 }
 
 # call site -> (a valid count, the call with the checked count set to v), for

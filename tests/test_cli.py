@@ -466,6 +466,15 @@ class TestDemos:
         assert captured.err.count("\n") == 1
         assert json.loads(captured.err)["error"] == "ParameterError"
 
+    @pytest.mark.parametrize("command", ["maurey", "coverdemo", "lowerbound"])
+    def test_negative_seed_exit_3(self, capsys, command):
+        assert main([command, "--seed", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": "ParameterError",
+                                            "message": "seed must be at least 0, got -1"}
+
     def test_coverdemo_satisfied(self, capsys):
         assert main(["coverdemo", "--seed", "7"]) == 0
         record = json.loads(capsys.readouterr().out)

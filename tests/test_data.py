@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +12,9 @@ from margin_auditor import (
     NumericDegeneracyError,
     ParameterError,
     ParseError,
+    TrainConfig,
     frobenius_norm,
+    init_network,
     inspect_idx,
     load_dataset,
     load_idx,
@@ -21,6 +26,7 @@ from margin_auditor import (
     synth_images,
     write_idx,
 )
+from margin_auditor.margins import _outputs
 
 # chi-square critical value at p = 0.001 with 9 degrees of freedom
 CHI2_9DOF_P001 = 27.877
@@ -117,6 +123,113 @@ class TestLoadIdx:
         info = inspect_idx(images)
         assert info == {"kind": "images", "count": 2, "rows": 2, "cols": 2, "payload_bytes": 8}
         assert inspect_idx(labels)["kind"] == "labels"
+
+
+def mat1_bytes(rows, cols, payload=None):
+    body = np.arange(rows * cols, dtype="<f8").tobytes() if payload is None else payload
+    return b"MAT1" + struct.pack("<II", rows, cols) + body
+
+
+GOOD_MAT1 = mat1_bytes(2, 2)  # 44 bytes
+# malformed MAT1 bytes -> (message after "<path>: ", byte offset or None)
+BAD_MAT1 = {
+    "header-truncated": (GOOD_MAT1[:7], "MAT1 header truncated", 7),
+    "bad-magic": (b"NOPE" + GOOD_MAT1[4:], "bad MAT1 magic b'NOPE'", 0),
+    "payload-truncated": (GOOD_MAT1[:-5], "MAT1 payload has 39 bytes, expected 44", 39),
+    "trailing-bytes": (GOOD_MAT1 + b"xyz", "MAT1 payload has 47 bytes, expected 44", 44),
+    "header-beyond-any-memory": (mat1_bytes(2**32 - 1, 2**32 - 1, b""),
+                                 f"MAT1 payload has 12 bytes, expected {12 + 8 * (2**32 - 1)**2}",
+                                 12),
+    "non-finite": (mat1_bytes(2, 2, struct.pack("<4d", 0.0, np.nan, 1.0, 2.0)),
+                   "invalid MAT1 contents: matrix entries must be finite (no NaN/Inf)", None),
+    "empty": (mat1_bytes(0, 3, b""), "invalid MAT1 contents: empty matrix of shape (0, 3)", None),
+}
+
+
+class TestMat1Reader:
+    @pytest.mark.parametrize("loader", ["read_mat1", "load_dataset"])
+    @pytest.mark.parametrize("case", sorted(BAD_MAT1))
+    def test_parse_error_text_and_offset(self, tmp_path, case, loader):
+        raw, message, offset = BAD_MAT1[case]
+        path, labels = tmp_path / "x.mat", tmp_path / "y.lbl"
+        path.write_bytes(raw)
+        labels.write_bytes(b"LBL1" + struct.pack("<4I", 2, 2, 1, 2))
+        with pytest.raises(ParseError) as err:
+            read_mat1(path) if loader == "read_mat1" else load_dataset(path, labels)
+        suffix = "" if offset is None else f" (at byte {offset})"
+        assert (str(err.value), err.value.offset) == (f"{path}: {message}{suffix}", offset)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("case", ["payload-truncated", "trailing-bytes", "whole"])
+    def test_pipe_is_read_and_checked_like_a_file(self, tmp_path, case):
+        # a pipe has no size to check before the read, so the read itself must find it
+        raw, message, offset = BAD_MAT1.get(case, (GOOD_MAT1, None, None))
+        path = tmp_path / "pipe.mat"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(raw,))
+        writer.start()
+        try:
+            if message is None:
+                assert np.array_equal(read_mat1(path), np.arange(4.0).reshape(2, 2))
+            else:
+                with pytest.raises(ParseError) as err:
+                    read_mat1(path)
+                assert (str(err.value), err.value.offset) == (
+                    f"{path}: {message} (at byte {offset})", offset)
+        finally:
+            writer.join()
+
+    def test_forward_on_loaded_features_copies_nothing(self, tmp_path):
+        # An unaligned X would make the first GEMM copy all of X; the peak is
+        # then one layer image and the next, the two largest outputs at once.
+        widths = (784, 256, 256, 10)
+        net = init_network(TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=3))
+        save_dataset(synth_images(2000, k=10, seed=4), tmp_path / "x.mat", tmp_path / "y.lbl")
+        x = load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl").X
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _outputs(net, x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        images = [8 * 2000 * w for w in widths[1:]]
+        assert peak <= max(a + b for a, b in zip(images, images[1:])) + 65536 < x.nbytes
+
+
+def via_files(save, load):
+    def prepare(ds, tmp_path):
+        save(ds, tmp_path / "x", tmp_path / "y")
+        return lambda: load(tmp_path / "x", tmp_path / "y")
+    return prepare
+
+
+# a Dataset producer (its set-up, returning the call) -> the call's passes over
+# X for non-finite values: load_dataset's is read_mat1's; bytes / 255 and
+# redrawn labels need none; the Gaussian draws are checked where they are made
+FINITENESS_PASSES = {
+    "load_dataset": (via_files(save_dataset, load_dataset), 1),
+    "load_idx": (via_files(write_idx, load_idx), 0),
+    "randomize_labels": (lambda ds, tmp_path: lambda: randomize_labels(ds, seed=1), 0),
+    "randomize_inputs_gaussian":
+        (lambda ds, tmp_path: lambda: randomize_inputs_gaussian(ds, seed=1), 1),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(FINITENESS_PASSES))
+def test_features_checked_for_finiteness_at_most_once(tmp_path, monkeypatch, producer):
+    prepare, passes = FINITENESS_PASSES[producer]
+    ds = synth_images(30, k=3, side=4, seed=2)
+    run = prepare(ds, tmp_path)
+    shapes, isfinite = [], np.isfinite
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    assert run().X.shape == ds.X.shape
+    assert shapes.count(ds.X.shape) == passes
 
 
 class TestBinaryDataset:

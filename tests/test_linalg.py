@@ -419,6 +419,15 @@ class TestMat1:
         assert back.shape == a.shape
         assert np.array_equal(back, a)
 
+    def test_read_is_an_owned_aligned_array_equal_to_the_file(self, tmp_path):
+        path = tmp_path / "a.mat"
+        write_mat1(path, np.random.default_rng(6).standard_normal((37, 11)))
+        back = read_mat1(path)
+        assert back.dtype == np.float64 and back.shape == (37, 11)
+        assert back.flags.c_contiguous and back.flags.aligned
+        assert back.flags.owndata and back.flags.writeable
+        assert back.astype("<f8").tobytes() == path.read_bytes()[12:]
+
     def test_bad_magic_offset(self, tmp_path):
         path = tmp_path / "bad.mat"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

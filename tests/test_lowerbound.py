@@ -65,6 +65,8 @@ class TestConstruction:
             build_linear_network([1.0], depth=3, widths=[1, 2])
         with pytest.raises(ParameterError):
             build_linear_network([1.0], depth=3, widths=[2])
+        with pytest.raises(ParameterError, match="widths must be a list, got 5"):
+            build_linear_network([3.0, 4.0], 3, widths=5)
         for bad in (np.nan, np.inf):
             with pytest.raises(ParameterError, match="must be finite"):
                 build_linear_network([1.0, bad], depth=3)

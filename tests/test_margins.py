@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from margin_auditor import (
     ramp_risk_empirical,
     summarize,
 )
-from margin_auditor.margins import write_histogram_csv, write_kde_csv, write_margins_csv
+from margin_auditor.margins import (_KDE_BLOCK, _kde_sums, write_histogram_csv, write_kde_csv,
+                                    write_margins_csv)
 from conftest import random_dataset, random_network
 
 
@@ -216,7 +218,42 @@ def make_md(values):
     return MarginDistribution(raw=values, normalized=values, normalizer=1.0)
 
 
+def one_shot_kde_sums(grid, data, bw):
+    """The KDE sums as one (len(grid), n) array, the form the blocks replace."""
+    z = (grid[:, None] - data[None, :]) / bw
+    return np.exp(-0.5 * z * z).sum(axis=1)
+
+
 class TestSummarize:
+    @pytest.mark.parametrize("data", [
+        np.array([0.25]),
+        np.array([-1.0, 0.5, 3.0]),
+        np.random.default_rng(21).standard_normal(5000),
+        np.full(7, 2.0),
+    ], ids=["n1", "n3", "n5000", "constant"])
+    def test_blocked_kde_bitwise_equal_to_one_array(self, data):
+        s = summarize(make_md(data), bins=4)
+        density = one_shot_kde_sums(s.kde_x, data, s.bandwidth) / (
+            data.shape[0] * s.bandwidth * math.sqrt(2.0 * math.pi))
+        assert s.kde_density.tobytes() == density.tobytes()
+
+    @pytest.mark.parametrize("points", [1, _KDE_BLOCK - 1, _KDE_BLOCK + 1, 3 * _KDE_BLOCK + 5])
+    def test_kde_sums_over_a_partial_last_block(self, rng, points):
+        data = rng.standard_normal(777)
+        grid = np.linspace(-4.0, 4.0, points)
+        assert _kde_sums(grid, data, 0.3).tobytes() == one_shot_kde_sums(grid, data, 0.3).tobytes()
+
+    def test_peak_memory_of_a_few_kde_blocks(self, rng):
+        # one (256, 5000) float64 array of the whole KDE would be 10.24 MB
+        md = make_md(rng.standard_normal(5000))
+        tracemalloc.start()
+        try:
+            summarize(md, bins=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_two_point_masses(self):
         s = summarize(make_md([0.0, 1.0]), bins=2)
         widths = np.diff(s.hist_edges)

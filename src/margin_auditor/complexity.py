@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import _cover_factor
+from .covering import _atom_budget
 from .errors import (DegenerateNetworkError, NumericDegeneracyError, ParameterError,
                      _check_count, _check_positive)
 from .linalg import _check_exponent, _group_norm, _spectral_norm
@@ -145,26 +145,32 @@ def pac_bayes_complexity_of(net, norms=None):
 
 
 def matrix_cover_logsize(a, b_x, m, r, eps, d):
-    """Log covering number of {XA : ||A||_(q,s) <= a} at scale eps:
-    ceil(a^2 b^2 m^(2/r) / eps^2) * ln(2dm)."""
+    """Log covering number of {XA : ||A||_(q,s) <= a} at scale eps: k ln(2dm), with k
+    the atom budget of ``covering._atom_budget`` (a NumericDegeneracyError beyond float64)."""
     _check_positive(a, "a")
     _check_positive(b_x, "b")
     _check_positive(eps, "eps")
     _check_count(d, 1, "d")
     _check_count(m, 1, "m")
     _check_exponent(r, "r")
-    k = math.ceil(a * a * b_x * b_x * _cover_factor(m, r) / (eps * eps))
-    return k * math.log(2.0 * d * m)
+    return _finite(_atom_budget(a, b_x, m, r, eps) * math.log(2.0 * d * m), "the cover log-size")
 
 
 def network_cover_logsize(data_norm, width, norms, eps):
-    """Whole-network log covering number at scale eps:
-    (||X||_2^2 ln(2 W^2) / eps^2) * prod(s_j^2 rho_j^2) * (sum (b_i/s_i)^(2/3))^3."""
+    """Whole-network log covering number at scale eps: (||X||_2 R_A / eps)^2 ln(2 W^2),
+    R_A = prod(s_j rho_j) (sum (b_i/s_i)^(2/3))^(3/2); a NumericDegeneracyError beyond
+    float64.  Squaring after the division keeps it homogeneous at any float64 scale."""
     _check_positive(eps, "eps")
-    product, total = _capacity_factors(norms)
-    return (
-        data_norm * data_norm * math.log(2.0 * width * width) / (eps * eps)
-    ) * product * product * total**3
+    scaled = data_norm / eps * _spectral_complexity(*_capacity_factors(norms))
+    return _finite(scaled * scaled * math.log(2.0 * width * width), "the cover log-size")
+
+
+def _tail_products(factors):
+    """prod_{j>i} factors[j] for every i, built in one reverse pass."""
+    tails = [1.0] * len(factors)
+    for i in range(len(factors) - 1, 0, -1):
+        tails[i - 1] = factors[i] * tails[i]
+    return tails
 
 
 def cover_budget(eps, norms):
@@ -181,36 +187,20 @@ def cover_budget(eps, norms):
             "every layer matches its reference; no cover budget to allocate"
         )
     alphas = [(ln.b / ln.s) ** (2.0 / 3.0) / alpha_bar for ln in norms]
-    eps_layers = []
-    length = len(norms)
-    for i, (alpha, ln) in enumerate(zip(alphas, norms)):
-        tail = 1.0
-        for j in range(i + 1, length):
-            tail *= norms[j].rho * norms[j].s
-        eps_layers.append(alpha * eps / (ln.rho * tail))
-    return CoverBudget(
-        eps_total=eps,
-        eps_per_layer=tuple(eps_layers),
-        alpha_weights=tuple(alphas),
-        alpha_bar=alpha_bar,
-    )
+    tails = _tail_products([ln.rho * ln.s for ln in norms])
+    eps_layers = tuple(a * eps / (ln.rho * t) for a, ln, t in zip(alphas, norms, tails))
+    return CoverBudget(eps, eps_layers, tuple(alphas), alpha_bar)
 
 
 def cover_resolution(eps_per_layer, rho, c):
     """Final resolution of a composed per-layer cover:
     tau = sum_j eps_j rho_j prod_{l>j} rho_l c_l."""
-    eps_per_layer = list(eps_per_layer)
-    rho = list(rho)
-    c = list(c)
+    eps_per_layer, rho, c = list(eps_per_layer), list(rho), list(c)
     if not (len(eps_per_layer) == len(rho) == len(c)):
         raise ParameterError("eps, rho and c sequences must have equal length")
-    length = len(rho)
-    tau = 0.0
-    for j in range(length):
-        term = eps_per_layer[j] * rho[j]
-        for l in range(j + 1, length):
-            term *= rho[l] * c[l]
-        tau += term
+    tails, tau = _tail_products([r * c_l for r, c_l in zip(rho, c)]), 0.0
+    for eps_j, rho_j, tail in zip(eps_per_layer, rho, tails):
+        tau += eps_j * rho_j * tail
     return tau
 
 
@@ -279,9 +269,7 @@ def generalization_bound_fixed(ramp_risk, data_bound, width, n, gamma, delta, no
         72.0 * data_bound * math.log(2.0 * width) * math.log(n) / (gamma * n)
     ) * product * total**1.5
     term_confidence = 3.0 * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
-    bound = ramp_risk + term_const + term_complexity + term_confidence
-    if not math.isfinite(bound):
-        raise NumericDegeneracyError("the margin bound exceeds the float64 range")
+    bound = _finite(ramp_risk + term_const + term_complexity + term_confidence, "the margin bound")
     return term_const, term_complexity, term_confidence, bound
 
 
@@ -309,33 +297,25 @@ def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
     _check_bound_params(gamma, delta, n)
     norms = list(norms)
     length = len(norms)
-    product_rho = 1.0
-    for ln in norms:
-        product_rho *= ln.rho
-    total = 0.0
+    product_rho, total = 1.0, 0.0
+    log_sum = math.log(1.0 / delta) + math.log(2.0 * n / gamma)
+    log_sum += 2.0 * math.log(2.0 + data_norm)
     for i, ln in enumerate(norms):
+        product_rho *= ln.rho
         term = 1.0 / length + ln.b
         for j, other in enumerate(norms):
             if j != i:
                 term *= 1.0 / length + other.s
         total += term ** (2.0 / 3.0)
-    try:
-        term_complexity = (
-            144.0 * math.log(n) * math.log(2.0 * width) / (gamma * n)
-            * product_rho * (1.0 + data_norm) * total**1.5
-        )
-    except OverflowError:
-        raise NumericDegeneracyError("the uniform bound exceeds the float64 range") from None
-    log_sum = math.log(1.0 / delta) + math.log(2.0 * n / gamma)
-    log_sum += 2.0 * math.log(2.0 + data_norm)
-    for ln in norms:
         log_sum += 2.0 * math.log(2.0 + length * ln.b)
         log_sum += 2.0 * math.log(2.0 + length * ln.s)
+    try:
+        term_complexity = (144.0 * math.log(n) * math.log(2.0 * width) / (gamma * n)
+                           * product_rho * (1.0 + data_norm) * total**1.5)
+    except OverflowError:
+        term_complexity = math.inf
     term_confidence = math.sqrt(9.0 / (2.0 * n)) * math.sqrt(log_sum)
-    bound = ramp_risk + 8.0 / n + term_complexity + term_confidence
-    if not math.isfinite(bound):
-        raise NumericDegeneracyError("the uniform bound exceeds the float64 range")
-    return bound
+    return _finite(ramp_risk + 8.0 / n + term_complexity + term_confidence, "the uniform bound")
 
 
 def margin_bound_assembly(ramp_risk, rademacher, n, delta):
@@ -343,6 +323,13 @@ def margin_bound_assembly(ramp_risk, rademacher, n, delta):
     _check_delta(delta)
     _check_count(n, 1, "n")
     return ramp_risk + 2.0 * rademacher + 3.0 * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+
+
+def _finite(value, what):
+    """``value``, or a NumericDegeneracyError saying that ``what`` exceeds the float64 range."""
+    if not math.isfinite(value):
+        raise NumericDegeneracyError(f"{what} exceeds the float64 range")
+    return value
 
 
 def _check_bound_params(gamma, delta, n):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericDegeneracyError, ParameterError, _check_count, _check_positive
-from .linalg import _check_exponent, _colwise_pnorm, _scale_exponent, _unscale, as_matrix, group_norm
+from .linalg import (_check_exponent, _colwise_pnorm, _group_norm, _scale_exponent, _unscale,
+                     _vector_pnorm, as_matrix)
 
 _MAUREY_RETRY_CAP = 1000
 
@@ -92,6 +93,19 @@ def _cover_factor(m, r):
     return 1.0 if math.isinf(r) else float(m) ** (2.0 / r)
 
 
+def _atom_budget(a, b, m, r, eps, e=0):
+    """Maurey atom budget k = max(1, ceil(a^2 b^2 m^(2/r) / eps^2)) for the norm product
+    2**e a b, on the frexp mantissas of a, b and eps and scaled back by one exact ldexp,
+    so homogeneous at any float64 scale; a k beyond float64 is a NumericDegeneracyError."""
+    (a, e_a), (b, e_b), (eps, e_eps) = math.frexp(a), math.frexp(b), math.frexp(eps)
+    try:
+        k = math.ldexp(a**2 * b**2 * _cover_factor(m, r) / (eps * eps),
+                       2 * (e + e_a + e_b - e_eps))
+    except OverflowError:
+        raise NumericDegeneracyError("atom budget k is out of the float64 range") from None
+    return max(1, math.ceil(k))
+
+
 def _conjugate(p):
     if math.isinf(p):
         return 1.0
@@ -108,14 +122,14 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     atoms are sign(b_ij) * y_i e_j^T, weighted by |b_ij| in the row-major
     order of B's nonzero entries, but they are never built: with C the d x m
     matrix of drawn counts, W_hat = (||B||_1/k) * Y (sign(B) (.) C).  The atom
-    budget is k = ceil(a^2 b^2 m^(2/r) / eps^2) with a = ||A||_(q,s),
-    b = ||X||_p entrywise, and r conjugate to s_exp.
+    budget k is :func:`_atom_budget` of a = ||A||_(q,s), b = ||X||_p entrywise,
+    and r conjugate to s_exp.
 
-    A, X and eps are first scaled by the powers of two that bring max|A| and
-    max|X| into [1, 2), and the results are scaled back exactly, so W_hat,
-    the counts, the error and the guarantee are homogeneous at any float64
-    scale.  A k, error or guarantee beyond the float64 range raises
-    NumericDegeneracyError.
+    A and X are first scaled by the powers of two that bring max|A| and
+    max|X| into [1, 2); k takes the sum e of their exponents, and the results
+    are scaled back by 2**e exactly, so W_hat, the counts, the error and the
+    guarantee are homogeneous at any float64 scale.  A k, error or guarantee
+    beyond the float64 range raises NumericDegeneracyError.
 
     Returns (w_hat, result) where result is the SparsifyResult for the run
     (counts empty and zero error when XA has no atoms, e.g. A = 0).
@@ -147,14 +161,7 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     if not nonzero.size:
         return np.zeros((x.shape[0], m)), SparsifyResult((), 0.0, 0.0, retries=0)
 
-    norm_a = group_norm(a, q, s_exp)
-    b_x = group_norm(x, p, p)
-    try:  # norm_a, b_x >= 1 now; the ratio rounds to 0 only when eps * eps overflows
-        eps = math.ldexp(eps, -e)
-        k = max(1, math.ceil(norm_a**2 * b_x**2 * _cover_factor(m, r) / (eps * eps)))
-    except (OverflowError, ZeroDivisionError):
-        raise NumericDegeneracyError("atom budget k is out of the float64 range") from None
-
+    k = _atom_budget(_group_norm(a, q, s_exp), _vector_pnorm(col_norms, p), m, r, eps, e)
     signs, grid = np.sign(b), np.zeros_like(b)  # grid: C, the d x m counts
 
     def combine(c):

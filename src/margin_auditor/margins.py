@@ -184,8 +184,9 @@ def summarize(md, bins):
         # Degenerate constant distribution: a single unit-mass bin.
         edges = np.array([lo - 0.5, lo + 0.5])
         density = np.array([1.0])
-    else:
-        density, edges = np.histogram(data, bins=bins, range=(lo, hi), density=True)
+    else:  # a density beyond float64 reaches the CSV writer, which rejects it
+        with np.errstate(over="ignore"):
+            density, edges = np.histogram(data, bins=bins, range=(lo, hi), density=True)
     grid = np.linspace(lo - 6.0 * bw, hi + 6.0 * bw, 256)
     kde = _kde_sums(grid, data, bw) / (data.shape[0] * bw * math.sqrt(2.0 * math.pi))
     return DistributionSummary(

@@ -102,9 +102,12 @@ def write_csv_17g(path, header, *columns):
     """Write a CSV: the ``header`` names, then one row per entry of ``columns``.
 
     Float columns print at 17 significant digits like the JSON floats above;
-    integer columns, such as a row index, print as integers.
+    integer columns, such as a row index, print as integers.  A non-finite
+    float is a NumericDegeneracyError, raised before the file is opened.
     """
     columns = [np.asarray(c) for c in columns]
+    if any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in columns):
+        raise NumericDegeneracyError(f"cannot serialize non-finite floats to {path}")
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
     rows = len(values) // len(columns) if columns else 0

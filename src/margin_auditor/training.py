@@ -309,6 +309,7 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     degeneracy in a snapshot (its R_A and margins come from the core that
     ``analyze`` uses), raise an error of their own class naming the epoch.
     """
+    _check_count(train_ds.n, 2, "training set rows")
     if cfg.layer_widths[0] != train_ds.dim:
         raise ParameterError(
             f"config input width {cfg.layer_widths[0]} != data dim {train_ds.dim}"

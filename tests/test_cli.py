@@ -221,6 +221,30 @@ class TestAnalyze:
         assert_one_line_error(capsys, "NumericDegeneracyError", "network outputs")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "margins"])
+    def test_histogram_beyond_float64_exit_4_and_no_inf_csv(self, tmp_path, capsys, command):
+        from margin_auditor import (Dataset, Identity, Layer, Network, Relu, save_dataset,
+                                    save_manifest)
+
+        # tiny weights far from huge references: the normalized margins are
+        # finite, but np.histogram's density overflows on them
+        r = np.random.default_rng(0)
+        w1, m1 = 1e-154 * r.standard_normal((3, 4)), 1e153 * r.standard_normal((3, 4))
+        w2, m2 = 1e-154 * r.standard_normal((2, 3)), 1e153 * r.standard_normal((2, 3))
+        net = Network(layers=(Layer(w1, Relu(), m1), Layer(w2, Identity(), m2)))
+        ds = Dataset(X=r.standard_normal((10, 4)), y=r.integers(1, 3, 10), k=2)
+        manifest = save_manifest(net, str(tmp_path / "net"))
+        feats, labels = str(tmp_path / "x.mat"), str(tmp_path / "y.lbl")
+        save_dataset(ds, feats, labels)
+        out = tmp_path / "out"
+        assert main([command, manifest, "--features", feats, "--labels", labels,
+                     "--out", str(out)]) == 4
+        assert_one_line_error(capsys, "NumericDegeneracyError", "")
+        for path in out.glob("*.csv") if out.exists() else ():
+            text = path.read_text()
+            assert "inf" not in text and "nan" not in text, path.name
+        assert not (out / "histogram.csv").exists()
+
     def test_accepts_idx_input(self, tmp_path, fixture_paths):
         manifest, _, _ = fixture_paths
         # 16-feature IDX images do not chain into the 4-input fixture net
@@ -305,6 +329,18 @@ def test_non_finite_value_is_rendered_before_the_file_opens(tmp_path):
     with pytest.raises(margin_auditor.NumericDegeneracyError):
         write_json_17g(str(path), {"R_A": 1.0, "bound_total": math.inf})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_csv_column_is_rejected_before_the_file_opens(tmp_path, bad):
+    from margin_auditor.serialize import write_csv_17g
+
+    path = tmp_path / "values.csv"
+    with pytest.raises(margin_auditor.NumericDegeneracyError, match="non-finite"):
+        write_csv_17g(str(path), ("index", "value"), np.arange(3), np.array([0.5, bad, 1.0]))
+    assert not path.exists()
+    write_csv_17g(str(path), ("index", "value"), np.arange(2), np.array([0.5, 1.0]))
+    assert path.read_text() == "index,value\n0,0.5\n1,1\n"
 
 
 def test_unserializable_value_is_a_type_error():
@@ -401,6 +437,21 @@ class TestTrainCommand:
                         open(os.path.join(p2, sub), "rb").read()
             else:
                 assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_single_example_exit_3(self, tmp_path, capsys, monkeypatch):
+        from margin_auditor import Dataset, load_dataset, save_dataset, training
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "_sgd_block", fail)
+        cfg_path, paths = self._write_inputs(tmp_path)
+        ds = load_dataset(*paths["train"])
+        one = Dataset(X=ds.X[:1], y=ds.y[:1], k=ds.k)
+        paths["train"] = (str(tmp_path / "one_x.mat"), str(tmp_path / "one_y.lbl"))
+        save_dataset(one, *paths["train"])
+        assert self._run(cfg_path, paths, str(tmp_path / "run")) == 3
+        assert_one_line_error(capsys, "ParameterError", "training set rows must be at least 2")
 
     @pytest.mark.parametrize("config, rc, error", [
         ('{"layer_widths": [4, 8, 2], "epochs": 1.5, "batch_size": 10, "seed": 1}',

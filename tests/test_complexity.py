@@ -157,6 +157,27 @@ class TestCoverLogsizes:
         with pytest.raises(ParameterError):
             matrix_cover_logsize(1, 1, 1, 2, 0.0, 1)
 
+    def test_extreme_but_finite_scales(self):
+        # 1e-200 squared underflows and 1e200 squared overflows; their ratios do not
+        assert matrix_cover_logsize(1e-200, 1, 3, 2, 1e-200, 4) == pytest.approx(3 * math.log(24.0))
+        norms = [LayerNorms(s=2.0, b=1.0, rho=1.0), LayerNorms(s=3.0, b=0.5, rho=1.0)]
+        base = network_cover_logsize(1.0, 4, norms, 1.0)
+        for scale in (1e-200, 1e200):
+            assert network_cover_logsize(scale, 4, norms, scale) == pytest.approx(base, rel=1e-15)
+
+    def test_beyond_float64_is_numeric_degeneracy(self):
+        norms = [LayerNorms(s=2.0, b=1.0, rho=1.0), LayerNorms(s=3.0, b=0.5, rho=1.0)]
+        with pytest.raises(NumericDegeneracyError, match="atom budget"):
+            matrix_cover_logsize(1e200, 1e200, 3, 2, 1e-200, 4)
+        with pytest.raises(NumericDegeneracyError, match="cover log-size"):
+            matrix_cover_logsize(1e154, 1, 3, math.inf, 1, 4)  # k = 1e308, times ln 24
+        for data_norm, eps in ((1e100, 1e-100), (1e200, 1e-200)):
+            with pytest.raises(NumericDegeneracyError, match="cover log-size"):
+                network_cover_logsize(data_norm, 4, norms, eps)
+        wild = [LayerNorms(s=1e-200, b=1e200, rho=1.0)]  # b/s overflows to inf
+        with pytest.raises(NumericDegeneracyError, match="cover log-size"):
+            network_cover_logsize(1.0, 4, wild, 1.0)
+
     def test_network_logsize_single_layer(self):
         val = network_cover_logsize(1.0, 2, [LayerNorms(s=1.0, b=1.0, rho=1.0)], 1.0)
         assert val == pytest.approx(math.log(8.0))
@@ -217,6 +238,23 @@ class TestCoverBudget:
     def test_degenerate(self):
         with pytest.raises(DegenerateNetworkError):
             cover_budget(1.0, [LayerNorms(s=1.0, b=0.0, rho=1.0)])
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_budget_and_resolution_match_explicit_products(self, rng, depth):
+        # the tails are built in one reverse pass; math.prod multiplies forward
+        for _ in range(50):
+            ss, bs, rhos, cs = (rng.uniform(0.2, 5.0, depth).tolist() for _ in range(4))
+            norms = [LayerNorms(s=s, b=b, rho=r) for s, b, r in zip(ss, bs, rhos)]
+            eps = float(rng.uniform(0.01, 5.0))
+            budget = cover_budget(eps, norms)
+            ratios = [(b / s) ** (2.0 / 3.0) for b, s in zip(bs, ss)]
+            for i, eps_i in enumerate(budget.eps_per_layer):
+                tail = math.prod(r * s for r, s in zip(rhos[i + 1 :], ss[i + 1 :]))
+                expected = ratios[i] / sum(ratios) * eps / (rhos[i] * tail)
+                assert eps_i == pytest.approx(expected, rel=1e-14)
+            tau = sum(e * r * math.prod(rl * cl for rl, cl in zip(rhos[j + 1 :], cs[j + 1 :]))
+                      for j, (e, r) in enumerate(zip(budget.eps_per_layer, rhos)))
+            assert cover_resolution(budget.eps_per_layer, rhos, cs) == pytest.approx(tau, rel=1e-14)
 
 
 class TestCoverResolution:

@@ -218,6 +218,12 @@ class TestAtomFreeCover:
         assert sum(result.counts) == 1
         assert np.linalg.norm(x @ a - w_hat) <= 1e200
 
+    def test_huge_eps_over_tiny_operands_needs_one_atom(self, rng):
+        # eps / 2**e overflows float64 here, though k = 1 does not
+        a, x = 1e-300 * rng.standard_normal((3, 2)), 1e-300 * rng.standard_normal((4, 3))
+        _, result = cover_element_for(a, x, 1e200, seed=1)
+        assert sum(result.counts) == 1
+
     def test_budget_beyond_float64_range_rejected(self, rng):
         a, x = rng.standard_normal((3, 2)), rng.standard_normal((4, 3))
         with pytest.raises(NumericDegeneracyError):

@@ -27,6 +27,7 @@ from margin_auditor import (
     generalization_bound_uniform,
     layer_norms,
     margin_distribution,
+    matrix_cover_logsize,
     network_cover_logsize,
     spectral_complexity,
 )
@@ -96,13 +97,19 @@ def test_margin_distribution_under_balanced_layer_rescaling(a):
     assert (md_a.normalizer, md_a.gamma_used) == (md.normalizer, md.gamma_used)
 
 
-@pytest.mark.parametrize("k", [40, -40, 300, -300])
+@pytest.mark.parametrize("k", [40, -40, 300, -300, 600, -600, 1000, -1000])
 def test_cover_sizes_under_data_and_eps_scaling(k):
     norms = layer_norms(_network())
     data_norm, eps = 7.25, 0.375
     assert network_cover_logsize(math.ldexp(data_norm, k), 16, norms, math.ldexp(eps, k)) == (
         network_cover_logsize(data_norm, 16, norms, eps)
     )
+    for r in (2.0, 3.0, math.inf):
+        size = matrix_cover_logsize(1.5, data_norm, 6, r, eps, 4)
+        assert size == matrix_cover_logsize(1.5, math.ldexp(data_norm, k), 6, r,
+                                            math.ldexp(eps, k), 4)
+        assert size == matrix_cover_logsize(math.ldexp(1.5, k), data_norm, 6, r,
+                                            math.ldexp(eps, k), 4)
     budget, budget_k = cover_budget(eps, norms), cover_budget(math.ldexp(eps, k), norms)
     assert budget_k.alpha_weights == budget.alpha_weights
     assert budget_k.alpha_bar == budget.alpha_bar

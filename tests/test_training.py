@@ -452,6 +452,21 @@ class TestTrain:
             with pytest.raises(ParameterError, match=message):
                 train(cfg, train_ds, test)
 
+    def test_fewer_than_two_rows_rejected_before_any_step(self, blob_pair, monkeypatch):
+        train_ds, test_ds = blob_pair
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "_sgd_block", fail)
+        one = Dataset(X=train_ds.X[:1], y=train_ds.y[:1], k=train_ds.k)
+        cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=1, batch_size=1, seed=0)
+        with pytest.raises(ParameterError, match="training set rows must be at least 2, got 1"):
+            train(cfg, one, test_ds)
+        two = Dataset(X=train_ds.X[:2], y=train_ds.y[:2], k=train_ds.k)
+        monkeypatch.undo()
+        assert len(train(cfg, two, test_ds)) == 1
+
 
 class TestConfig:
     def test_from_json(self, tmp_path):

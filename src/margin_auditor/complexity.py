@@ -15,7 +15,7 @@ import numpy as np
 
 from .covering import _atom_budget
 from .errors import (DegenerateNetworkError, NumericDegeneracyError, ParameterError,
-                     _check_count, _check_positive)
+                     _check_count, _check_positive, _finite)
 from .linalg import _check_exponent, _group_norm, _spectral_norm
 from .margins import (_margin_distribution_of_outputs, _outputs, _ramp_risk_of_margins,
                       ramp_risk_empirical)
@@ -87,18 +87,18 @@ def _extract_norms(net):
 
 
 def _capacity_factors(norms):
-    """(prod rho_i s_i, sum (b_i/s_i)^(2/3)), both accumulated in layer order."""
+    """(prod rho_i s_i, sum (b_i/s_i)^(2/3), the summed terms), accumulated in layer order."""
     norms = list(norms)
     if any(ln.s == 0.0 for ln in norms):
         raise DegenerateNetworkError(
             "a layer has spectral norm 0; the capacity ratio b/s is undefined"
         )
-    product = 1.0
-    total = 0.0
+    product, total, terms = 1.0, 0.0, []
     for ln in norms:
         product *= ln.rho * ln.s
-        total += (ln.b / ln.s) ** (2.0 / 3.0)
-    return product, total
+        terms.append((ln.b / ln.s) ** (2.0 / 3.0))
+        total += terms[-1]
+    return product, total, terms
 
 
 def spectral_complexity(norms):
@@ -108,34 +108,43 @@ def spectral_complexity(norms):
     the result degenerates to 0.0 with a warning (the network equals its
     references at this norm).  A product that underflows also gives 0.0; the
     analysis core behind ``analyze``, ``margins`` and ``train`` rejects either
-    as a NumericDegeneracyError.
+    as a NumericDegeneracyError, which a value beyond float64 raises here.
     """
-    product, total = _capacity_factors(norms)
+    product, total, _ = _capacity_factors(norms)
     if total == 0.0:
         warnings.warn("all layers equal their references in (2,1) norm; spectral complexity is 0",
                       RuntimeWarning, stacklevel=2)
-    return _spectral_complexity(product, total)
+    return _finite(_spectral_complexity(product, total), "the spectral complexity")
 
 
 def _spectral_complexity(product, total):
-    """R_A from the :func:`_capacity_factors`, 0.0 when the sum is 0; never warns."""
-    return product * total**1.5 if total else 0.0
+    """R_A from the :func:`_capacity_factors`, 0.0 when the sum is 0; never warns or raises."""
+    return product * _three_halves(total) if total else 0.0
+
+
+def _three_halves(total):
+    """``total ** 1.5``, or inf where Python's float power raises OverflowError."""
+    try:
+        return total**1.5
+    except OverflowError:
+        return math.inf
 
 
 def pac_bayes_complexity(norms, frob_deltas, width):
     """Comparator capacity: product of rho_i * s_i times L * sqrt(sum W * ||A_i - M_i||_2^2 / s_i^2).
 
-    Never smaller than :func:`spectral_complexity` on the same network.
+    Never smaller than :func:`spectral_complexity` on the same network; a value
+    beyond float64 is a NumericDegeneracyError.
     """
     norms = list(norms)
     frob_deltas = [float(f) for f in frob_deltas]
     if len(frob_deltas) != len(norms):
         raise ParameterError("need one Frobenius deviation per layer")
-    product, _ = _capacity_factors(norms)
-    total = 0.0
+    product, total = _capacity_factors(norms)[0], 0.0
     for ln, f in zip(norms, frob_deltas):
-        total += width * f * f / (ln.s * ln.s)
-    return product * len(norms) * math.sqrt(total)
+        ratio = f / ln.s  # squared after the division: exact under power-of-two scaling
+        total += width * ratio * ratio
+    return _finite(product * len(norms) * math.sqrt(total), "the PAC-Bayes complexity R_PB")
 
 
 def pac_bayes_complexity_of(net, norms=None):
@@ -161,7 +170,7 @@ def network_cover_logsize(data_norm, width, norms, eps):
     R_A = prod(s_j rho_j) (sum (b_i/s_i)^(2/3))^(3/2); a NumericDegeneracyError beyond
     float64.  Squaring after the division keeps it homogeneous at any float64 scale."""
     _check_positive(eps, "eps")
-    scaled = data_norm / eps * _spectral_complexity(*_capacity_factors(norms))
+    scaled = data_norm / eps * _spectral_complexity(*_capacity_factors(norms)[:2])
     return _finite(scaled * scaled * math.log(2.0 * width * width), "the cover log-size")
 
 
@@ -181,12 +190,12 @@ def cover_budget(eps, norms):
     """
     _check_positive(eps, "eps")
     norms = list(norms)
-    _, alpha_bar = _capacity_factors(norms)
+    _, alpha_bar, terms = _capacity_factors(norms)
     if alpha_bar == 0.0:
         raise DegenerateNetworkError(
             "every layer matches its reference; no cover budget to allocate"
         )
-    alphas = [(ln.b / ln.s) ** (2.0 / 3.0) / alpha_bar for ln in norms]
+    alphas = [term / alpha_bar for term in terms]
     tails = _tail_products([ln.rho * ln.s for ln in norms])
     eps_layers = tuple(a * eps / (ln.rho * t) for a, ln, t in zip(alphas, norms, tails))
     return CoverBudget(eps, eps_layers, tuple(alphas), alpha_bar)
@@ -263,11 +272,11 @@ def generalization_bound_fixed(ramp_risk, data_bound, width, n, gamma, delta, no
     """
     _check_bound_params(gamma, delta, n)
     _check_positive(data_bound, "data norm bound")
-    product, total = _capacity_factors(norms)
+    product, total, _ = _capacity_factors(norms)
     term_const = 8.0 / n
     term_complexity = (
         72.0 * data_bound * math.log(2.0 * width) * math.log(n) / (gamma * n)
-    ) * product * total**1.5
+    ) * product * _three_halves(total)
     term_confidence = 3.0 * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
     bound = _finite(ramp_risk + term_const + term_complexity + term_confidence, "the margin bound")
     return term_const, term_complexity, term_confidence, bound
@@ -309,11 +318,8 @@ def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
         total += term ** (2.0 / 3.0)
         log_sum += 2.0 * math.log(2.0 + length * ln.b)
         log_sum += 2.0 * math.log(2.0 + length * ln.s)
-    try:
-        term_complexity = (144.0 * math.log(n) * math.log(2.0 * width) / (gamma * n)
-                           * product_rho * (1.0 + data_norm) * total**1.5)
-    except OverflowError:
-        term_complexity = math.inf
+    term_complexity = (144.0 * math.log(n) * math.log(2.0 * width) / (gamma * n)
+                       * product_rho * (1.0 + data_norm) * _three_halves(total))
     term_confidence = math.sqrt(9.0 / (2.0 * n)) * math.sqrt(log_sum)
     return _finite(ramp_risk + 8.0 / n + term_complexity + term_confidence, "the uniform bound")
 
@@ -325,15 +331,9 @@ def margin_bound_assembly(ramp_risk, rademacher, n, delta):
     return ramp_risk + 2.0 * rademacher + 3.0 * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
 
-def _finite(value, what):
-    """``value``, or a NumericDegeneracyError saying that ``what`` exceeds the float64 range."""
-    if not math.isfinite(value):
-        raise NumericDegeneracyError(f"{what} exceeds the float64 range")
-    return value
-
-
 def _check_bound_params(gamma, delta, n):
-    _check_positive(gamma, "gamma")
+    if not 0.0 < gamma < math.inf:
+        raise ParameterError(f"gamma must be positive and finite, got {gamma!r}")
     _check_delta(delta)
     _check_count(n, 2, "n")
 
@@ -346,7 +346,7 @@ def _check_delta(delta):
 def _norms_and_margins(net, outputs, labels, data_norm, gamma=None):
     """The analysis core: layer norms, ||W_i - M_i||_F, R_A and the MarginDistribution."""
     norms, deltas = _extract_norms(net)
-    r_a = _spectral_complexity(*_capacity_factors(norms))
+    r_a = _spectral_complexity(*_capacity_factors(norms)[:2])
     if not r_a > 0.0:  # NaN when the product underflows and the ratio sum overflows
         raise NumericDegeneracyError(f"spectral complexity is {r_a!r}: the norm product "
                                      "underflows float64 or every layer equals its reference")

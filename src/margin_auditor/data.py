@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError, ParseError, _check_count, _check_integer
+from .errors import (NumericDegeneracyError, ParameterError, ParseError, _check_count,
+                     _check_integer, _finite)
 from .linalg import _check_payload, _scale_exponent, as_matrix, read_mat1, write_mat1
 from .serialize import _read_input, _write_output
 
@@ -193,9 +194,7 @@ def randomize_inputs_gaussian(ds, seed=0):
     z = rng.standard_normal((ds.n, d))
     with np.errstate(over="ignore"):
         draws = np.ldexp(mu + z @ chol.T, e)
-    if not np.all(np.isfinite(draws)):
-        raise NumericDegeneracyError("Gaussian input draws exceed the float64 range")
-    return Dataset._of_matrix(draws, ds.y.copy(), ds.k)
+    return Dataset._of_matrix(_finite(draws, "a Gaussian input draw"), ds.y.copy(), ds.k)
 
 
 def synth_blobs(n, d, k, separation, seed=0):

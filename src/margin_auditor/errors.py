@@ -1,7 +1,9 @@
-"""Exception hierarchy, and the argument checks shared across the package;
-the CLI maps each class to a fixed process exit code."""
+"""Exception hierarchy, and the argument and range checks shared across the
+package; the CLI maps each class to a fixed process exit code."""
 
 import operator
+
+import numpy as np
 
 
 class MarginAuditorError(Exception):
@@ -58,6 +60,13 @@ class TrainingDivergedError(MarginAuditorError):
     def __init__(self, message, epoch):
         super().__init__(f"{message} (epoch {epoch})")
         self.epoch = epoch
+
+
+def _finite(value, what):
+    """``value`` (a float or array), or a NumericDegeneracyError if ``what`` exceeds float64."""
+    if not np.all(np.isfinite(value)):
+        raise NumericDegeneracyError(f"{what} exceeds the float64 range")
+    return value
 
 
 def _check_positive(value, name):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError, _check_count, _check_positive
+from .errors import NumericDegeneracyError, ParameterError, _check_count, _check_positive, _finite
 from .linalg import _group_norm, as_matrix
 from .serialize import write_csv_17g
 
@@ -75,10 +75,7 @@ def _outputs(net, x):
     """``net``'s outputs on a trusted ``x``; outputs beyond the float64 range
     are a NumericDegeneracyError, raised without a RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs = net._forward(x)
-    if not np.all(np.isfinite(outputs)):
-        raise NumericDegeneracyError("network outputs on the data exceed the float64 range")
-    return outputs
+        return _finite(net._forward(x), "one of the network outputs on the data")
 
 
 def ramp_loss(r, gamma):
@@ -174,6 +171,7 @@ def summarize(md, bins):
     The histogram is equal-width over [min, max] and integrates to one; the
     KDE uses Silverman's rule-of-thumb bandwidth (floored at 1e-6) and is
     sampled at 256 points wide enough to capture all but ~1e-9 of the mass.
+    A histogram density beyond float64 is a NumericDegeneracyError.
     """
     bins = _check_count(bins, 2, "bins")
     data = np.asarray(md.normalized, dtype=np.float64)
@@ -184,9 +182,10 @@ def summarize(md, bins):
         # Degenerate constant distribution: a single unit-mass bin.
         edges = np.array([lo - 0.5, lo + 0.5])
         density = np.array([1.0])
-    else:  # a density beyond float64 reaches the CSV writer, which rejects it
+    else:
         with np.errstate(over="ignore"):
             density, edges = np.histogram(data, bins=bins, range=(lo, hi), density=True)
+        _finite(density, "the margin histogram density")
     grid = np.linspace(lo - 6.0 * bw, hi + 6.0 * bw, 256)
     kde = _kde_sums(grid, data, bw) / (data.shape[0] * bw * math.sqrt(2.0 * math.pi))
     return DistributionSummary(

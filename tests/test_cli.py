@@ -60,6 +60,18 @@ def assert_one_line_error(capsys, error, path):
     assert path in diagnostic["message"]
 
 
+def run_on(tmp_path, command, net, ds, *flags):
+    """``command``'s exit code on ``net`` and ``ds`` saved under ``tmp_path``, and its --out."""
+    from margin_auditor import save_dataset, save_manifest
+
+    manifest = save_manifest(net, str(tmp_path / "net"))
+    feats, labels = str(tmp_path / "x.mat"), str(tmp_path / "y.lbl")
+    save_dataset(ds, feats, labels)
+    out = tmp_path / "out"
+    argv = [command, manifest, "--features", feats, "--labels", labels, "--out", str(out)]
+    return main(argv + list(flags)), out
+
+
 def golden_bytes(*parts):
     with open(os.path.join(GOLDEN_DIR, *parts), "rb") as f:
         return f.read()
@@ -240,10 +252,37 @@ class TestAnalyze:
         assert main([command, manifest, "--features", feats, "--labels", labels,
                      "--out", str(out)]) == 4
         assert_one_line_error(capsys, "NumericDegeneracyError", "")
-        for path in out.glob("*.csv") if out.exists() else ():
-            text = path.read_text()
-            assert "inf" not in text and "nan" not in text, path.name
-        assert not (out / "histogram.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "margins"])
+    def test_ratio_sum_beyond_float64_exit_4_and_no_output(self, tmp_path, capsys, command):
+        from margin_auditor import Dataset, Identity, Layer, Network, Relu
+
+        # W_i = 1e-300 N(0,1) against M_i = 3e7 N(0,1): the norm product underflows
+        # and sum (b_i/s_i)^(2/3) passes 3.2e205, whose float ** 1.5 overflows
+        r = np.random.default_rng(0)
+        net = Network(layers=tuple(
+            Layer(1e-300 * r.standard_normal((3, 3)), Relu() if i < 7 else Identity(),
+                  3e7 * r.standard_normal((3, 3)))
+            for i in range(8)
+        ))
+        ds = Dataset(X=r.standard_normal((10, 3)), y=np.arange(10) % 3 + 1, k=3)
+        rc, out = run_on(tmp_path, command, net, ds)
+        assert rc == 4
+        assert_one_line_error(capsys, "NumericDegeneracyError", "spectral complexity is nan")
+        assert not out.exists()
+
+    def test_pac_bayes_comparator_near_float64_limit_exit_0(self, tmp_path):
+        from margin_auditor import Dataset, Identity, Layer, Network
+
+        # ||W - M||_F and s near 1e160 square beyond float64, but their ratio does not
+        r = np.random.default_rng(0)
+        net = Network(layers=(Layer(1e160 * r.standard_normal((3, 4)), Identity()),))
+        ds = Dataset(X=r.standard_normal((10, 4)), y=np.arange(10) % 3 + 1, k=3)
+        rc, out = run_on(tmp_path, "analyze", net, ds)
+        assert rc == 0
+        report = json.loads((out / "bound-report.json").read_text())
+        assert report["R_A"] <= report["R_PB"] < math.inf
 
     def test_accepts_idx_input(self, tmp_path, fixture_paths):
         manifest, _, _ = fixture_paths
@@ -277,14 +316,18 @@ class TestMargins:
 
 
     @pytest.mark.parametrize("flags", [["--gamma", "0"], ["--gamma", "-0.5"],
-                                       ["--delta", "1.5"], ["--delta", "0"]])
-    def test_bad_gamma_or_delta_exit_3(self, fixture_paths, capsys, flags):
+                                       ["--delta", "1.5"], ["--delta", "0"], ["--gamma", "inf"]])
+    def test_bad_gamma_or_delta_exit_3(self, tmp_path, fixture_paths, capsys, flags):
         manifest, feats, labels = fixture_paths
-        rc = main(["margins", manifest, "--features", feats, "--labels", labels] + flags)
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert json.loads(err)["error"] == "ParameterError"
+        out = tmp_path / "out"
+        for command in ("analyze", "margins"):
+            rc = main([command, manifest, "--features", feats, "--labels", labels,
+                       "--out", str(out)] + flags)
+            assert rc == 3, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert json.loads(err)["error"] == "ParameterError"
+            assert not out.exists()
 
     def test_single_example_exit_3(self, tmp_path, fixture_paths, capsys):
         from margin_auditor import Dataset, load_dataset, save_dataset

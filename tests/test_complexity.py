@@ -109,6 +109,15 @@ class TestSpectralComplexity:
         with pytest.warns(RuntimeWarning):
             assert spectral_complexity([LayerNorms(s=2.0, b=0.0, rho=1.0)]) == 0.0
 
+    def test_ratio_sum_beyond_float64_is_numeric_degeneracy(self):
+        # sum (b_i/s_i)^(2/3) is 1.4e206, and Python's float ** 1.5 overflows on it
+        norms = [LayerNorms(s=1e-300, b=1e8, rho=1.0)] * 3
+        for evaluate in (lambda: spectral_complexity(norms),
+                         lambda: generalization_bound_fixed(0.0, 1.0, 3, 10, 0.5, 0.01, norms),
+                         lambda: network_cover_logsize(1.0, 3, norms, 1.0)):
+            with pytest.raises(NumericDegeneracyError, match="float64 range"):
+                evaluate()
+
     def test_degree_one_homogeneity(self, rng):
         for ss, bs, rhos in random_norm_tuples(rng, 50):
             if all(b == 0 for b in bs):
@@ -355,6 +364,8 @@ class TestFixedBound:
             generalization_bound_fixed(0.0, 1.0, 4, 100, -1.0, 0.1, norms)
         with pytest.raises(ParameterError):
             generalization_bound_fixed(0.0, 1.0, 4, 100, 1.0, 1.5, norms)
+        with pytest.raises(ParameterError, match="finite"):
+            generalization_bound_fixed(0.0, 1.0, 4, 100, math.inf, 0.1, norms)
 
     def test_monotone_in_n(self):
         norms = [LayerNorms(s=2.0, b=1.0, rho=1.0)]

@@ -68,7 +68,7 @@ def test_analyze_under_data_scaling(k):
     _assert_reports(analyze_network(net, _dataset()), analyze_network(net, _dataset(k)), k)
 
 
-@pytest.mark.parametrize("a", [5, 200])
+@pytest.mark.parametrize("a", [5, 200, 520])
 def test_analyze_under_balanced_layer_rescaling(a):
     ds = _dataset()
     _assert_reports(analyze_network(_network(), ds), analyze_network(_network((a, -a, 0)), ds), 0)

@@ -1,8 +1,10 @@
 """Smoke test of the benchmark's span tracer against the current package: it
 must install over every layer module, record a traced `train` run, and leave
-every name it rebound as it found it."""
+every name it rebound as it found it.  Every span name its metrics read must
+name a function it wraps, since a metric on a moved or renamed one reads 0."""
 
 import importlib.util
+import inspect
 import pathlib
 
 import margin_auditor
@@ -39,3 +41,15 @@ def test_traced_train_records_spans_and_restores_names():
         now = vars(ns)
         assert set(now) == set(saved)
         assert all(now[attr] is obj for attr, obj in saved.items())
+
+
+def test_every_metric_span_names_a_wrapped_function():
+    tracer = _load_tracer()
+    modules = tracer.Tracer().modules
+    names = set(tracer.COUNTERS) | {name for _, _, name, _ in tracer.PER_LAYER}
+    for name in sorted(names):
+        module, attr = name.split(".")
+        owner = Network if module == "network" and attr in vars(Network) else modules[module]
+        fn = vars(owner).get(attr)
+        assert not attr.startswith("_") and inspect.isfunction(fn), name
+        assert fn.__module__ == modules[module].__name__, name

@@ -18,13 +18,16 @@ import numpy as np
 from . import covering, lowerbound, margins, training
 from .complexity import _check_bound_params, _norms_and_margins, analyze_network
 from .data import inspect_idx, load_dataset, load_idx
-from .errors import MarginAuditorError, ParameterError, _check_at_least, _check_count
+from .errors import (InputOutputError, MarginAuditorError, ParameterError, _check_at_least,
+                     _check_count)
 from .linalg import MAT1_MAGIC, _group_norm, frobenius_norm, spectral_norm
 from .network import load_manifest, save_manifest
 from .serialize import _output_dir, _read_input, dumps_17g, write_json_17g
 
 
 def _load_any_dataset(features_path, labels_path):
+    if os.path.exists(features_path) and not os.path.isfile(features_path):  # opened twice below
+        raise InputOutputError(f"features file is not a regular file: {features_path}")
     if _read_input(features_path, reader=lambda f: f.read(4)) == MAT1_MAGIC:
         return load_dataset(features_path, labels_path)
     return load_idx(features_path, labels_path)

@@ -8,18 +8,13 @@ import numpy as np
 
 from .errors import (NumericDegeneracyError, ParameterError, ParseError, _check_count,
                      _check_integer, _finite)
-from .linalg import _check_payload, _scale_exponent, as_matrix, read_mat1, write_mat1
-from .serialize import _read_input, _write_output
+from .linalg import _scale_exponent, as_matrix, read_mat1, write_mat1
+from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _header_fields, _read_container,
+                        _read_input, _write_container)
 
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
-LBL1_MAGIC = b"LBL1"
-# magic: (kind, the u32 header fields after the magic as (key, name in errors))
-_IDX_HEADERS = {
-    IDX_IMAGES_MAGIC: ("images", (("count", "image count"), ("rows", "row count"),
-                                  ("cols", "column count"))),
-    IDX_LABELS_MAGIC: ("labels", (("count", "label count"),)),
-}
+IDX_IMAGES_MAGIC = int.from_bytes(_IDX_IMAGES.magic, "big")
+IDX_LABELS_MAGIC = int.from_bytes(_IDX_LABELS.magic, "big")
+LBL1_MAGIC = _LBL1.magic
 
 
 @dataclass(frozen=True)
@@ -62,30 +57,15 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _be_u32(raw, offset, path, what):
-    if len(raw) < offset + 4:
-        raise ParseError(f"truncated before {what}", path=path, offset=len(raw))
-    return struct.unpack_from(">I", raw, offset)[0]
-
-
-def _idx_header(raw, path, want=None):
-    """(kind, {key: value} of the u32 header fields) of an IDX file's bytes;
-    a magic other than ``want``, when given, is a parse error at byte 0."""
-    magic = _be_u32(raw, 0, path, "magic")
-    if want is not None and magic != want:
-        raise ParseError(f"bad IDX magic 0x{magic:08x}, expected 0x{want:08x}",
-                         path=path, offset=0)
-    if magic not in _IDX_HEADERS:
-        raise ParseError(f"unrecognized IDX magic 0x{magic:08x}", path=path, offset=0)
-    kind, fields = _IDX_HEADERS[magic]
-    return kind, {key: _be_u32(raw, 4 + 4 * i, path, noun) for i, (key, noun) in enumerate(fields)}
-
-
 def inspect_idx(path):
-    """Header of an IDX file as a dict; distinguishes image and label files."""
+    """Header of an IDX file as a dict; distinguishes image and label files.
+    The payload length is reported, not checked."""
     raw = _read_input(path)
-    kind, header = _idx_header(raw, path)
-    return {"kind": kind, **header, "payload_bytes": len(raw) - 4 - 4 * len(header)}
+    for kind, fmt in (("images", _IDX_IMAGES), ("labels", _IDX_LABELS)):
+        if raw[:4] == fmt.magic or len(raw) < 4:  # under 4 bytes: a truncated header
+            header = dict(zip(fmt.keys, _header_fields(raw, path, fmt)))
+            return {"kind": kind, **header, "payload_bytes": len(raw) - struct.calcsize(fmt.header)}
+    raise ParseError(f"unrecognized IDX magic {raw[:4]!r}", path=path, offset=0)
 
 
 def load_idx(images_path, labels_path):
@@ -95,25 +75,16 @@ def load_idx(images_path, labels_path):
     byte labels are shifted to 1-based.  Malformed input raises a parse error
     naming the byte offset.
     """
-    raw = _read_input(images_path)
-    header = _idx_header(raw, images_path, want=IDX_IMAGES_MAGIC)[1]
-    n, rows, cols = header["count"], header["rows"], header["cols"]
-    if not n * rows * cols:
+    (n, rows, cols), pixels = _read_container(images_path, _IDX_IMAGES)
+    if not pixels.size:
         raise ParseError(f"empty image set: {n} images of {rows}x{cols}", path=images_path)
-    _check_payload(len(raw), 16 + n * rows * cols, images_path, "image")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
-    x = np.divide(pixels.reshape(n, rows * cols), 255.0)  # one float64 pass
-
-    lraw = _read_input(labels_path)
-    ln = _idx_header(lraw, labels_path, want=IDX_LABELS_MAGIC)[1]["count"]
-    if ln != n:
-        raise ParseError(
-            f"label count {ln} does not match image count {n}", path=labels_path, offset=4
-        )
-    _check_payload(len(lraw), 8 + ln, labels_path, "label")
-    labels = np.frombuffer(lraw, dtype=np.uint8, count=ln, offset=8).astype(np.int64) + 1
-    k = max(int(labels.max()), 1)
-    return Dataset._of_matrix(x, labels, k)  # bytes / 255 are finite
+    x = np.divide(pixels, 255.0)  # one float64 pass
+    (count,), labels = _read_container(labels_path, _IDX_LABELS)
+    if count != n:
+        raise ParseError(f"label count {count} does not match image count {n}",
+                         path=labels_path, offset=4)
+    y = labels.astype(np.int64) + 1
+    return Dataset._of_matrix(x, y, int(y.max()))  # bytes / 255 are finite
 
 
 def write_idx(ds, images_path, labels_path, rows=1, cols=None):
@@ -128,36 +99,30 @@ def write_idx(ds, images_path, labels_path, rows=1, cols=None):
         raise ParameterError(f"rows*cols={rows * cols} must equal feature dim {d}")
     if ds.k > 256:
         raise ParameterError("IDX labels are single bytes; need k <= 256")
-    pixels = np.rint(np.clip(ds.X, 0.0, 1.0) * 255.0).astype(np.uint8)
-    _write_output(images_path, struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols),
-                  pixels.tobytes(order="C"))
-    _write_output(labels_path, struct.pack(">II", IDX_LABELS_MAGIC, n),
-                  (ds.y - 1).astype(np.uint8).tobytes())
+    _write_container(images_path, _IDX_IMAGES, (n, rows, cols),
+                     np.rint(np.clip(ds.X, 0.0, 1.0) * 255.0))
+    _write_container(labels_path, _IDX_LABELS, (n,), ds.y - 1)
 
 
 def save_dataset(ds, matrix_path, labels_path):
     """Dataset export: features as MAT1, labels as LBL1 (magic, u32 count, u32 k, u32 labels)."""
     write_mat1(matrix_path, ds.X)
-    _write_output(labels_path, LBL1_MAGIC, struct.pack("<II", ds.n, ds.k),
-                  ds.y.astype("<u4").tobytes())
+    _write_container(labels_path, _LBL1, (ds.n, ds.k), ds.y)
 
 
 def load_dataset(matrix_path, labels_path):
     """Inverse of :func:`save_dataset`.  X is the owned, aligned, writable array
-    :func:`read_mat1` returns, checked for finiteness once."""
+    :func:`read_mat1` returns, checked for finiteness once; labels outside 1..k,
+    or k < 1, are a parse error naming the labels file."""
     x = read_mat1(matrix_path)
-    raw = _read_input(labels_path)
-    if len(raw) < 12:
-        raise ParseError("LBL1 header truncated", path=labels_path, offset=len(raw))
-    if raw[:4] != LBL1_MAGIC:
-        raise ParseError(f"bad LBL1 magic {raw[:4]!r}", path=labels_path, offset=0)
-    count, k = struct.unpack_from("<II", raw, 4)
+    (count, k), y = _read_container(labels_path, _LBL1)
     if count != x.shape[0]:
         raise ParseError(f"label count {count} does not match row count {x.shape[0]}",
                          path=labels_path, offset=4)
-    _check_payload(len(raw), 12 + 4 * count, labels_path, "LBL1")
-    y = np.frombuffer(raw, dtype="<u4", count=count, offset=12).astype(np.int64)
-    return Dataset._of_matrix(x, y, int(k))  # read_mat1 validated x
+    try:
+        return Dataset._of_matrix(x, y, k)  # read_mat1 validated x
+    except ParameterError as exc:
+        raise ParseError(f"invalid LBL1 contents: {exc}", path=labels_path) from None
 
 
 def randomize_labels(ds, seed=0):

@@ -11,19 +11,17 @@ by an exact power of two, so it stays homogeneous at any finite float64 scale.
 """
 
 import math
-import os
-import stat
-import struct
 
 import numpy as np
 
 from .errors import DimensionError, NumericDegeneracyError, ParameterError, ParseError
-from .serialize import _read_input, _write_output
+from .serialize import _MAT1, _read_container, _write_container
 
 _JACOBI_MAX_SWEEPS = 64
 _JACOBI_TOL = 1e-15
+_FINITE_BLOCK = 1 << 16  # entries per block of the finiteness check
 
-MAT1_MAGIC = b"MAT1"
+MAT1_MAGIC = _MAT1.magic
 
 
 def as_matrix(a):
@@ -37,8 +35,10 @@ def as_matrix(a):
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise DimensionError(f"empty matrix of shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ParameterError("matrix entries must be finite (no NaN/Inf)")
+    rows = _FINITE_BLOCK // m.shape[1] or 1  # so no mask as large as m is made
+    for i in range(0, m.shape[0], rows):
+        if not np.isfinite(m[i:i + rows]).all():
+            raise ParameterError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
@@ -209,44 +209,13 @@ def _vector_pnorm(v, q):
 def write_mat1(path, a):
     """Write ``a`` in the MAT1 format: magic, u32le rows, u32le cols, f64le row-major."""
     a = as_matrix(a)
-    _write_output(path, MAT1_MAGIC, struct.pack("<II", *a.shape),
-                  a.astype("<f8", copy=False).tobytes(order="C"))
-
-
-def _check_payload(length, expected, path, what):
-    """Parse error unless a file of ``length`` bytes is exactly ``expected`` long."""
-    if length != expected:
-        raise ParseError(f"{what} payload has {length} bytes, expected {expected}",
-                         path=path, offset=min(length, expected))
+    _write_container(path, _MAT1, a.shape, a)
 
 
 def read_mat1(path):
     """Read a MAT1 file into an owned, aligned, writable, C-contiguous float64
     array, validated as by :func:`as_matrix`; bit-exact round trip."""
-    x = _read_input(path, "matrix file", reader=lambda f: _read_mat1_payload(f, path))
     try:
-        return as_matrix(x)
+        return as_matrix(_read_container(path, _MAT1, "matrix file")[1])
     except (DimensionError, ParameterError) as exc:
         raise ParseError(f"invalid MAT1 contents: {exc}", path=path) from None
-
-
-def _read_mat1_payload(f, path):
-    """The (rows, cols) little-endian float64 array of the open MAT1 file ``f``,
-    read straight into a fresh array, unvalidated."""
-    head = f.read(12)
-    if len(head) < 12:
-        raise ParseError("MAT1 header truncated", path=path, offset=len(head))
-    if head[:4] != MAT1_MAGIC:
-        raise ParseError(f"bad MAT1 magic {head[:4]!r}", path=path, offset=0)
-    rows, cols = struct.unpack_from("<II", head, 4)
-    expected = 12 + 8 * rows * cols
-    st = os.fstat(f.fileno())
-    regular = stat.S_ISREG(st.st_mode)
-    if regular:  # so a header claiming more than the file allocates nothing
-        _check_payload(st.st_size, expected, path, "MAT1")
-    x = np.empty((rows, cols), dtype="<f8")
-    length = 12 + f.readinto(x)
-    if length == expected and not regular:  # a pipe's size is known only at its end
-        length += len(f.read())
-    _check_payload(length, expected, path, "MAT1")
-    return x

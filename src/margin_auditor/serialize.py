@@ -1,9 +1,11 @@
-"""File input and output, and JSON and CSV emission with floats printed at 17
-significant digits.
+"""File input and output, the binary containers, and JSON and CSV emission
+with floats printed at 17 significant digits.
 
 Every file is read by :func:`_read_input` and written by :func:`_write_output`
 (directories by :func:`_output_dir`), so one that cannot be read or written is
 an InputOutputError; malformed JSON input (:func:`_read_json`) is a ParseError.
+The MAT1, LBL1 and IDX formats are each one ``_Container`` entry, read by
+:func:`_read_container` and written by :func:`_write_container`.
 
 The standard json encoder prints shortest round-trip floats; reports,
 snapshots and CSVs instead pin 17 significant digits so goldens are
@@ -14,6 +16,9 @@ import itertools
 import json
 import math
 import os
+import stat
+import struct
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,6 +52,63 @@ def _output_dir(path):
     except OSError as exc:
         raise InputOutputError(f"cannot make directory ({exc.strerror}): {path}") from None
     return path
+
+
+# A binary file: the ``header`` struct (the 4-byte ``magic``, then u32 fields named
+# by ``keys``), then ``shape(*fields)`` payload values of ``dtype``, row major.
+_Container = namedtuple("_Container", "name magic header keys dtype shape")
+_MAT1 = _Container("MAT1", b"MAT1", "<4sII", ("rows", "cols"), "<f8", lambda r, c: (r, c))
+_LBL1 = _Container("LBL1", b"LBL1", "<4sII", ("count", "k"), "<u4", lambda n, k: (n,))
+_IDX_IMAGES = _Container("IDX image", b"\0\0\x08\x03", ">4sIII", ("count", "rows", "cols"),
+                         "u1", lambda n, r, c: (n, r * c))
+_IDX_LABELS = _Container("IDX label", b"\0\0\x08\x01", ">4sI", ("count",), "u1", lambda n: (n,))
+
+
+def _header_fields(head, path, fmt):
+    """The u32 header fields at the start of the bytes ``head`` of a ``fmt``
+    file; a bad magic is reported at byte 0 once 4 bytes are in."""
+    if len(head) >= 4 and head[:4] != fmt.magic:
+        raise ParseError(f"bad {fmt.name} magic {head[:4]!r}", path=path, offset=0)
+    if len(head) < struct.calcsize(fmt.header):
+        raise ParseError(f"{fmt.name} header truncated", path=path, offset=len(head))
+    return struct.unpack_from(fmt.header, head)[1:]
+
+
+def _check_payload(length, expected, path, what):
+    """Parse error unless a file of ``length`` bytes is exactly ``expected`` long."""
+    if length != expected:
+        raise ParseError(f"{what} payload has {length} bytes, expected {expected}",
+                         path=path, offset=min(length, expected))
+
+
+def _read_container(path, fmt, what="file"):
+    """(header fields, payload array) of the ``fmt`` file at ``path``, unvalidated.
+    A regular file's size is checked before anything is allocated, then its
+    payload is read straight into an owned, aligned array; a pipe's payload is
+    taken as it arrives, so no header's claim alone sizes an allocation."""
+
+    def read(f):
+        start = struct.calcsize(fmt.header)
+        fields = _header_fields(f.read(start), path, fmt)
+        shape = fmt.shape(*fields)
+        expected = start + np.dtype(fmt.dtype).itemsize * math.prod(shape)
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            rest = f.read()
+            _check_payload(start + len(rest), expected, path, fmt.name)
+            return fields, np.frombuffer(rest, fmt.dtype).reshape(shape).copy()
+        _check_payload(st.st_size, expected, path, fmt.name)
+        payload = np.empty(shape, fmt.dtype)
+        _check_payload(start + f.readinto(payload), expected, path, fmt.name)
+        return fields, payload
+
+    return _read_input(path, what, read)
+
+
+def _write_container(path, fmt, fields, payload):
+    """Write the array ``payload`` as a ``fmt`` file whose header holds ``fields``."""
+    _write_output(path, struct.pack(fmt.header, fmt.magic, *fields),
+                  payload.astype(fmt.dtype, copy=False).tobytes(order="C"))
 
 
 def _read_json(path, what):

@@ -147,6 +147,39 @@ class TestAnalyze:
                      "--out", str(tmp_path / "out")]) == 2
         assert_one_line_error(capsys, "ParseError", images)
 
+    @pytest.mark.parametrize("labels_of_rows, k", [((1, 7), 3), ((1, 2), 0)],
+                             ids=["label-beyond-k", "no-classes"])
+    def test_invalid_lbl1_contents_exit_2(self, tmp_path, fixture_paths, capsys,
+                                          labels_of_rows, k):
+        manifest, feats, _ = fixture_paths
+        labels = str(tmp_path / "bad.lbl")
+        with open(labels, "wb") as f:  # the fixture's 40 rows, labelled 1, 7, 1, 7, ...
+            f.write(b"LBL1" + struct.pack("<42I", 40, k, *labels_of_rows * 20))
+        assert main(["analyze", manifest, "--features", feats, "--labels", labels,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys, "ParseError", f"{labels}: invalid LBL1 contents")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_features_pipe_is_refused_before_it_is_opened(self, tmp_path, fixture_paths):
+        # the features file is opened once to sniff its magic and again to
+        # load it, so a pipe would block; nothing writes to this one
+        import subprocess
+
+        manifest, _, labels = fixture_paths
+        fifo = str(tmp_path / "features")
+        os.mkfifo(fifo)
+        proc = subprocess.run(
+            [sys.executable, "-m", "margin_auditor.cli", "analyze", manifest, "--features", fifo,
+             "--labels", labels, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        diagnostic = json.loads(proc.stderr)
+        assert diagnostic["error"] == "InputOutputError"
+        assert fifo in diagnostic["message"]
+
     @pytest.mark.parametrize("command", ["analyze", "margins"])
     @pytest.mark.parametrize("case", UNWRITABLE_OUTS)
     def test_unwritable_out_exit_2(self, tmp_path, fixture_paths, capsys, command, case):

@@ -25,6 +25,7 @@ from margin_auditor import (
     synth_blobs,
     synth_images,
     write_idx,
+    write_mat1,
 )
 from margin_auditor.margins import _outputs
 
@@ -130,54 +131,156 @@ def mat1_bytes(rows, cols, payload=None):
     return b"MAT1" + struct.pack("<II", rows, cols) + body
 
 
+U32_MAX = 2**32 - 1
 GOOD_MAT1 = mat1_bytes(2, 2)  # 44 bytes
-# malformed MAT1 bytes -> (message after "<path>: ", byte offset or None)
-BAD_MAT1 = {
-    "header-truncated": (GOOD_MAT1[:7], "MAT1 header truncated", 7),
-    "bad-magic": (b"NOPE" + GOOD_MAT1[4:], "bad MAT1 magic b'NOPE'", 0),
-    "payload-truncated": (GOOD_MAT1[:-5], "MAT1 payload has 39 bytes, expected 44", 39),
-    "trailing-bytes": (GOOD_MAT1 + b"xyz", "MAT1 payload has 47 bytes, expected 44", 44),
-    "header-beyond-any-memory": (mat1_bytes(2**32 - 1, 2**32 - 1, b""),
-                                 f"MAT1 payload has 12 bytes, expected {12 + 8 * (2**32 - 1)**2}",
-                                 12),
-    "non-finite": (mat1_bytes(2, 2, struct.pack("<4d", 0.0, np.nan, 1.0, 2.0)),
-                   "invalid MAT1 contents: matrix entries must be finite (no NaN/Inf)", None),
-    "empty": (mat1_bytes(0, 3, b""), "invalid MAT1 contents: empty matrix of shape (0, 3)", None),
+GOOD_LBL1 = b"LBL1" + struct.pack("<4I", 2, 2, 1, 2)  # labels of GOOD_MAT1's two rows
+GOOD_IDX_IMAGES = struct.pack(">4I", 0x00000803, 6, 1, 1) + bytes([0, 255, 128, 64, 32, 16])
+GOOD_IDX_LABELS = struct.pack(">2I", 0x00000801, 6) + bytes([0, 1, 2, 0, 1, 2])
+# format -> (a well-formed file, the format's name in messages, a header whose
+# u32 fields are all U32_MAX with no payload, the file length that header claims)
+CONTAINERS = {
+    "MAT1": (GOOD_MAT1, "MAT1", mat1_bytes(U32_MAX, U32_MAX, b""), 12 + 8 * U32_MAX**2),
+    "LBL1": (GOOD_LBL1, "LBL1", b"LBL1" + struct.pack("<2I", U32_MAX, U32_MAX),
+             12 + 4 * U32_MAX),
+    "IDX images": (GOOD_IDX_IMAGES, "IDX image", struct.pack(">4I", 0x00000803, *[U32_MAX] * 3),
+                   16 + U32_MAX**3),
+    "IDX labels": (GOOD_IDX_LABELS, "IDX label", struct.pack(">2I", 0x00000801, U32_MAX),
+                   8 + U32_MAX),
 }
 
 
-class TestMat1Reader:
-    @pytest.mark.parametrize("loader", ["read_mat1", "load_dataset"])
-    @pytest.mark.parametrize("case", sorted(BAD_MAT1))
-    def test_parse_error_text_and_offset(self, tmp_path, case, loader):
-        raw, message, offset = BAD_MAT1[case]
-        path, labels = tmp_path / "x.mat", tmp_path / "y.lbl"
+def malformed_containers(fmt):
+    """Malformed files of format ``fmt`` -> (bytes, message after "<path>: ",
+    byte offset): the cases every format shares."""
+    good, name, huge, claimed = CONTAINERS[fmt]
+    n = len(good)
+
+    def payload(length, expected):
+        return f"{name} payload has {length} bytes, expected {expected}"
+
+    return {
+        "header-truncated": (good[:7], f"{name} header truncated", 7),
+        "bad-magic": (b"NOPE" + good[4:], f"bad {name} magic b'NOPE'", 0),
+        "payload-truncated": (good[:-5], payload(n - 5, n), n - 5),
+        "trailing-bytes": (good + b"xyz", payload(n + 3, n), n),
+        "header-beyond-any-memory": (huge, payload(len(huge), claimed), len(huge)),
+    }
+
+
+# format -> its malformed files -> (bytes, message after "<path>: ", byte offset or None)
+MALFORMED = {
+    "MAT1": {
+        **malformed_containers("MAT1"),
+        "non-finite": (mat1_bytes(2, 2, struct.pack("<4d", 0.0, np.nan, 1.0, 2.0)),
+                       "invalid MAT1 contents: matrix entries must be finite (no NaN/Inf)", None),
+        "empty": (mat1_bytes(0, 3, b""), "invalid MAT1 contents: empty matrix of shape (0, 3)",
+                  None),
+    },
+    "LBL1": {
+        **malformed_containers("LBL1"),
+        "count-mismatch": (b"LBL1" + struct.pack("<5I", 3, 2, 1, 2, 1),
+                           "label count 3 does not match row count 2", 4),
+        "label-beyond-k": (b"LBL1" + struct.pack("<4I", 2, 2, 1, 7),
+                           "invalid LBL1 contents: labels must lie in 1..2", None),
+        "no-classes": (b"LBL1" + struct.pack("<4I", 2, 0, 1, 2),
+                       "invalid LBL1 contents: label count k must be at least 1, got 0", None),
+    },
+    "IDX images": {
+        **malformed_containers("IDX images"),
+        "empty": (struct.pack(">4I", 0x00000803, 0, 1, 1), "empty image set: 0 images of 1x1",
+                  None),
+    },
+    "IDX labels": {
+        **malformed_containers("IDX labels"),
+        "count-mismatch": (struct.pack(">2I", 0x00000801, 2) + bytes(2),
+                           "label count 2 does not match image count 6", 4),
+    },
+}
+# a reader -> (the format of the file it is given malformed, the call on that
+# file's path with the well-formed files of WELL_FORMED in the directory d)
+READERS = {
+    "read_mat1": ("MAT1", lambda bad, d: read_mat1(bad)),
+    "load_dataset": ("MAT1", lambda bad, d: load_dataset(bad, d / "y.lbl")),
+    "load_dataset-labels": ("LBL1", lambda bad, d: load_dataset(d / "x.mat", bad)),
+    "load_idx": ("IDX images", lambda bad, d: load_idx(bad, d / "labels.idx")),
+    "load_idx-labels": ("IDX labels", lambda bad, d: load_idx(d / "images.idx", bad)),
+}
+WELL_FORMED = {"x.mat": GOOD_MAT1, "y.lbl": GOOD_LBL1, "images.idx": GOOD_IDX_IMAGES,
+               "labels.idx": GOOD_IDX_LABELS}
+
+
+def read_through(tmp_path, reader, raw, path, pipe=False):
+    """What ``reader`` returns (or raises) when its file of READERS' format
+    holds ``raw`` at ``path``, a regular file or else a pipe fed by a writer
+    thread; its other file is the well-formed one."""
+    for name, good in WELL_FORMED.items():
+        (tmp_path / name).write_bytes(good)
+    call = READERS[reader][1]
+    if not pipe:
         path.write_bytes(raw)
-        labels.write_bytes(b"LBL1" + struct.pack("<4I", 2, 2, 1, 2))
+        return call(path, tmp_path)
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(raw,), daemon=True)
+    writer.start()
+    try:
+        return call(path, tmp_path)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive(), "the reader never opened the pipe"
+
+
+def loaded_arrays(loaded):
+    return (loaded,) if isinstance(loaded, np.ndarray) else (loaded.X, loaded.y)
+
+
+class TestMat1Reader:
+    """The one container reader, through every public reader of each format."""
+
+    @pytest.mark.parametrize("reader, case", [
+        pytest.param(reader, case, id=f"{case}-{reader}")
+        for reader, (fmt, _) in READERS.items() for case in sorted(MALFORMED[fmt])])
+    def test_parse_error_text_and_offset(self, tmp_path, reader, case):
+        raw, message, offset = MALFORMED[READERS[reader][0]][case]
+        path = tmp_path / "bad"
         with pytest.raises(ParseError) as err:
-            read_mat1(path) if loader == "read_mat1" else load_dataset(path, labels)
+            read_through(tmp_path, reader, raw, path)
         suffix = "" if offset is None else f" (at byte {offset})"
         assert (str(err.value), err.value.offset) == (f"{path}: {message}{suffix}", offset)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    @pytest.mark.parametrize("case", ["payload-truncated", "trailing-bytes", "whole"])
-    def test_pipe_is_read_and_checked_like_a_file(self, tmp_path, case):
-        # a pipe has no size to check before the read, so the read itself must find it
-        raw, message, offset = BAD_MAT1.get(case, (GOOD_MAT1, None, None))
-        path = tmp_path / "pipe.mat"
-        os.mkfifo(path)
-        writer = threading.Thread(target=path.write_bytes, args=(raw,))
-        writer.start()
+    @pytest.mark.parametrize("reader, case", [  # the cases all formats share, and a good file
+        pytest.param(reader, case, id=f"{case}-{reader}")
+        for reader in READERS for case in [*sorted(malformed_containers("MAT1")), "whole"]])
+    def test_pipe_is_read_and_checked_like_a_file(self, tmp_path, reader, case):
+        # a pipe has no size to check before the read, so the read itself must
+        # find it, and must not allocate what a header claims before it has it
+        fmt = READERS[reader][0]
+        good = CONTAINERS[fmt][0]
+        raw, message, offset = MALFORMED[fmt].get(case, (good, None, None))
+        path = tmp_path / "pipe"
+        if message is None:
+            loaded = read_through(tmp_path, reader, raw, path, pipe=True)
+            expected = read_through(tmp_path, reader, raw, tmp_path / "file")
+            for a, b in zip(loaded_arrays(loaded), loaded_arrays(expected), strict=True):
+                assert np.array_equal(a, b) and a.flags.writeable and a.flags.owndata
+        else:
+            with pytest.raises(ParseError) as err:
+                read_through(tmp_path, reader, raw, path, pipe=True)
+            assert (str(err.value), err.value.offset) == (
+                f"{path}: {message} (at byte {offset})", offset)
+
+    def test_read_makes_no_transient_the_size_of_the_matrix(self, tmp_path):
+        # finiteness is checked a block of rows at a time, so reading X
+        # allocates X and a mask far smaller than X's one byte per entry
+        write_mat1(tmp_path / "x.mat", synth_images(1000, k=10, seed=5).X)  # 784 columns
+        tracemalloc.start()
         try:
-            if message is None:
-                assert np.array_equal(read_mat1(path), np.arange(4.0).reshape(2, 2))
-            else:
-                with pytest.raises(ParseError) as err:
-                    read_mat1(path)
-                assert (str(err.value), err.value.offset) == (
-                    f"{path}: {message} (at byte {offset})", offset)
+            start = tracemalloc.get_traced_memory()[0]
+            x = read_mat1(tmp_path / "x.mat")
+            peak = tracemalloc.get_traced_memory()[1] - start
         finally:
-            writer.join()
+            tracemalloc.stop()
+        assert peak <= x.nbytes + (1 << 17) < x.nbytes + x.size
 
     def test_forward_on_loaded_features_copies_nothing(self, tmp_path):
         # An unaligned X would make the first GEMM copy all of X; the peak is

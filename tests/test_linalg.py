@@ -455,3 +455,17 @@ class TestMat1:
         assert m.dtype == np.float64
         with pytest.raises(DimensionError):
             as_matrix(np.zeros(3))
+
+    @pytest.mark.parametrize("cols", [1, 784, 100_000])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_as_matrix_finds_a_non_finite_entry_in_any_block(self, cols, bad):
+        # finiteness is checked a block of rows at a time; a bad entry in the
+        # first row, at a block's edge or in the last row is found all the same
+        m = np.zeros((max(2, 200_000 // cols), cols))
+        assert as_matrix(m) is m
+        for row in (0, (1 << 16) // cols - 1, (1 << 16) // cols, m.shape[0] - 1):
+            if row < m.shape[0]:
+                m[row, -1] = bad
+                with pytest.raises(ParameterError, match=r"must be finite \(no NaN/Inf\)"):
+                    as_matrix(m)
+                m[row, -1] = 0.0

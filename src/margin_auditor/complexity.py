@@ -76,10 +76,12 @@ def layer_norms(net):
 
 
 def _extract_norms(net):
-    """(layer norms, ||W_i - M_i||_F per layer) from one deviation per layer."""
+    """(layer norms, ||W_i - M_i||_F per layer) from one deviation per layer; a
+    deviation beyond the float64 range is a NumericDegeneracyError."""
     norms, deltas = [], []
     for layer in net.layers:
-        deviation = layer.weight - layer.reference
+        with np.errstate(over="ignore"):
+            deviation = _finite(layer.weight - layer.reference, "a deviation W - M")
         s, b = _spectral_norm(layer.weight), _group_norm(deviation.T, 2.0, 1.0)
         norms.append(LayerNorms(s=s, b=b, rho=layer.nonlinearity.lipschitz(2.0)))
         deltas.append(_group_norm(deviation, 2.0, 2.0))

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError, _check_count, _check_positive
+from .errors import (NumericDegeneracyError, ParameterError, _all_finite, _check_count,
+                     _check_positive)
 from .linalg import (_check_exponent, _colwise_pnorm, _group_norm, _scale_exponent, _unscale,
                      _vector_pnorm, as_matrix)
 
@@ -56,7 +57,7 @@ def maurey_sparsify(atoms, alpha, k, seed=0):
     a = np.asarray(alpha, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] != v.shape[0]:
         raise ParameterError("need one coefficient per atom")
-    if np.any(a < 0.0) or not np.all(np.isfinite(a)):
+    if np.any(a < 0.0) or not _all_finite(a):
         raise ParameterError("coefficients must be finite and nonnegative")
     if a.sum() == 0.0:
         raise ParameterError("coefficients must not all be zero")

@@ -12,10 +12,6 @@ from .linalg import _scale_exponent, as_matrix, read_mat1, write_mat1
 from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _header_fields, _read_container,
                         _read_input, _write_container)
 
-IDX_IMAGES_MAGIC = int.from_bytes(_IDX_IMAGES.magic, "big")
-IDX_LABELS_MAGIC = int.from_bytes(_IDX_LABELS.magic, "big")
-LBL1_MAGIC = _LBL1.magic
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -5,6 +5,8 @@ import operator
 
 import numpy as np
 
+_BLOCK = 1 << 16  # entries per block of every blocked pass over an array
+
 
 class MarginAuditorError(Exception):
     """Base class for all package errors."""
@@ -62,9 +64,20 @@ class TrainingDivergedError(MarginAuditorError):
         self.epoch = epoch
 
 
+def _all_finite(a):
+    """Whether every entry of ``a`` is finite.  An ``a`` of more than _BLOCK entries
+    is scanned along its first axis in slices of at most _BLOCK entries (one row
+    when a row is larger), so no copy or mask as large as it is made."""
+    a = np.asarray(a)
+    if a.size <= _BLOCK:
+        return bool(np.isfinite(a).all())
+    rows = _BLOCK // a[:1].size or 1
+    return all(np.isfinite(a[i : i + rows]).all() for i in range(0, len(a), rows))
+
+
 def _finite(value, what):
     """``value`` (a float or array), or a NumericDegeneracyError if ``what`` exceeds float64."""
-    if not np.all(np.isfinite(value)):
+    if not _all_finite(value):
         raise NumericDegeneracyError(f"{what} exceeds the float64 range")
     return value
 

@@ -14,12 +14,12 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, NumericDegeneracyError, ParameterError, ParseError
+from .errors import (_BLOCK, DimensionError, NumericDegeneracyError, ParameterError, ParseError,
+                     _all_finite)
 from .serialize import _MAT1, _read_container, _write_container
 
 _JACOBI_MAX_SWEEPS = 64
 _JACOBI_TOL = 1e-15
-_FINITE_BLOCK = 1 << 16  # entries per block of the finiteness check
 
 MAT1_MAGIC = _MAT1.magic
 
@@ -35,10 +35,8 @@ def as_matrix(a):
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise DimensionError(f"empty matrix of shape {m.shape}")
-    rows = _FINITE_BLOCK // m.shape[1] or 1  # so no mask as large as m is made
-    for i in range(0, m.shape[0], rows):
-        if not np.isfinite(m[i:i + rows]).all():
-            raise ParameterError("matrix entries must be finite (no NaN/Inf)")
+    if not _all_finite(m):
+        raise ParameterError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
@@ -175,11 +173,11 @@ def _group_norm(a, p, q):
 
 def _colwise_pnorm(a, p, e=0):
     """Column p-norms of 2**-e * |a| (trusted), through a C-ordered buffer of
-    64-row blocks whose row 0 carries the running aggregate; numpy reduces its
-    axis 0 row by row, bitwise as one whole-array pass.  A single column, which
-    numpy sums pairwise, is one block."""
+    blocks of _BLOCK // d rows (at least one) whose row 0 carries the running
+    aggregate; numpy reduces its axis 0 row by row, bitwise as one whole-array
+    pass.  A single column, which numpy sums pairwise, is one block."""
     n, d = a.shape
-    rows = n if d == 1 else min(n, 64)
+    rows = n if d == 1 else min(n, _BLOCK // d or 1)
     buf = np.zeros((rows + 1, d))
     reduce = np.maximum.reduce if math.isinf(p) else np.add.reduce
     for start in range(0, n, rows):

@@ -10,7 +10,7 @@ their difference.  Its product of spectral norms is exactly 2 ||a||_2.
 
 import numpy as np
 
-from .errors import ParameterError, _check_count, _check_integer, _check_positive
+from .errors import ParameterError, _all_finite, _check_count, _check_integer, _check_positive
 from .linalg import as_matrix
 from .network import Identity, Layer, Network, Relu
 
@@ -26,7 +26,7 @@ def build_linear_network(a, depth, widths=None):
     a = np.asarray(a, dtype=np.float64).ravel()
     if a.size == 0 or not a.any():
         raise ParameterError("direction vector a must be nonzero")
-    if not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise ParameterError("direction vector a must be finite")
     depth = _check_count(depth, 2, "depth")
     if widths is None:

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericDegeneracyError, ParameterError, _check_count, _check_positive, _finite
-from .linalg import _group_norm, as_matrix
+from .errors import (_BLOCK, NumericDegeneracyError, ParameterError, _check_count,
+                     _check_positive, _finite)
+from .linalg import _group_norm, _scale_exponent, as_matrix
 from .serialize import write_csv_17g
-
-_KDE_BLOCK = 16  # grid points per KDE block: its temporaries hold 16 x n floats
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,8 @@ def margin_operator(v, y):
 
 
 def margins_of_outputs(outputs, labels):
-    """Row-wise margin operator over an (n, k) output matrix; labels 1-based."""
+    """Row-wise margin operator over an (n, k) output matrix, labels 1-based; a
+    margin beyond the float64 range is a NumericDegeneracyError."""
     outputs = as_matrix(outputs)
     labels = np.asarray(labels, dtype=np.int64)
     n, k = outputs.shape
@@ -68,7 +68,8 @@ def margins_of_outputs(outputs, labels):
     correct = outputs[np.arange(n), idx]
     masked = outputs.copy()
     masked[np.arange(n), idx] = -np.inf
-    return correct - masked.max(axis=1)
+    with np.errstate(over="ignore"):
+        return _finite(correct - masked.max(axis=1), "a raw margin")
 
 
 def _outputs(net, x):
@@ -142,17 +143,24 @@ def _margin_distribution_of_outputs(outputs, labels, r_a, data_norm, gamma=None)
     if not 0.0 < normalizer < math.inf:
         raise NumericDegeneracyError(f"margin normalizer R_A*||X||/n = {normalizer!r} "
                                      "is outside the float64 range")
+    with np.errstate(over="ignore"):
+        normalized = _finite(raw / normalizer, "a normalized margin")
     if gamma is None:
         gamma = default_gamma(raw)
     return MarginDistribution(
-        raw=raw, normalized=raw / normalizer, normalizer=normalizer, gamma_used=float(gamma)
+        raw=raw, normalized=normalized, normalizer=normalizer, gamma_used=float(gamma)
     )
 
 
 def _silverman_bandwidth(data):
+    """Silverman's rule-of-thumb bandwidth of finite ``data``, floored at 1e-6.  The
+    spreads are taken of ``data`` * 2**-e with max|data| * 2**-e in [1, 2), as every
+    norm is, so neither they nor the bandwidth (below 2**(e + 1)) can overflow."""
     n = data.shape[0]
+    e = _scale_exponent(data)
     scales = []
-    if n > 1:
+    if n > 1 and e is not None:
+        data = np.ldexp(data, -e)
         sigma = float(np.std(data, ddof=1))
         if sigma > 0.0:
             scales.append(sigma)
@@ -162,7 +170,7 @@ def _silverman_bandwidth(data):
             scales.append(iqr / 1.34)
     if not scales:
         return 1e-6
-    return max(1e-6, 0.9 * min(scales) * n ** (-0.2))
+    return max(1e-6, math.ldexp(0.9 * min(scales) * n ** (-0.2), e))
 
 
 def summarize(md, bins):
@@ -171,13 +179,17 @@ def summarize(md, bins):
     The histogram is equal-width over [min, max] and integrates to one; the
     KDE uses Silverman's rule-of-thumb bandwidth (floored at 1e-6) and is
     sampled at 256 points wide enough to capture all but ~1e-9 of the mass.
-    A histogram density beyond float64 is a NumericDegeneracyError.
+    A KDE grid width (and so a margin range) or a histogram density beyond
+    float64 is a NumericDegeneracyError.
     """
     bins = _check_count(bins, 2, "bins")
     data = np.asarray(md.normalized, dtype=np.float64)
     lo = float(data.min())
     hi = float(data.max())
     bw = _silverman_bandwidth(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo - 6.0 * bw, hi + 6.0 * bw, 256)
+        _finite(grid[-1] - grid[0], "the KDE grid width")
     if hi == lo:
         # Degenerate constant distribution: a single unit-mass bin.
         edges = np.array([lo - 0.5, lo + 0.5])
@@ -186,7 +198,6 @@ def summarize(md, bins):
         with np.errstate(over="ignore"):
             density, edges = np.histogram(data, bins=bins, range=(lo, hi), density=True)
         _finite(density, "the margin histogram density")
-    grid = np.linspace(lo - 6.0 * bw, hi + 6.0 * bw, 256)
     kde = _kde_sums(grid, data, bw) / (data.shape[0] * bw * math.sqrt(2.0 * math.pi))
     return DistributionSummary(
         hist_edges=edges, hist_density=density, kde_x=grid, kde_density=kde, bandwidth=bw
@@ -195,12 +206,16 @@ def summarize(md, bins):
 
 def _kde_sums(grid, data, bw):
     """sum_j exp(-z_j**2 / 2), z_j = (g - data_j) / bw, at each grid point g, over
-    _KDE_BLOCK grid points at a time; each point's sum is its own row reduction,
-    so the result is bitwise that of one (len(grid), n) array."""
+    _BLOCK // n grid points (at least one) at a time; each point's sum is its own
+    row reduction, so the result is bitwise that of one (len(grid), n) array.
+    With the grid's width finite, z or z**2 overflows only where exp(-z**2 / 2)
+    is 0 in float64 anyway."""
     sums = np.empty(grid.shape[0])
-    for start in range(0, grid.shape[0], _KDE_BLOCK):
-        z = (grid[start : start + _KDE_BLOCK, None] - data[None, :]) / bw
-        sums[start : start + _KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=1)
+    points = _BLOCK // data.shape[0] or 1
+    with np.errstate(over="ignore"):
+        for start in range(0, grid.shape[0], points):
+            z = (grid[start : start + points, None] - data[None, :]) / bw
+            sums[start : start + points] = np.exp(-0.5 * z * z).sum(axis=1)
     return sums
 
 

@@ -22,7 +22,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import InputOutputError, NumericDegeneracyError, ParseError
+from .errors import InputOutputError, NumericDegeneracyError, ParseError, _all_finite
 
 
 def _read_input(path, what="file", reader=None):
@@ -168,7 +168,7 @@ def write_csv_17g(path, header, *columns):
     float is a NumericDegeneracyError, raised before the file is opened.
     """
     columns = [np.asarray(c) for c in columns]
-    if any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in columns):
+    if any(c.dtype.kind == "f" and not _all_finite(c) for c in columns):
         raise NumericDegeneracyError(f"cannot serialize non-finite floats to {path}")
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))

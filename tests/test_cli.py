@@ -36,6 +36,21 @@ MALFORMED_MANIFESTS = {
 }
 
 
+# one identity layer (weight, reference) on 3 two-class rows (X, y), each
+# giving one value beyond float64 and the message that names it
+BEYOND_FLOAT64 = {
+    # a subnormal normalizer R_A ||X|| / n: raw / normalizer overflows
+    "normalized-margin": (np.diag([1.0, 1e-308]), np.diag([1.0, 0.0]),
+                          [[1.0, 0.0], [0.5, 0.0], [1.0, 0.0]], [1, 2, 1], "a normalized margin"),
+    # finite outputs near +-1e308 whose correct - max overflows
+    "raw-margin": (np.array([[1e298], [-1e298]]), np.array([[1e298], [-1e298]]) * (1 - 2.0**-40),
+                   [[1e10], [1e10], [0.5]], [1, 2, 2], "a raw margin"),
+    # W = 1e308 I against M = -0.9 W: W - M = 1.9e308 I
+    "deviation": (1e308 * np.eye(2), -0.9e308 * np.eye(2),
+                  [[1e-300, 0.0], [0.0, 1e-300], [1e-300, 1e-300]], [1, 2, 1], "a deviation W - M"),
+}
+
+
 def unwritable_out(tmp_path, case):
     """An ``--out`` that cannot be written, and the path the error must name."""
     blocker = tmp_path / "blocker"
@@ -224,6 +239,31 @@ class TestAnalyze:
         assert main([command, manifest, "--features", feats, "--labels", labels,
                      "--out", str(out)]) == 4
         assert_one_line_error(capsys, "NumericDegeneracyError", "float64")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "margins"])
+    @pytest.mark.parametrize("case", sorted(BEYOND_FLOAT64))
+    def test_margin_or_deviation_beyond_float64_exit_4_and_no_output(self, tmp_path, capsys,
+                                                                      case, command):
+        from margin_auditor import Dataset, Identity, Layer, Network
+
+        weight, reference, x, y, what = BEYOND_FLOAT64[case]
+        net = Network(layers=(Layer(weight, Identity(), reference),))
+        rc, out = run_on(tmp_path, command, net, Dataset(X=np.array(x), y=np.array(y), k=2))
+        assert rc == 4
+        assert_one_line_error(capsys, "NumericDegeneracyError", f"{what} exceeds the float64 range")
+        assert not out.exists()
+
+    def test_kde_grid_beyond_float64_exit_4_and_no_output(self, tmp_path, capsys):
+        from margin_auditor import Dataset, Identity, Layer, Network
+
+        # the normalized margins, 6.7e307 and -3.3e307, lie in float64, but the
+        # KDE grid around them, 6 bandwidths wider on each side, does not
+        net = Network(layers=(Layer(np.diag([1.0, 3e-308]), Identity(), np.diag([1.0, 0.0])),))
+        ds = Dataset(X=np.array([[1.0, 0.0], [0.5, 0.0], [1.0, 0.0]]), y=np.array([1, 2, 1]), k=2)
+        rc, out = run_on(tmp_path, "margins", net, ds)
+        assert rc == 4
+        assert_one_line_error(capsys, "NumericDegeneracyError", "the KDE grid width exceeds")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "margins"])
@@ -633,10 +673,11 @@ class TestDemos:
 
 
 def child_env(**extra):
-    """Environment in which a child interpreter imports this same package."""
+    """Environment in which a child interpreter imports this same package and,
+    as pytest's own filter does, turns a RuntimeWarning into an error."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(margin_auditor.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, **extra)
+    return dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error::RuntimeWarning", **extra)
 
 
 class TestProcessInterface:

@@ -79,6 +79,14 @@ class TestLayerNorms:
             oracle = sum(math.sqrt(float(r @ r)) for r in rows)
             assert ln.b == pytest.approx(oracle, rel=1e-12)
 
+    def test_deviation_beyond_float64_is_numeric_degeneracy(self):
+        # W = 1e308 I against M = -0.9 W: W - M = 1.9e308 I; no RuntimeWarning escapes
+        w = 1e308 * np.eye(2)
+        net = Network(layers=(Layer(weight=w, nonlinearity=Identity(), reference=-0.9 * w),))
+        for evaluate in (lambda: layer_norms(net), lambda: pac_bayes_complexity_of(net)):
+            with pytest.raises(NumericDegeneracyError, match="a deviation W - M exceeds"):
+                evaluate()
+
     def test_invalid_norms_rejected(self):
         with pytest.raises(ParameterError):
             LayerNorms(s=-1.0, b=0.0, rho=1.0)

@@ -25,6 +25,7 @@ from margin_auditor import (
     write_mat1,
 )
 from margin_auditor import linalg
+from margin_auditor.errors import _BLOCK, _all_finite, _finite
 
 INF = math.inf
 
@@ -324,8 +325,8 @@ class TestFrobenius:
             frobenius_norm(np.full((2, 2), 1e308))
 
     def test_allocates_one_input_sized_temporary(self):
-        # Only the isfinite mask (1/8 of a) and a 65-row block buffer are
-        # allocated; |a| and its squares never exist as whole arrays.
+        # Only block-sized isfinite masks and a block buffer are allocated;
+        # |a| and its squares never exist as whole arrays.
         a = np.random.default_rng(32).standard_normal((1000, 1000))
         tracemalloc.start()
         try:
@@ -336,18 +337,21 @@ class TestFrobenius:
         assert peak <= 0.25 * a.nbytes
 
 
-def whole_array_group_norm(a, p, q):
-    # Reference: |a| -> ldexp -> column p-norm -> vector q-norm, each over
-    # the whole (C-contiguous) array at once.
+def whole_array_colwise_pnorm(a, p, e):
+    # Reference: |a| -> ldexp -> column p-norm over the whole (C-contiguous) array at once.
     b = np.abs(np.ascontiguousarray(a))
-    e = math.frexp(float(b.max()))[1] - 1
-    b = np.ldexp(b, -e)
+    np.ldexp(b, -e, out=b)
     if math.isinf(p):
-        cols = b.max(axis=0)
-    elif p == 2.0:
-        cols = np.sqrt(np.sum(b * b, axis=0))
-    else:
-        cols = np.sum(b**p, axis=0) ** (1.0 / p)
+        return b.max(axis=0)
+    if p == 2.0:
+        return np.sqrt(np.sum(b * b, axis=0))
+    return np.sum(b**p, axis=0) ** (1.0 / p)
+
+
+def whole_array_group_norm(a, p, q):
+    # Reference: the whole-array column p-norms, then their vector q-norm.
+    e = math.frexp(float(np.abs(a).max()))[1] - 1
+    cols = whole_array_colwise_pnorm(a, p, e)
     if math.isinf(q):
         v = float(cols.max())
     elif q == 1.0:
@@ -373,6 +377,27 @@ class TestBlockedGroupNorm:
                 assert linalg._group_norm(view * scale, p, q) == expected
         assert frobenius_norm(a) == whole_array_group_norm(a, 2.0, 2.0)
         assert norm_2_1_of_transpose(a) == whole_array_group_norm(a.T, 2.0, 1.0)
+
+    @pytest.mark.parametrize("shape", [(70_000, 2), (20, 300_000)])
+    def test_bitwise_where_the_block_count_changes(self, shape):
+        # 70,000 x 2 takes blocks of _BLOCK // 2 rows, the last one partial;
+        # a row of 300,000 entries exceeds _BLOCK, so each block is one row
+        a = np.random.default_rng(shape[1]).standard_normal(shape)
+        e = linalg._scale_exponent(a)
+        for p in (1.0, 2.0, 3.0, INF):
+            got = linalg._colwise_pnorm(a, p, e)
+            assert got.tobytes() == whole_array_colwise_pnorm(a, p, e).tobytes()
+
+    def test_wide_matrix_allocates_less_than_itself(self):
+        # 20 rows of 300,000: one row per block, never a buffer of all 20
+        a = np.random.default_rng(34).standard_normal((20, 300_000))
+        tracemalloc.start()
+        try:
+            group_norm(a, 2.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes
 
     def test_transposed_view_is_not_copied(self):
         a = np.random.default_rng(33).standard_normal((1000, 1000))
@@ -463,9 +488,43 @@ class TestMat1:
         # first row, at a block's edge or in the last row is found all the same
         m = np.zeros((max(2, 200_000 // cols), cols))
         assert as_matrix(m) is m
-        for row in (0, (1 << 16) // cols - 1, (1 << 16) // cols, m.shape[0] - 1):
+        for row in (0, _BLOCK // cols - 1, _BLOCK // cols, m.shape[0] - 1):
             if row < m.shape[0]:
                 m[row, -1] = bad
                 with pytest.raises(ParameterError, match=r"must be finite \(no NaN/Inf\)"):
                     as_matrix(m)
                 m[row, -1] = 0.0
+
+
+class TestFiniteScan:
+    def test_finite_makes_no_mask_the_size_of_the_array(self):
+        a = np.random.default_rng(35).standard_normal((5000, 784))  # 31.36 MB
+        tracemalloc.start()
+        try:
+            assert _finite(a, "X") is a
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("shape", [(200_000,), (5, 30_000), (3, 40_000, 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finds_a_non_finite_entry_in_any_block(self, shape, bad):
+        # slices of _BLOCK // width rows, or of one row when a row is wider
+        a = np.zeros(shape)
+        flat = a.reshape(-1)
+        rows = _BLOCK // (a.size // shape[0]) or 1
+        edge = rows * (a.size // shape[0])
+        assert _all_finite(a)
+        for i in (0, edge - 1, edge, a.size - 1):
+            flat[i] = bad
+            assert not _all_finite(a)
+            with pytest.raises(NumericDegeneracyError, match="X exceeds the float64 range"):
+                _finite(a, "X")
+            flat[i] = 0.0
+
+    def test_scalars_and_empty_arrays(self):
+        assert _all_finite(1.0) and _all_finite(np.float64(-2.0))
+        assert not _all_finite(math.inf) and not _all_finite(np.nan)
+        assert _all_finite(np.empty((0, 3))) and _all_finite(np.empty((4, 0)))
+        assert _finite(0.5, "x") == 0.5

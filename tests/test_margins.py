@@ -22,8 +22,8 @@ from margin_auditor import (
     ramp_risk_empirical,
     summarize,
 )
-from margin_auditor.margins import (_KDE_BLOCK, _kde_sums, write_histogram_csv, write_kde_csv,
-                                    write_margins_csv)
+from margin_auditor.errors import _BLOCK
+from margin_auditor.margins import _kde_sums, write_histogram_csv, write_kde_csv, write_margins_csv
 from conftest import random_dataset, random_network
 
 
@@ -206,6 +206,15 @@ class TestMarginDistribution:
         with pytest.raises(ParameterError):  # a caller's own non-finite outputs
             margins_of_outputs(np.array([[np.nan, 1.0]]), np.array([1]))
 
+    def test_margins_beyond_float64_are_a_degeneracy(self):
+        # finite outputs whose correct - max overflows; no RuntimeWarning escapes
+        with pytest.raises(NumericDegeneracyError, match="a raw margin exceeds the float64 range"):
+            margins_of_outputs(np.array([[1e308, -1e308], [0.0, 1.0]]), np.array([1, 2]))
+        # a subnormal normalizer R_A ||X|| / n = 5e-309: raw / normalizer overflows
+        ds = Dataset(X=np.array([[1.0, 0.0], [0.5, 0.0], [1.0, 0.0]]), y=np.array([1, 2, 1]), k=2)
+        with pytest.raises(NumericDegeneracyError, match="a normalized margin exceeds"):
+            margin_distribution(identity_net(2), ds, r_a=1e-308)
+
     def test_default_gamma(self):
         assert default_gamma(np.array([-1.0, 2.0, 4.0])) == 3.0
         assert default_gamma(np.array([-1.0, -2.0])) == 1.0
@@ -237,7 +246,9 @@ class TestSummarize:
             data.shape[0] * s.bandwidth * math.sqrt(2.0 * math.pi))
         assert s.kde_density.tobytes() == density.tobytes()
 
-    @pytest.mark.parametrize("points", [1, _KDE_BLOCK - 1, _KDE_BLOCK + 1, 3 * _KDE_BLOCK + 5])
+    # 777 data points make blocks of _BLOCK // 777 = 84 grid points
+    @pytest.mark.parametrize("points", [1, _BLOCK // 777 - 1, _BLOCK // 777 + 1,
+                                        3 * (_BLOCK // 777) + 5])
     def test_kde_sums_over_a_partial_last_block(self, rng, points):
         data = rng.standard_normal(777)
         grid = np.linspace(-4.0, 4.0, points)
@@ -253,6 +264,47 @@ class TestSummarize:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_peak_memory_at_mnist_size(self, rng):
+        # 60,000 margins are 0.48 MB, and each KDE block holds at most 64Ki floats
+        md = make_md(rng.standard_normal(60_000))
+        tracemalloc.start()
+        try:
+            summarize(md, bins=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("k", [600, 900])
+    def test_exactly_homogeneous_at_scales_that_square_beyond_float64(self, rng, k):
+        # the spreads of margins near 2**k are taken at a power-of-two scale,
+        # so every output scales exactly (while no density turns subnormal)
+        data = rng.standard_normal(500)
+        base, scaled = summarize(make_md(data), bins=9), summarize(make_md(np.ldexp(data, k)), bins=9)
+        assert scaled.bandwidth == math.ldexp(base.bandwidth, k)
+        for got, want in ((scaled.kde_x, np.ldexp(base.kde_x, k)),
+                          (scaled.kde_density, np.ldexp(base.kde_density, -k)),
+                          (scaled.hist_edges, np.ldexp(base.hist_edges, k)),
+                          (scaled.hist_density, np.ldexp(base.hist_density, -k))):
+            assert got.tobytes() == want.tobytes()
+
+    def test_kde_grid_beyond_float64_is_a_degeneracy(self):
+        # finite margins whose range, and so whose KDE grid, is wider than float64
+        for data in ([-1e308, 1e308], [-1.79e308, 1.79e308], [-1e307, 0.5, 7e307]):
+            with pytest.raises(NumericDegeneracyError, match="the KDE grid width exceeds"):
+                summarize(make_md(data), bins=4)
+
+    def test_kde_of_a_far_outlier_is_finite_and_bitwise(self):
+        # the floored bandwidth 1e-6 puts the outlier's z**2 beyond float64,
+        # where exp(-z**2 / 2) is 0 in any case
+        data = np.array([0.0, 1e-10, 2e-10, 3e-10, 4e-10, 5e-10, 6e-10, 1e300])
+        s = summarize(make_md(data), bins=4)
+        assert s.bandwidth == 1e-6
+        with np.errstate(over="ignore"):
+            assert _kde_sums(s.kde_x, data, 1e-6).tobytes() == \
+                one_shot_kde_sums(s.kde_x, data, 1e-6).tobytes()
+        assert np.isfinite(s.kde_density).all() and s.kde_density.max() > 0.0
 
     def test_two_point_masses(self):
         s = summarize(make_md([0.0, 1.0]), bins=2)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NumericDegeneracyError, ParameterError, ParseError, _check_count,
+from .errors import (_BLOCK, NumericDegeneracyError, ParameterError, ParseError, _check_count,
                      _check_integer, _finite)
 from .linalg import _scale_exponent, as_matrix, read_mat1, write_mat1
 from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _header_fields, _read_container,
@@ -71,10 +71,9 @@ def load_idx(images_path, labels_path):
     byte labels are shifted to 1-based.  Malformed input raises a parse error
     naming the byte offset.
     """
-    (n, rows, cols), pixels = _read_container(images_path, _IDX_IMAGES)
-    if not pixels.size:
+    (n, rows, cols), x = _read_container(images_path, _IDX_IMAGES, divisor=255.0)
+    if not x.size:
         raise ParseError(f"empty image set: {n} images of {rows}x{cols}", path=images_path)
-    x = np.divide(pixels, 255.0)  # one float64 pass
     (count,), labels = _read_container(labels_path, _IDX_LABELS)
     if count != n:
         raise ParseError(f"label count {count} does not match image count {n}",
@@ -95,8 +94,12 @@ def write_idx(ds, images_path, labels_path, rows=1, cols=None):
         raise ParameterError(f"rows*cols={rows * cols} must equal feature dim {d}")
     if ds.k > 256:
         raise ParameterError("IDX labels are single bytes; need k <= 256")
-    _write_container(images_path, _IDX_IMAGES, (n, rows, cols),
-                     np.rint(np.clip(ds.X, 0.0, 1.0) * 255.0))
+    pixels = np.empty((n, d), np.uint8)
+    step = _BLOCK // d or 1
+    for start in range(0, n, step):
+        block = np.clip(ds.X[start : start + step], 0.0, 1.0)
+        pixels[start : start + step] = np.rint(block * 255.0)
+    _write_container(images_path, _IDX_IMAGES, (n, rows, cols), pixels)
     _write_container(labels_path, _IDX_LABELS, (n,), ds.y - 1)
 
 
@@ -196,11 +199,15 @@ def synth_images(n, k=10, side=28, seed=0, smooth_noise=0.25, pixel_noise=0.15):
     protos = 0.5 + 0.5 * protos / np.abs(protos).max()
     protos = np.clip(protos, 0.05, 0.95)
     y = (np.arange(n) % k) + 1
-    fields = np.einsum(
-        "ag,ngh,bh->nab", interp, rng.standard_normal((n, grid, grid)), interp
-    )
-    speckle = rng.standard_normal((n, side, side))
-    samples = np.clip(protos[y - 1] + smooth_noise * fields + pixel_noise * speckle, 0.0, 1.0)
+    coarse = rng.standard_normal((n, grid, grid))
+    samples = np.empty((n, side, side))
+    rows = _BLOCK // (side * side) or 1
+    for start in range(0, n, rows):  # one speckle stream, drawn a block at a time
+        block = slice(start, start + rows)
+        fields = np.einsum("ag,ngh,bh->nab", interp, coarse[block], interp)
+        speckle = rng.standard_normal(fields.shape)
+        np.clip(protos[y[block] - 1] + smooth_noise * fields + pixel_noise * speckle, 0.0, 1.0,
+                out=samples[block])
     return Dataset(X=samples.reshape(n, side * side), y=y.astype(np.int64), k=k)
 
 

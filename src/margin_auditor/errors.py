@@ -6,6 +6,12 @@ import operator
 import numpy as np
 
 _BLOCK = 1 << 16  # entries per block of every blocked pass over an array
+# Rows per block of the forward pass; the last block takes the remaining
+# 512-1,023 rows.  On OpenBLAS, blocks of 128 rows or more with the remainder
+# merged gave results bitwise equal to one whole GEMM, and 512-row blocks ran
+# as fast as it; 32- and 64-row blocks, or tails under 128 rows left on their
+# own, differed in the low bits, and 64-row blocks ran up to 1.5x slower.
+_GEMM_ROWS = 512
 
 
 class MarginAuditorError(Exception):

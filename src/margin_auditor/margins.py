@@ -190,8 +190,10 @@ def summarize(md, bins):
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.linspace(lo - 6.0 * bw, hi + 6.0 * bw, 256)
         _finite(grid[-1] - grid[0], "the KDE grid width")
-    if hi == lo:
-        # Degenerate constant distribution: a single unit-mass bin.
+        edges = np.linspace(lo, hi, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        # Constant, or a range too narrow for equal bins (numpy's own test,
+        # which np.histogram would raise on): a single unit-mass bin.
         edges = np.array([lo - 0.5, lo + 0.5])
         density = np.array([1.0])
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ParseError, _check_integer
+from .errors import _GEMM_ROWS, DimensionError, ParameterError, ParseError, _check_integer
 from .linalg import _check_exponent, as_matrix, read_mat1, write_mat1
 from .serialize import _output_dir, _read_json, write_json_17g
 
@@ -182,18 +182,34 @@ class Network:
 
     def _forward(self, z, keep=False):
         """Output on a trusted matrix ``z`` such as a ``Dataset.X``, or every image
-        if ``keep``; ReLU works in place on each fresh GEMM output."""
+        if ``keep``; ReLU works in place on each fresh GEMM output.  The output
+        alone runs the chain on blocks of _GEMM_ROWS rows (the last taking the
+        remainder), written into one n x k array, so no image of all n rows is
+        held; under 2 * _GEMM_ROWS rows the chain runs once on all of ``z``."""
         if z.shape[1] != self.input_dim:
             raise DimensionError(
                 f"input has {z.shape[1]} columns, network expects {self.input_dim}"
             )
-        images = [z]
+        if keep:
+            images = [z]
+            self._chain(z, images)
+            return images
+        starts = range(0, max(z.shape[0] - _GEMM_ROWS, 0) + 1, _GEMM_ROWS)
+        if len(starts) == 1:
+            return self._chain(z)
+        out = np.empty((z.shape[0], self.output_dim))
+        for start, stop in zip(starts, [*starts[1:], z.shape[0]]):
+            out[start:stop] = self._chain(z[start:stop])
+        return out
+
+    def _chain(self, z, images=None):
+        """The layer chain on ``z``, appending each layer's image to ``images``."""
         for layer in self.layers:
             nl, z = layer.nonlinearity, z @ layer.weight.T
             z = np.maximum(z, 0.0, out=z) if isinstance(nl, Relu) else nl.apply(z)
-            if keep:
+            if images is not None:
                 images.append(z)
-        return images if keep else z
+        return z
 
 
 def _nonlinearity_from_json(obj, path=None):

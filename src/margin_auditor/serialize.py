@@ -22,7 +22,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import InputOutputError, NumericDegeneracyError, ParseError, _all_finite
+from .errors import _BLOCK, InputOutputError, NumericDegeneracyError, ParseError, _all_finite
 
 
 def _read_input(path, what="file", reader=None):
@@ -37,7 +37,8 @@ def _read_input(path, what="file", reader=None):
 
 
 def _write_output(path, *chunks):
-    """Write the bytes or str (as UTF-8) ``chunks`` in order to the file at ``path``."""
+    """Write the ``chunks`` in order to the file at ``path``: str as UTF-8, any
+    other chunk (bytes, or a C-contiguous array) as its buffer's bytes."""
     try:
         with open(path, "wb") as f:
             f.writelines(c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
@@ -81,11 +82,13 @@ def _check_payload(length, expected, path, what):
                          path=path, offset=min(length, expected))
 
 
-def _read_container(path, fmt, what="file"):
-    """(header fields, payload array) of the ``fmt`` file at ``path``, unvalidated.
+def _read_container(path, fmt, what="file", divisor=None):
+    """(header fields, payload array) of the ``fmt`` file at ``path``, unvalidated;
+    with ``divisor``, the payload is float64 values / ``divisor`` instead.
     A regular file's size is checked before anything is allocated, then its
-    payload is read straight into an owned, aligned array; a pipe's payload is
-    taken as it arrives, so no header's claim alone sizes an allocation."""
+    payload is read straight into an owned, aligned array, or with ``divisor``
+    _BLOCK values at a time into a small buffer; a pipe's payload is taken as
+    it arrives, so no header's claim alone sizes an allocation."""
 
     def read(f):
         start = struct.calcsize(fmt.header)
@@ -96,19 +99,32 @@ def _read_container(path, fmt, what="file"):
         if not stat.S_ISREG(st.st_mode):
             rest = f.read()
             _check_payload(start + len(rest), expected, path, fmt.name)
-            return fields, np.frombuffer(rest, fmt.dtype).reshape(shape).copy()
+            payload = np.frombuffer(rest, fmt.dtype).reshape(shape)
+            return fields, payload.copy() if divisor is None else np.divide(payload, divisor)
         _check_payload(st.st_size, expected, path, fmt.name)
-        payload = np.empty(shape, fmt.dtype)
-        _check_payload(start + f.readinto(payload), expected, path, fmt.name)
-        return fields, payload
+        if divisor is None:
+            payload = np.empty(shape, fmt.dtype)
+            _check_payload(start + f.readinto(payload), expected, path, fmt.name)
+            return fields, payload
+        values = np.empty(shape)
+        flat, buf = values.reshape(-1), np.empty(min(values.size, _BLOCK), fmt.dtype)
+        got = start
+        for i in range(0, flat.size, _BLOCK):
+            block = buf[: flat.size - i]
+            got += f.readinto(block)
+            np.divide(block, divisor, out=flat[i : i + block.size])
+        _check_payload(got, expected, path, fmt.name)
+        return fields, values
 
     return _read_input(path, what, read)
 
 
 def _write_container(path, fmt, fields, payload):
-    """Write the array ``payload`` as a ``fmt`` file whose header holds ``fields``."""
+    """Write the array ``payload`` as a ``fmt`` file whose header holds ``fields``;
+    a C-contiguous payload already of the format's dtype is written from its
+    own buffer, without a copy."""
     _write_output(path, struct.pack(fmt.header, fmt.magic, *fields),
-                  payload.astype(fmt.dtype, copy=False).tobytes(order="C"))
+                  np.ascontiguousarray(payload, fmt.dtype))
 
 
 def _read_json(path, what):

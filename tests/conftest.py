@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,19 @@ def random_dataset(rng, net, n=20):
     k = net.output_dim
     y = rng.integers(1, k + 1, size=n)
     return Dataset(X=x, y=y, k=k)
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak in bytes above the traced size
+    at the call)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

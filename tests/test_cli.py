@@ -387,6 +387,16 @@ class TestMargins:
         kde = list(csv.DictReader(open(os.path.join(out, "kde.csv"))))
         assert len(kde) == 256
 
+    def test_near_tied_margins_write_one_bin(self, tmp_path):
+        from margin_auditor import Dataset, Identity, Layer, Network
+
+        # normalized margins one ulp apart: too narrow a range for 30 bins
+        net = Network(layers=(Layer(np.eye(2), Identity(), np.eye(2) / 2),))
+        ds = Dataset(X=np.array([[1.0, 0.0], [1.0 + 2.0**-52, 0.0]]), y=np.array([1, 1]), k=2)
+        rc, out = run_on(tmp_path, "margins", net, ds)
+        assert rc == 0
+        hist = list(csv.DictReader(open(out / "histogram.csv")))
+        assert [float(row["density"]) for row in hist] == [1.0]
 
     @pytest.mark.parametrize("flags", [["--gamma", "0"], ["--gamma", "-0.5"],
                                        ["--delta", "1.5"], ["--delta", "0"], ["--gamma", "inf"]])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +34,7 @@ from margin_auditor import (
     ramp_risk_empirical,
     spectral_complexity,
 )
-from conftest import random_dataset, random_network
+from conftest import peak_bytes, random_dataset, random_network
 
 
 def one_line_capacity(ss, bs, rhos):
@@ -568,10 +567,5 @@ class TestAnalyzeNetwork:
         net = init_network(TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=3))
         rng = np.random.default_rng(4)
         ds = Dataset(X=rng.uniform(0.0, 1.0, (2000, 784)), y=rng.integers(1, 11, 2000), k=10)
-        tracemalloc.start()
-        try:
-            analyze_network(net, ds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(analyze_network, net, ds)
         assert peak < ds.X.nbytes

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from margin_auditor import (
     cover_element_for,
     maurey_sparsify,
 )
+from conftest import peak_bytes
 
 
 def recompute_error_sq(atoms, alpha, counts):
@@ -202,12 +202,7 @@ class TestAtomFreeCover:
         # 4,096 dense 16 x 64 atoms would take 33.5 MB; the atom-free draw needs well under 1 MB
         r = np.random.default_rng(0)
         a, x = r.standard_normal((64, 64)), r.standard_normal((16, 64))
-        tracemalloc.start()
-        try:
-            _, result = cover_element_for(a, x, 800.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, result), peak = peak_bytes(cover_element_for, a, x, 800.0)
         assert sum(result.counts) == 406
         assert peak <= 1_000_000
 

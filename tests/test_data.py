@@ -1,7 +1,7 @@
+import hashlib
 import os
 import struct
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +27,9 @@ from margin_auditor import (
     write_idx,
     write_mat1,
 )
+from margin_auditor.errors import _BLOCK, _GEMM_ROWS
 from margin_auditor.margins import _outputs
+from conftest import peak_bytes
 
 # chi-square critical value at p = 0.001 with 9 degrees of freedom
 CHI2_9DOF_P001 = 27.877
@@ -273,31 +275,21 @@ class TestMat1Reader:
         # finiteness is checked a block of rows at a time, so reading X
         # allocates X and a mask far smaller than X's one byte per entry
         write_mat1(tmp_path / "x.mat", synth_images(1000, k=10, seed=5).X)  # 784 columns
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            x = read_mat1(tmp_path / "x.mat")
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        x, peak = peak_bytes(read_mat1, tmp_path / "x.mat")
         assert peak <= x.nbytes + (1 << 17) < x.nbytes + x.size
 
     def test_forward_on_loaded_features_copies_nothing(self, tmp_path):
-        # An unaligned X would make the first GEMM copy all of X; the peak is
-        # then one layer image and the next, the two largest outputs at once.
+        # An unaligned X would make the first GEMM copy a block of X; the peak
+        # is one block's layer image and the next, the two largest at once,
+        # plus the n x k output.
         widths = (784, 256, 256, 10)
         net = init_network(TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=3))
         save_dataset(synth_images(2000, k=10, seed=4), tmp_path / "x.mat", tmp_path / "y.lbl")
         x = load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl").X
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            _outputs(net, x)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        images = [8 * 2000 * w for w in widths[1:]]
-        assert peak <= max(a + b for a, b in zip(images, images[1:])) + 65536 < x.nbytes
+        _, peak = peak_bytes(_outputs, net, x)
+        images = [8 * (2 * _GEMM_ROWS - 1) * w for w in widths[1:]]
+        output = 8 * 2000 * widths[-1]
+        assert peak <= max(a + b for a, b in zip(images, images[1:])) + output + 65536
 
 
 def via_files(save, load):
@@ -506,3 +498,48 @@ class TestSynthGenerators:
         assert float(a.X.min()) >= 0.0 and float(a.X.max()) <= 1.0
         assert np.array_equal(a.X, b.X)
         assert a.k == 5
+
+
+# sha256 of synth_images(6000, k=10, seed=19, pixel_noise=0.2)'s X and y as
+# built in one pass over all rows, before the row-block builder
+SYNTH_6000_X_SHA256 = "893ecb6a59d859482d4650d1e3f3d334c691b8ad661579eb8a0e773638e7bfe9"
+SYNTH_6000_Y_SHA256 = "457d59e28f827e76bb9ad8565e9499a3936b078af41e4495d959baf7c9f31849"
+
+
+@pytest.fixture(scope="module")
+def digits_6000():
+    return synth_images(6000, k=10, seed=19, pixel_noise=0.2)  # X is 37.6 MB
+
+
+class TestBuildersMakeNoDataSizedTemporary:
+    def test_synth_images_peak_and_pinned_bytes(self):
+        # one pass over all rows built four n x 784 temporaries, 144 MB
+        ds, peak = peak_bytes(synth_images, 6000, k=10, seed=19, pixel_noise=0.2)
+        assert peak <= ds.X.nbytes + 5e6
+        assert hashlib.sha256(ds.X.tobytes()).hexdigest() == SYNTH_6000_X_SHA256
+        assert hashlib.sha256(ds.y.tobytes()).hexdigest() == SYNTH_6000_Y_SHA256
+
+    def test_write_idx_peak(self, tmp_path, digits_6000):
+        # the float64 quantization of all of X at once took 72 MB
+        _, peak = peak_bytes(write_idx, digits_6000, tmp_path / "i", tmp_path / "l", rows=28)
+        assert peak <= 8e6
+
+    def test_write_mat1_writes_from_the_array_itself(self, tmp_path, digits_6000):
+        _, peak = peak_bytes(write_mat1, tmp_path / "x.mat", digits_6000.X)
+        assert peak <= 1e6
+        assert (tmp_path / "x.mat").read_bytes()[12:] == digits_6000.X.tobytes()
+
+    def test_load_idx_peak_and_bytes(self, tmp_path, digits_6000):
+        write_idx(digits_6000, tmp_path / "i", tmp_path / "l", rows=28)
+        ds, peak = peak_bytes(load_idx, tmp_path / "i", tmp_path / "l")
+        assert peak <= ds.X.nbytes + 1e6
+        pixels = np.frombuffer((tmp_path / "i").read_bytes()[16:], np.uint8)
+        assert ds.X.tobytes() == np.divide(pixels, 255.0).tobytes()
+
+    @pytest.mark.parametrize("entries", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_load_idx_over_a_partial_last_block(self, tmp_path, entries):
+        pixels = np.random.default_rng(entries).integers(0, 256, entries, dtype=np.uint8)
+        (tmp_path / "i").write_bytes(struct.pack(">4I", 0x803, entries, 1, 1) + pixels.tobytes())
+        (tmp_path / "l").write_bytes(struct.pack(">2I", 0x801, entries) + bytes(entries))
+        x = load_idx(tmp_path / "i", tmp_path / "l").X
+        assert x.tobytes() == np.divide(pixels, 255.0).reshape(entries, 1).tobytes()

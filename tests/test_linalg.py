@@ -3,7 +3,6 @@ import inspect
 import itertools
 import math
 import textwrap
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from margin_auditor import (
 )
 from margin_auditor import linalg
 from margin_auditor.errors import _BLOCK, _all_finite, _finite
+from conftest import peak_bytes
 
 INF = math.inf
 
@@ -328,12 +328,7 @@ class TestFrobenius:
         # Only block-sized isfinite masks and a block buffer are allocated;
         # |a| and its squares never exist as whole arrays.
         a = np.random.default_rng(32).standard_normal((1000, 1000))
-        tracemalloc.start()
-        try:
-            frobenius_norm(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(frobenius_norm, a)
         assert peak <= 0.25 * a.nbytes
 
 
@@ -391,22 +386,12 @@ class TestBlockedGroupNorm:
     def test_wide_matrix_allocates_less_than_itself(self):
         # 20 rows of 300,000: one row per block, never a buffer of all 20
         a = np.random.default_rng(34).standard_normal((20, 300_000))
-        tracemalloc.start()
-        try:
-            group_norm(a, 2.0, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(group_norm, a, 2.0, 1.0)
         assert peak < a.nbytes
 
     def test_transposed_view_is_not_copied(self):
         a = np.random.default_rng(33).standard_normal((1000, 1000))
-        tracemalloc.start()
-        try:
-            norm_2_1_of_transpose(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(norm_2_1_of_transpose, a)
         assert peak <= 0.25 * a.nbytes
 
 
@@ -499,12 +484,8 @@ class TestMat1:
 class TestFiniteScan:
     def test_finite_makes_no_mask_the_size_of_the_array(self):
         a = np.random.default_rng(35).standard_normal((5000, 784))  # 31.36 MB
-        tracemalloc.start()
-        try:
-            assert _finite(a, "X") is a
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = peak_bytes(_finite, a, "X")
+        assert result is a
         assert peak < 1e6
 
     @pytest.mark.parametrize("shape", [(200_000,), (5, 30_000), (3, 40_000, 2)])

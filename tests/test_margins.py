@@ -1,6 +1,5 @@
 import csv
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from margin_auditor import (
 )
 from margin_auditor.errors import _BLOCK
 from margin_auditor.margins import _kde_sums, write_histogram_csv, write_kde_csv, write_margins_csv
-from conftest import random_dataset, random_network
+from conftest import peak_bytes, random_dataset, random_network
 
 
 def loop_margin(v, y):
@@ -257,23 +256,13 @@ class TestSummarize:
     def test_peak_memory_of_a_few_kde_blocks(self, rng):
         # one (256, 5000) float64 array of the whole KDE would be 10.24 MB
         md = make_md(rng.standard_normal(5000))
-        tracemalloc.start()
-        try:
-            summarize(md, bins=30)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(summarize, md, bins=30)
         assert peak < 4e6
 
     def test_peak_memory_at_mnist_size(self, rng):
         # 60,000 margins are 0.48 MB, and each KDE block holds at most 64Ki floats
         md = make_md(rng.standard_normal(60_000))
-        tracemalloc.start()
-        try:
-            summarize(md, bins=30)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(summarize, md, bins=30)
         assert peak < 4e6
 
     @pytest.mark.parametrize("k", [600, 900])
@@ -332,6 +321,14 @@ class TestSummarize:
         assert s.hist_density.shape == (1,)
         assert float(np.sum(s.hist_density * np.diff(s.hist_edges))) == pytest.approx(1.0)
         assert s.bandwidth == pytest.approx(1e-6)
+
+    @pytest.mark.parametrize("values", [[1.0, 1.0 + 2.2e-16], [-3.0, -3.0 + 2.0**-50, -3.0]])
+    def test_range_too_narrow_for_the_bins_is_one_bin(self, values):
+        # np.histogram refuses a range narrower than about `bins` ulps
+        s = summarize(make_md(values), bins=30)
+        lo = min(values)
+        assert s.hist_edges.tolist() == [lo - 0.5, lo + 0.5]
+        assert s.hist_density.tolist() == [1.0]
 
     def test_bins_validated(self):
         with pytest.raises(ParameterError):

@@ -13,14 +13,18 @@ from margin_auditor import (
     ParameterError,
     ParseError,
     Relu,
+    TrainConfig,
     frobenius_norm,
+    init_network,
     lipschitz_constant,
     load_manifest,
     save_manifest,
     spectral_norm,
 )
+from margin_auditor.errors import _GEMM_ROWS
+from margin_auditor.margins import _outputs
 from margin_auditor.network import _nonlinearity_from_json
-from conftest import random_network
+from conftest import peak_bytes, random_network
 
 
 def scalar_loop_forward(net, x_row):
@@ -98,6 +102,37 @@ class TestForwardImages:
                 bound *= layer.nonlinearity.lipschitz(2.0) * spectral_norm(layer.weight)
                 if image.any():
                     assert frobenius_norm(image) <= bound * (1 + 1e-10)
+
+
+def glorot_network(widths):
+    return init_network(TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=3))
+
+
+class TestBlockedForward:
+    """From 2 * _GEMM_ROWS rows up, the output alone is computed in row blocks."""
+
+    @pytest.mark.parametrize("widths", [(784, 256, 256, 10), (784, 1024, 10)],
+                             ids=["784-256-256-10", "784-1024-10"])
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 4609, 4735, 5000, 6000])
+    def test_bitwise_equal_to_the_whole_chain(self, widths, n):
+        net = glorot_network(widths)
+        x = np.random.default_rng(n).uniform(0.0, 1.0, (n, 784))
+        assert _outputs(net, x).tobytes() == net.forward_images(x)[-1].tobytes()
+
+    def test_maxpool_chain(self, rng):
+        net = Network(layers=(
+            Layer(rng.standard_normal((6, 5)), MaxPool([[0, 1], [2, 3, 1], [4, 5]])),
+            Layer(rng.standard_normal((2, 3)), Identity()),
+        ))
+        x = rng.standard_normal((3 * _GEMM_ROWS + 7, 5))
+        assert net.forward(x).tobytes() == net.forward_images(x)[-1].tobytes()
+
+    def test_peak_memory_is_two_block_images_and_the_output(self):
+        # the whole chain holds two 5,000 x 256 images at once, 20.5 MB
+        net = glorot_network((784, 256, 256, 10))
+        x = np.random.default_rng(6).uniform(0.0, 1.0, (5000, 784))
+        out, peak = peak_bytes(_outputs, net, x)
+        assert peak < 2 * (2 * _GEMM_ROWS - 1) * 256 * 8 + out.nbytes
 
 
 class TestNonlinearities:

@@ -86,7 +86,6 @@ from .network import (
     MaxPool,
     Network,
     Relu,
-    lipschitz_constant,
     load_manifest,
     save_manifest,
 )

@@ -92,8 +92,9 @@ def _emit(record):
 
 def cmd_coverdemo(args):
     rng = np.random.default_rng(_check_count(args.seed, 0, "seed"))
-    x = rng.standard_normal((args.n, args.d))
-    a = rng.standard_normal((args.d, args.m))
+    n, d, m = (_check_count(getattr(args, name), 1, name) for name in ("n", "d", "m"))
+    x = rng.standard_normal((n, d))
+    a = rng.standard_normal((d, m))
     w_hat, result = covering.cover_element_for(
         a, x, args.eps, q=args.q, s_exp=args.s, seed=args.seed
     )
@@ -110,8 +111,9 @@ def cmd_coverdemo(args):
 
 def cmd_maurey(args):
     rng = np.random.default_rng(_check_count(args.seed, 0, "seed"))
-    atoms = rng.standard_normal((args.atoms, args.dim))
-    alpha = rng.uniform(0.1, 1.0, size=args.atoms)
+    count, dim = _check_count(args.atoms, 1, "atoms"), _check_count(args.dim, 1, "dim")
+    atoms = rng.standard_normal((count, dim))
+    alpha = rng.uniform(0.1, 1.0, size=count)
     result = covering.maurey_sparsify(atoms, alpha, args.k, seed=args.seed)
     record = {
         "k": args.k,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (_BLOCK, NumericDegeneracyError, ParameterError, ParseError, _check_count,
-                     _check_integer, _finite)
+                     _check_integer, _finite, _row_blocks)
 from .linalg import _scale_exponent, as_matrix, read_mat1, write_mat1
 from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _header_fields, _read_container,
                         _read_input, _write_container)
@@ -95,10 +95,9 @@ def write_idx(ds, images_path, labels_path, rows=1, cols=None):
     if ds.k > 256:
         raise ParameterError("IDX labels are single bytes; need k <= 256")
     pixels = np.empty((n, d), np.uint8)
-    step = _BLOCK // d or 1
-    for start in range(0, n, step):
-        block = np.clip(ds.X[start : start + step], 0.0, 1.0)
-        pixels[start : start + step] = np.rint(block * 255.0)
+    for start, stop in _row_blocks(n, _BLOCK // d):
+        block = np.clip(ds.X[start:stop], 0.0, 1.0)
+        pixels[start:stop] = np.rint(block * 255.0)
     _write_container(images_path, _IDX_IMAGES, (n, rows, cols), pixels)
     _write_container(labels_path, _IDX_LABELS, (n,), ds.y - 1)
 
@@ -201,9 +200,8 @@ def synth_images(n, k=10, side=28, seed=0, smooth_noise=0.25, pixel_noise=0.15):
     y = (np.arange(n) % k) + 1
     coarse = rng.standard_normal((n, grid, grid))
     samples = np.empty((n, side, side))
-    rows = _BLOCK // (side * side) or 1
-    for start in range(0, n, rows):  # one speckle stream, drawn a block at a time
-        block = slice(start, start + rows)
+    for start, stop in _row_blocks(n, _BLOCK // (side * side)):  # one speckle stream
+        block = slice(start, stop)
         fields = np.einsum("ag,ngh,bh->nab", interp, coarse[block], interp)
         speckle = rng.standard_normal(fields.shape)
         np.clip(protos[y[block] - 1] + smooth_noise * fields + pixel_noise * speckle, 0.0, 1.0,

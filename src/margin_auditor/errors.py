@@ -6,12 +6,21 @@ import operator
 import numpy as np
 
 _BLOCK = 1 << 16  # entries per block of every blocked pass over an array
-# Rows per block of the forward pass; the last block takes the remaining
-# 512-1,023 rows.  On OpenBLAS, blocks of 128 rows or more with the remainder
-# merged gave results bitwise equal to one whole GEMM, and 512-row blocks ran
-# as fast as it; 32- and 64-row blocks, or tails under 128 rows left on their
-# own, differed in the low bits, and 64-row blocks ran up to 1.5x slower.
+# Rows per block of the forward pass: at most 512, and at least 256 from 513
+# rows up (see _row_blocks).  On OpenBLAS, blocks of 128 rows or more gave
+# results bitwise equal to one whole GEMM, and 512-row blocks ran as fast as
+# it; 32- and 64-row blocks differed in the low bits, and 64-row blocks ran
+# up to 1.5x slower.
 _GEMM_ROWS = 512
+
+
+def _row_blocks(n, rows):
+    """The (start, stop) pairs, in order, of the fewest blocks of at most ``rows``
+    rows (at least one) that cover ``n`` rows, their lengths as equal as possible;
+    every blocked pass over the data takes its blocks from here."""
+    count = -(-n // max(rows, 1))
+    for i in range(count):
+        yield n * i // count, n * (i + 1) // count
 
 
 class MarginAuditorError(Exception):
@@ -77,8 +86,8 @@ def _all_finite(a):
     a = np.asarray(a)
     if a.size <= _BLOCK:
         return bool(np.isfinite(a).all())
-    rows = _BLOCK // a[:1].size or 1
-    return all(np.isfinite(a[i : i + rows]).all() for i in range(0, len(a), rows))
+    blocks = _row_blocks(len(a), _BLOCK // a[:1].size)
+    return all(np.isfinite(a[start:stop]).all() for start, stop in blocks)
 
 
 def _finite(value, what):

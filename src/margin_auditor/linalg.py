@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import (_BLOCK, DimensionError, NumericDegeneracyError, ParameterError, ParseError,
-                     _all_finite)
+                     _all_finite, _row_blocks)
 from .serialize import _MAT1, _read_container, _write_container
 
 _JACOBI_MAX_SWEEPS = 64
@@ -173,15 +173,15 @@ def _group_norm(a, p, q):
 
 def _colwise_pnorm(a, p, e=0):
     """Column p-norms of 2**-e * |a| (trusted), through a C-ordered buffer of
-    blocks of _BLOCK // d rows (at least one) whose row 0 carries the running
+    row blocks of at most _BLOCK // d rows whose row 0 carries the running
     aggregate; numpy reduces its axis 0 row by row, bitwise as one whole-array
     pass.  A single column, which numpy sums pairwise, is one block."""
     n, d = a.shape
-    rows = n if d == 1 else min(n, _BLOCK // d or 1)
-    buf = np.zeros((rows + 1, d))
+    rows = n if d == 1 else _BLOCK // d or 1
+    buf = np.zeros((min(n, rows) + 1, d))
     reduce = np.maximum.reduce if math.isinf(p) else np.add.reduce
-    for start in range(0, n, rows):
-        b = np.abs(a[start : start + rows], out=buf[1 : 1 + min(rows, n - start)])
+    for start, stop in _row_blocks(n, rows):
+        b = np.abs(a[start:stop], out=buf[1 : 1 + stop - start])
         if e:
             np.ldexp(b, -e, out=b)
         if p == 2.0:

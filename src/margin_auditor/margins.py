@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (_BLOCK, NumericDegeneracyError, ParameterError, _check_count,
-                     _check_positive, _finite)
+                     _check_positive, _finite, _row_blocks)
 from .linalg import _group_norm, _scale_exponent, as_matrix
 from .serialize import write_csv_17g
 
@@ -207,17 +207,16 @@ def summarize(md, bins):
 
 
 def _kde_sums(grid, data, bw):
-    """sum_j exp(-z_j**2 / 2), z_j = (g - data_j) / bw, at each grid point g, over
-    _BLOCK // n grid points (at least one) at a time; each point's sum is its own
-    row reduction, so the result is bitwise that of one (len(grid), n) array.
+    """sum_j exp(-z_j**2 / 2), z_j = (g - data_j) / bw, at each grid point g, in
+    blocks of at most _BLOCK // n grid points; each point's sum is its own row
+    reduction, so the result is bitwise that of one (len(grid), n) array.
     With the grid's width finite, z or z**2 overflows only where exp(-z**2 / 2)
     is 0 in float64 anyway."""
     sums = np.empty(grid.shape[0])
-    points = _BLOCK // data.shape[0] or 1
     with np.errstate(over="ignore"):
-        for start in range(0, grid.shape[0], points):
-            z = (grid[start : start + points, None] - data[None, :]) / bw
-            sums[start : start + points] = np.exp(-0.5 * z * z).sum(axis=1)
+        for start, stop in _row_blocks(grid.shape[0], _BLOCK // data.shape[0]):
+            z = (grid[start:stop, None] - data[None, :]) / bw
+            sums[start:stop] = np.exp(-0.5 * z * z).sum(axis=1)
     return sums
 
 

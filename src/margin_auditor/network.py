@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _GEMM_ROWS, DimensionError, ParameterError, ParseError, _check_integer
+from .errors import _GEMM_ROWS, DimensionError, ParameterError, ParseError, _check_integer, _row_blocks
 from .linalg import _check_exponent, as_matrix, read_mat1, write_mat1
 from .serialize import _output_dir, _read_json, write_json_17g
 
@@ -99,11 +99,6 @@ class MaxPool:
         return isinstance(other, MaxPool) and self.groups == other.groups
 
 
-def lipschitz_constant(nonlinearity, p):
-    """Lipschitz constant of a supported nonlinearity w.r.t. the p-norm."""
-    return nonlinearity.lipschitz(p)
-
-
 @dataclass(frozen=True)
 class Layer:
     """One layer: weight A (out x in), reference M of the same shape, nonlinearity."""
@@ -183,9 +178,8 @@ class Network:
     def _forward(self, z, keep=False):
         """Output on a trusted matrix ``z`` such as a ``Dataset.X``, or every image
         if ``keep``; ReLU works in place on each fresh GEMM output.  The output
-        alone runs the chain on blocks of _GEMM_ROWS rows (the last taking the
-        remainder), written into one n x k array, so no image of all n rows is
-        held; under 2 * _GEMM_ROWS rows the chain runs once on all of ``z``."""
+        alone runs the chain on row blocks of at most _GEMM_ROWS rows, written
+        into one n x k array, so no image of all n rows is held."""
         if z.shape[1] != self.input_dim:
             raise DimensionError(
                 f"input has {z.shape[1]} columns, network expects {self.input_dim}"
@@ -194,11 +188,8 @@ class Network:
             images = [z]
             self._chain(z, images)
             return images
-        starts = range(0, max(z.shape[0] - _GEMM_ROWS, 0) + 1, _GEMM_ROWS)
-        if len(starts) == 1:
-            return self._chain(z)
         out = np.empty((z.shape[0], self.output_dim))
-        for start, stop in zip(starts, [*starts[1:], z.shape[0]]):
+        for start, stop in _row_blocks(z.shape[0], _GEMM_ROWS):
             out[start:stop] = self._chain(z[start:stop])
         return out
 

@@ -12,6 +12,7 @@ snapshots and CSVs instead pin 17 significant digits so goldens are
 byte-stable across platforms and numpy versions.
 """
 
+import io
 import itertools
 import json
 import math
@@ -22,7 +23,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import _BLOCK, InputOutputError, NumericDegeneracyError, ParseError, _all_finite
+from .errors import (_BLOCK, InputOutputError, NumericDegeneracyError, ParseError, _all_finite,
+                     _row_blocks)
 
 
 def _read_input(path, what="file", reader=None):
@@ -85,10 +87,11 @@ def _check_payload(length, expected, path, what):
 def _read_container(path, fmt, what="file", divisor=None):
     """(header fields, payload array) of the ``fmt`` file at ``path``, unvalidated;
     with ``divisor``, the payload is float64 values / ``divisor`` instead.
-    A regular file's size is checked before anything is allocated, then its
-    payload is read straight into an owned, aligned array, or with ``divisor``
-    _BLOCK values at a time into a small buffer; a pipe's payload is taken as
-    it arrives, so no header's claim alone sizes an allocation."""
+    The file's length is checked before the payload is allocated: a regular
+    file's from its size, a pipe's from its bytes, taken as they arrive, so no
+    header's claim alone sizes an allocation.  Either is then read straight
+    into an owned, aligned array, or with ``divisor`` a row block at a time
+    into a one-block buffer."""
 
     def read(f):
         start = struct.calcsize(fmt.header)
@@ -96,25 +99,23 @@ def _read_container(path, fmt, what="file", divisor=None):
         shape = fmt.shape(*fields)
         expected = start + np.dtype(fmt.dtype).itemsize * math.prod(shape)
         st = os.fstat(f.fileno())
+        length = st.st_size
         if not stat.S_ISREG(st.st_mode):
             rest = f.read()
-            _check_payload(start + len(rest), expected, path, fmt.name)
-            payload = np.frombuffer(rest, fmt.dtype).reshape(shape)
-            return fields, payload.copy() if divisor is None else np.divide(payload, divisor)
-        _check_payload(st.st_size, expected, path, fmt.name)
+            f, length = io.BytesIO(rest), start + len(rest)
+        _check_payload(length, expected, path, fmt.name)
         if divisor is None:
             payload = np.empty(shape, fmt.dtype)
-            _check_payload(start + f.readinto(payload), expected, path, fmt.name)
-            return fields, payload
-        values = np.empty(shape)
-        flat, buf = values.reshape(-1), np.empty(min(values.size, _BLOCK), fmt.dtype)
-        got = start
-        for i in range(0, flat.size, _BLOCK):
-            block = buf[: flat.size - i]
-            got += f.readinto(block)
-            np.divide(block, divisor, out=flat[i : i + block.size])
-        _check_payload(got, expected, path, fmt.name)
-        return fields, values
+            got = f.readinto(payload)
+        else:
+            payload, width, got = np.empty(shape), math.prod(shape[1:]), 0
+            rows = _BLOCK // width or 1 if width else shape[0]  # rows of no width: one block
+            buf = np.empty((min(shape[0], rows), *shape[1:]), fmt.dtype)
+            for lo, hi in _row_blocks(shape[0], rows):
+                got += f.readinto(buf[: hi - lo])
+                np.divide(buf[: hi - lo], divisor, out=payload[lo:hi])
+        _check_payload(start + got, expected, path, fmt.name)
+        return fields, payload
 
     return _read_input(path, what, read)
 

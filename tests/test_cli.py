@@ -652,6 +652,18 @@ class TestDemos:
         assert json.loads(captured.err) == {"error": "ParameterError",
                                             "message": "seed must be at least 0, got -1"}
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("coverdemo", "n", -1), ("coverdemo", "d", -1), ("coverdemo", "m", -2),
+        ("maurey", "atoms", -1), ("maurey", "dim", -3), ("coverdemo", "n", 0),
+    ])
+    def test_size_below_1_exit_3(self, capsys, command, flag, value):
+        assert main([command, f"--{flag}", str(value)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": "ParameterError",
+                                            "message": f"{flag} must be at least 1, got {value}"}
+
     def test_coverdemo_satisfied(self, capsys):
         assert main(["coverdemo", "--seed", "7"]) == 0
         record = json.loads(capsys.readouterr().out)

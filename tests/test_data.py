@@ -221,11 +221,17 @@ def read_through(tmp_path, reader, raw, path, pipe=False):
     if not pipe:
         path.write_bytes(raw)
         return call(path, tmp_path)
+    return through_pipe(path, raw, lambda: call(path, tmp_path))
+
+
+def through_pipe(path, raw, call):
+    """What ``call()`` returns (or raises) while a writer thread feeds ``raw``
+    into a new named pipe at ``path``."""
     os.mkfifo(path)
     writer = threading.Thread(target=path.write_bytes, args=(raw,), daemon=True)
     writer.start()
     try:
-        return call(path, tmp_path)
+        return call()
     finally:
         writer.join(timeout=30)
         assert not writer.is_alive(), "the reader never opened the pipe"
@@ -513,7 +519,10 @@ def digits_6000():
 
 class TestBuildersMakeNoDataSizedTemporary:
     def test_synth_images_peak_and_pinned_bytes(self):
-        # one pass over all rows built four n x 784 temporaries, 144 MB
+        # one pass over all rows built four n x 784 temporaries, 144 MB; a
+        # first call in the process also pays numpy's lazy imports (about
+        # 0.7 MB), so a small call comes first and the peak is a warm call's
+        synth_images(10, k=10, seed=19)
         ds, peak = peak_bytes(synth_images, 6000, k=10, seed=19, pixel_noise=0.2)
         assert peak <= ds.X.nbytes + 5e6
         assert hashlib.sha256(ds.X.tobytes()).hexdigest() == SYNTH_6000_X_SHA256
@@ -536,10 +545,23 @@ class TestBuildersMakeNoDataSizedTemporary:
         pixels = np.frombuffer((tmp_path / "i").read_bytes()[16:], np.uint8)
         assert ds.X.tobytes() == np.divide(pixels, 255.0).tobytes()
 
-    @pytest.mark.parametrize("entries", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
-    def test_load_idx_over_a_partial_last_block(self, tmp_path, entries):
-        pixels = np.random.default_rng(entries).integers(0, 256, entries, dtype=np.uint8)
-        (tmp_path / "i").write_bytes(struct.pack(">4I", 0x803, entries, 1, 1) + pixels.tobytes())
-        (tmp_path / "l").write_bytes(struct.pack(">2I", 0x801, entries) + bytes(entries))
-        x = load_idx(tmp_path / "i", tmp_path / "l").X
-        assert x.tobytes() == np.divide(pixels, 255.0).reshape(entries, 1).tobytes()
+    # 1 x 1 images around multiples of _BLOCK rows, and 28 x 28 images just past
+    # a multiple of _BLOCK // 784 rows, each from a regular file and from a pipe
+    @pytest.mark.parametrize("count, side, pipe", [
+        pytest.param(count, side, pipe, id=f"{count if side == 1 else '28x28'}{'-pipe' * pipe}",
+                     marks=pytest.mark.skipif(pipe and not hasattr(os, "mkfifo"),
+                                              reason="needs named pipes"))
+        for count, side in [(_BLOCK - 1, 1), (_BLOCK, 1), (_BLOCK + 1, 1), (3 * _BLOCK + 5, 1),
+                            (3 * (_BLOCK // 784) + 1, 28)]
+        for pipe in (False, True)])
+    def test_load_idx_over_a_partial_last_block(self, tmp_path, count, side, pipe):
+        pixels = np.random.default_rng(count).integers(0, 256, count * side * side, dtype=np.uint8)
+        raw = struct.pack(">4I", 0x803, count, side, side) + pixels.tobytes()
+        (tmp_path / "l").write_bytes(struct.pack(">2I", 0x801, count) + bytes(count))
+        call = lambda: load_idx(tmp_path / "i", tmp_path / "l").X  # noqa: E731
+        if pipe:
+            x = through_pipe(tmp_path / "i", raw, call)
+        else:
+            (tmp_path / "i").write_bytes(raw)
+            x = call()
+        assert x.tobytes() == np.divide(pixels, 255.0).reshape(count, side * side).tobytes()

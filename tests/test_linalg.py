@@ -24,7 +24,7 @@ from margin_auditor import (
     write_mat1,
 )
 from margin_auditor import linalg
-from margin_auditor.errors import _BLOCK, _all_finite, _finite
+from margin_auditor.errors import _BLOCK, _all_finite, _finite, _row_blocks
 from conftest import peak_bytes
 
 INF = math.inf
@@ -375,8 +375,8 @@ class TestBlockedGroupNorm:
 
     @pytest.mark.parametrize("shape", [(70_000, 2), (20, 300_000)])
     def test_bitwise_where_the_block_count_changes(self, shape):
-        # 70,000 x 2 takes blocks of _BLOCK // 2 rows, the last one partial;
-        # a row of 300,000 entries exceeds _BLOCK, so each block is one row
+        # 70,000 x 2 takes three blocks of at most _BLOCK // 2 rows; a row of
+        # 300,000 entries exceeds _BLOCK, so each block is one row
         a = np.random.default_rng(shape[1]).standard_normal(shape)
         e = linalg._scale_exponent(a)
         for p in (1.0, 2.0, 3.0, INF):
@@ -491,11 +491,11 @@ class TestFiniteScan:
     @pytest.mark.parametrize("shape", [(200_000,), (5, 30_000), (3, 40_000, 2)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_finds_a_non_finite_entry_in_any_block(self, shape, bad):
-        # slices of _BLOCK // width rows, or of one row when a row is wider
+        # slices of at most _BLOCK // width rows, or of one row when a row is wider
         a = np.zeros(shape)
         flat = a.reshape(-1)
-        rows = _BLOCK // (a.size // shape[0]) or 1
-        edge = rows * (a.size // shape[0])
+        width = a.size // shape[0]
+        edge = next(_row_blocks(shape[0], _BLOCK // width))[1] * width  # the first block's end
         assert _all_finite(a)
         for i in (0, edge - 1, edge, a.size - 1):
             flat[i] = bad
@@ -509,3 +509,16 @@ class TestFiniteScan:
         assert not _all_finite(math.inf) and not _all_finite(np.nan)
         assert _all_finite(np.empty((0, 3))) and _all_finite(np.empty((4, 0)))
         assert _finite(0.5, "x") == 0.5
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [-3, 0, 1, 2, 83, 512])
+    def test_fewest_blocks_of_near_equal_length_tile_the_rows(self, rows):
+        r = max(rows, 1)
+        for n in (0, 1, r - 1, r, r + 1, 3 * r + 5):
+            blocks = list(_row_blocks(n, rows))
+            assert [start for start, _ in blocks] + [n] == [0] + [stop for _, stop in blocks]
+            assert len(blocks) == -(-n // r)
+            lengths = [stop - start for start, stop in blocks]
+            assert all(1 <= length <= r for length in lengths)
+            assert max(lengths, default=0) - min(lengths, default=0) <= 1

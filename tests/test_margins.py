@@ -245,7 +245,7 @@ class TestSummarize:
             data.shape[0] * s.bandwidth * math.sqrt(2.0 * math.pi))
         assert s.kde_density.tobytes() == density.tobytes()
 
-    # 777 data points make blocks of _BLOCK // 777 = 84 grid points
+    # 777 data points make blocks of at most _BLOCK // 777 = 84 grid points
     @pytest.mark.parametrize("points", [1, _BLOCK // 777 - 1, _BLOCK // 777 + 1,
                                         3 * (_BLOCK // 777) + 5])
     def test_kde_sums_over_a_partial_last_block(self, rng, points):

@@ -20,7 +20,7 @@ from .complexity import _check_bound_params, _norms_and_margins, analyze_network
 from .data import inspect_idx, load_dataset, load_idx
 from .errors import (InputOutputError, MarginAuditorError, ParameterError, _check_at_least,
                      _check_count)
-from .linalg import MAT1_MAGIC, _group_norm, frobenius_norm, spectral_norm
+from .linalg import MAT1_MAGIC, frobenius_norm, spectral_norm
 from .network import load_manifest, save_manifest
 from .serialize import _output_dir, _read_input, dumps_17g, write_json_17g
 
@@ -46,8 +46,8 @@ def cmd_analyze(args):
 def cmd_margins(args):
     net = load_manifest(args.network)
     ds = _load_any_dataset(args.features, args.labels)
-    _, _, r_a, md = _norms_and_margins(net, margins._outputs(net, ds.X), ds.y,
-                                       _group_norm(ds.X, 2.0, 2.0), args.gamma)
+    outputs, data_norm = margins._outputs_and_norm(net, ds)
+    _, _, r_a, md = _norms_and_margins(net, outputs, ds.y, data_norm, args.gamma)
     _check_bound_params(md.gamma_used, args.delta, ds.n)
     summary = margins.summarize(md, bins=args.bins)
     out = _output_dir(args.out)

@@ -17,8 +17,8 @@ from .covering import _atom_budget
 from .errors import (DegenerateNetworkError, NumericDegeneracyError, ParameterError,
                      _check_count, _check_positive, _finite)
 from .linalg import _check_exponent, _group_norm, _spectral_norm
-from .margins import (_margin_distribution_of_outputs, _outputs, _ramp_risk_of_margins,
-                      ramp_risk_empirical)
+from .margins import (_margin_distribution_of_outputs, _outputs_and_norm, _ramp_risk_of_margins,
+                      margins_of_outputs)
 
 
 @dataclass(frozen=True)
@@ -291,14 +291,14 @@ def generalization_bound_uniform(net, ds, gamma, delta):
     (1/L + .) norm offsets, plus the sqrt(9/(2n)) confidence term whose log
     sum absorbs the union over norm scales.  In the gamma < 2/n regime the
     value exceeds 1 by construction (the report flags this as vacuous).
-    Forwards the data for the ramp risk and extracts the layer norms, then
-    evaluates :func:`_uniform_bound`, which :func:`analyze_network` calls on
-    the quantities it already holds.
+    Forwards the data for the ramp risk, taking ||X||_2 in the same pass, and
+    extracts the layer norms, then evaluates :func:`_uniform_bound`, which
+    :func:`analyze_network` calls on the quantities it already holds.
     """
-    return _uniform_bound(
-        ramp_risk_empirical(net, ds, gamma), _group_norm(ds.X, 2.0, 2.0), net.width,
-        ds.X.shape[0], gamma, delta, layer_norms(net),
-    )
+    _check_positive(gamma, "gamma")
+    outputs, data_norm = _outputs_and_norm(net, ds)
+    ramp = _ramp_risk_of_margins(margins_of_outputs(outputs, ds.y), gamma)
+    return _uniform_bound(ramp, data_norm, net.width, ds.n, gamma, delta, layer_norms(net))
 
 
 def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
@@ -361,13 +361,14 @@ def analyze_network(net, ds, gamma=None, delta=0.01):
 
     Returns (BoundReport, MarginDistribution).  When gamma is omitted it
     defaults to the median positive raw margin (1.0 if none are positive).
-    The data is forwarded once and ||X||_2 taken once; :func:`_norms_and_margins`
-    gives the layer norms, R_A (a NumericDegeneracyError unless positive) and the margins,
-    and the ramp risk and both bounds (which must lie in float64) come from them.
+    The data is forwarded once, and ||X||_2 taken in the same pass;
+    :func:`_norms_and_margins` gives the layer norms, R_A (a NumericDegeneracyError
+    unless positive) and the margins, and the ramp risk and both bounds (which
+    must lie in float64) come from them.
     """
-    data_norm = _group_norm(ds.X, 2.0, 2.0)  # a Dataset validated X
-    norms, deltas, r_a, md = _norms_and_margins(net, _outputs(net, ds.X), ds.y, data_norm, gamma)
-    n, gamma = ds.X.shape[0], md.gamma_used
+    outputs, data_norm = _outputs_and_norm(net, ds)
+    norms, deltas, r_a, md = _norms_and_margins(net, outputs, ds.y, data_norm, gamma)
+    n, gamma = ds.n, md.gamma_used
     ramp = _ramp_risk_of_margins(md.raw, gamma)
     term_const, term_complexity, term_confidence, total = generalization_bound_fixed(
         ramp, data_norm, net.width, n, gamma, delta, norms

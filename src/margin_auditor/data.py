@@ -1,34 +1,43 @@
 """Datasets: IDX ingestion, binary export, label/input randomization, and
 deterministic synthetic generators."""
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (_BLOCK, NumericDegeneracyError, ParameterError, ParseError, _check_count,
-                     _check_integer, _finite, _row_blocks)
-from .linalg import _scale_exponent, as_matrix, read_mat1, write_mat1
-from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _header_fields, _read_container,
+from .errors import (_BLOCK, _GEMM_ROWS, NumericDegeneracyError, ParameterError, ParseError,
+                     _check_count, _check_integer, _finite, _row_blocks)
+from .linalg import _ColumnSums, _scale_exponent, _unscale, _vector_pnorm, as_matrix, read_mat1
+from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _MAT1, _header_fields, _read_container,
                         _read_input, _write_container)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
-    """Feature rows X (n x d) with 1-based integer labels in {1..k}."""
+    """Feature rows X (n x d) with 1-based integer labels in {1..k}.
 
-    X: np.ndarray
+    ``Dataset(X, y, k)`` holds X as float64.  A set from :func:`load_idx` holds
+    its pixels as the file's bytes instead, 1 byte per entry against 8, and
+    reads X as byte / 255.0 a row block at a time.  The library reads rows
+    only through :meth:`_rows`; ``X`` of a byte-held set is a full-size float64
+    copy, decoded anew on each access, which the library itself never makes.
+    """
+
+    _x: np.ndarray  # X as float64, or the n x d pixel bytes of a byte-held set
     y: np.ndarray
     k: int
 
-    def __post_init__(self):
-        self._adopt(as_matrix(self.X), self.y, self.k)
+    def __init__(self, X, y, k):
+        self._adopt(as_matrix(X), y, k)
 
     @classmethod
     def _of_matrix(cls, x, y, k):
         """The Dataset of an ``x`` known to pass :func:`as_matrix` unchanged (a
-        nonempty, finite, C-contiguous float64 matrix), without another pass
-        over it; ``y`` and ``k`` are checked as usual."""
+        nonempty, finite, C-contiguous float64 matrix), or of n x d pixel bytes,
+        without another pass over it; ``y`` and ``k`` are checked as usual."""
         ds = object.__new__(cls)
         ds._adopt(x, y, k)
         return ds
@@ -41,45 +50,109 @@ class Dataset:
         k = _check_count(k, 1, "label count k")
         if y.min() < 1 or y.max() > k:
             raise ParameterError(f"labels must lie in 1..{k}")
-        for name, value in (("X", x), ("y", y), ("k", k)):
+        for name, value in (("_x", x), ("y", y), ("k", k)):
             object.__setattr__(self, name, value)
 
     @property
+    def X(self):
+        """The n x d float64 features; a byte-held set's are decoded into a new array."""
+        return np.divide(self._x, 255.0) if self._x.dtype == np.uint8 else self._x
+
+    @property
     def n(self):
-        return self.X.shape[0]
+        return self._x.shape[0]
 
     @property
     def dim(self):
-        return self.X.shape[1]
+        return self._x.shape[1]
+
+    def _rows(self, rows, out=None):
+        """The rows ``rows`` (a slice or an index array) of X, as float64: a
+        float64 set's indexed (a view for a slice), a byte-held set's decoded as
+        byte / 255.0, into the buffer ``out`` when one is given."""
+        if self._x.dtype == np.uint8:
+            return np.divide(self._x[rows], 255.0, out=out)
+        return self._x[rows]
+
+    def _scale_exponent(self):
+        """:func:`linalg._scale_exponent` of X, a byte-held set's from its largest byte."""
+        if self._x.dtype == np.uint8:
+            return _scale_exponent(np.divide(self._x.max(keepdims=True), 255.0))
+        return _scale_exponent(self._x)
+
+
+class _RowPass:
+    """One pass, in order, over a Dataset's rows, shaped as the matrix that
+    :meth:`Network._forward` reads: ``shape``, ``len`` and ``[start:stop]`` row
+    blocks from :meth:`Dataset._rows`, a byte-held set's decoded into one
+    reused buffer.  With ``norm``, every block read is also taken into the
+    column sums of ||X||_2 (:class:`linalg._ColumnSums`, under the exponent of
+    :meth:`Dataset._scale_exponent`), so the pass that runs the network gives
+    :meth:`norm` too, bitwise ``_group_norm(X, 2, 2)``."""
+
+    def __init__(self, ds, norm=False):
+        self.ds, self.shape = ds, (ds.n, ds.dim)
+        decoded = ds._x.dtype == np.uint8
+        self._buf = np.empty((min(ds.n, _GEMM_ROWS), ds.dim)) if decoded else None
+        self._e = ds._scale_exponent() if norm else None  # None for all-zero X too
+        self._sums = None if self._e is None else _ColumnSums(ds.n, ds.dim, 2.0, self._e)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, rows):
+        out = None if self._buf is None else self._buf[: rows.stop - rows.start]
+        block = self.ds._rows(rows, out)
+        if self._sums is not None:
+            self._sums.add(block)
+        return block
+
+    def norm(self):
+        """||X||_2, from a pass made with ``norm`` once every row has been read."""
+        if self._sums is None:
+            return 0.0
+        return _unscale(_vector_pnorm(self._sums.norms(), 2.0), self._e)
 
 
 def inspect_idx(path):
     """Header of an IDX file as a dict; distinguishes image and label files.
-    The payload length is reported, not checked."""
-    raw = _read_input(path)
+    The payload length is reported, not checked: a regular file's from its
+    size, a pipe's counted a block at a time; only the header is kept."""
+
+    def read(f):
+        head = f.read(struct.calcsize(_IDX_IMAGES.header))  # the longer header
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode):
+            return head, st.st_size
+        length, buf = len(head), bytearray(_BLOCK)
+        while got := f.readinto(buf):
+            length += got
+        return head, length
+
+    head, length = _read_input(path, reader=read)
     for kind, fmt in (("images", _IDX_IMAGES), ("labels", _IDX_LABELS)):
-        if raw[:4] == fmt.magic or len(raw) < 4:  # under 4 bytes: a truncated header
-            header = dict(zip(fmt.keys, _header_fields(raw, path, fmt)))
-            return {"kind": kind, **header, "payload_bytes": len(raw) - struct.calcsize(fmt.header)}
-    raise ParseError(f"unrecognized IDX magic {raw[:4]!r}", path=path, offset=0)
+        if head[:4] == fmt.magic or len(head) < 4:  # under 4 bytes: a truncated header
+            header = dict(zip(fmt.keys, _header_fields(head, path, fmt)))
+            return {"kind": kind, **header, "payload_bytes": length - struct.calcsize(fmt.header)}
+    raise ParseError(f"unrecognized IDX magic {head[:4]!r}", path=path, offset=0)
 
 
 def load_idx(images_path, labels_path):
-    """Parse an IDX image/label pair into a Dataset.
+    """Parse an IDX image/label pair into a Dataset that holds the pixel bytes.
 
-    Pixels are scaled to [0,1] by 1/255 and flattened to rows*cols features;
-    byte labels are shifted to 1-based.  Malformed input raises a parse error
-    naming the byte offset.
+    Each image's pixels are one row of rows*cols features, read as byte / 255.0
+    in [0, 1] (see :class:`Dataset`); byte labels are shifted to 1-based.
+    Malformed input raises a parse error naming the byte offset.
     """
-    (n, rows, cols), x = _read_container(images_path, _IDX_IMAGES, divisor=255.0)
-    if not x.size:
+    (n, rows, cols), pixels = _read_container(images_path, _IDX_IMAGES)
+    if not pixels.size:
         raise ParseError(f"empty image set: {n} images of {rows}x{cols}", path=images_path)
     (count,), labels = _read_container(labels_path, _IDX_LABELS)
     if count != n:
         raise ParseError(f"label count {count} does not match image count {n}",
                          path=labels_path, offset=4)
     y = labels.astype(np.int64) + 1
-    return Dataset._of_matrix(x, y, int(y.max()))  # bytes / 255 are finite
+    return Dataset._of_matrix(pixels, y, int(y.max()))  # bytes / 255 are finite
 
 
 def write_idx(ds, images_path, labels_path, rows=1, cols=None):
@@ -87,25 +160,24 @@ def write_idx(ds, images_path, labels_path, rows=1, cols=None):
 
     Round-trips exactly for datasets that came from :func:`load_idx`.
     """
-    n, d = ds.X.shape
+    n, d = ds.n, ds.dim
     rows = _check_count(rows, 1, "rows")
     cols = d // rows if cols is None else _check_integer(cols, "cols")
     if rows * cols != d:
         raise ParameterError(f"rows*cols={rows * cols} must equal feature dim {d}")
     if ds.k > 256:
         raise ParameterError("IDX labels are single bytes; need k <= 256")
-    pixels = np.empty((n, d), np.uint8)
-    for start, stop in _row_blocks(n, _BLOCK // d):
-        block = np.clip(ds.X[start:stop], 0.0, 1.0)
-        pixels[start:stop] = np.rint(block * 255.0)
-    _write_container(images_path, _IDX_IMAGES, (n, rows, cols), pixels)
-    _write_container(labels_path, _IDX_LABELS, (n,), ds.y - 1)
+    blocks = (np.rint(np.clip(ds._rows(slice(start, stop)), 0.0, 1.0) * 255.0)
+              for start, stop in _row_blocks(n, _BLOCK // d))
+    _write_container(images_path, _IDX_IMAGES, (n, rows, cols), blocks)
+    _write_container(labels_path, _IDX_LABELS, (n,), [ds.y - 1])
 
 
 def save_dataset(ds, matrix_path, labels_path):
     """Dataset export: features as MAT1, labels as LBL1 (magic, u32 count, u32 k, u32 labels)."""
-    write_mat1(matrix_path, ds.X)
-    _write_container(labels_path, _LBL1, (ds.n, ds.k), ds.y)
+    blocks = (ds._rows(slice(start, stop)) for start, stop in _row_blocks(ds.n, _BLOCK // ds.dim))
+    _write_container(matrix_path, _MAT1, (ds.n, ds.dim), blocks)
+    _write_container(labels_path, _LBL1, (ds.n, ds.k), [ds.y])
 
 
 def load_dataset(matrix_path, labels_path):
@@ -124,10 +196,10 @@ def load_dataset(matrix_path, labels_path):
 
 
 def randomize_labels(ds, seed=0):
-    """Replace labels by iid uniform draws over {1..k}; features untouched."""
+    """Replace labels by iid uniform draws over {1..k}; the features are shared."""
     rng = np.random.default_rng(_check_count(seed, 0, "seed"))
     y = rng.integers(1, ds.k + 1, size=ds.n)
-    return Dataset._of_matrix(ds.X, y, ds.k)
+    return Dataset._of_matrix(ds._x, y, ds.k)
 
 
 def randomize_inputs_gaussian(ds, seed=0):
@@ -140,12 +212,13 @@ def randomize_inputs_gaussian(ds, seed=0):
     """
     if ds.n < 2:
         raise ParameterError("need at least 2 examples to estimate input statistics")
-    e = _scale_exponent(ds.X) or 0  # None for all-zero X
-    x = np.ldexp(ds.X, -e)
+    d = ds.dim
+    e = ds._scale_exponent() or 0  # None for all-zero X
+    x = np.empty((ds.n, d))  # 2**-e * X; a byte-held set is decoded into it
+    np.ldexp(ds._rows(slice(None), out=x), -e, out=x)
     mu = x.mean(axis=0)
     centered = x - mu
     cov = centered.T @ centered / ds.n
-    d = x.shape[1]
     lam = 1e-6 * float(np.trace(cov)) / d
     if lam <= 0.0:
         raise NumericDegeneracyError("all rows identical: covariance has zero trace")
@@ -188,7 +261,7 @@ def synth_images(n, k=10, side=28, seed=0, smooth_noise=0.25, pixel_noise=0.15):
     pixel scale of handwritten-digit data for desk-scale experiments when real
     image data is not on disk.
     """
-    n, k = _check_integer(n, "n"), _check_count(k, 1, "k")
+    n, k, side = _check_integer(n, "n"), _check_count(k, 1, "k"), _check_count(side, 1, "side")
     if n < k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     grid = 7

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import (_BLOCK, DimensionError, NumericDegeneracyError, ParameterError, ParseError,
-                     _all_finite, _row_blocks)
+                     _all_finite)
 from .serialize import _MAT1, _read_container, _write_container
 
 _JACOBI_MAX_SWEEPS = 64
@@ -172,26 +172,52 @@ def _group_norm(a, p, q):
 
 
 def _colwise_pnorm(a, p, e=0):
-    """Column p-norms of 2**-e * |a| (trusted), through a C-ordered buffer of
-    row blocks of at most _BLOCK // d rows whose row 0 carries the running
-    aggregate; numpy reduces its axis 0 row by row, bitwise as one whole-array
-    pass.  A single column, which numpy sums pairwise, is one block."""
-    n, d = a.shape
-    rows = n if d == 1 else _BLOCK // d or 1
-    buf = np.zeros((min(n, rows) + 1, d))
-    reduce = np.maximum.reduce if math.isinf(p) else np.add.reduce
-    for start, stop in _row_blocks(n, rows):
-        b = np.abs(a[start:stop], out=buf[1 : 1 + stop - start])
-        if e:
-            np.ldexp(b, -e, out=b)
-        if p == 2.0:
-            np.multiply(b, b, out=b)
-        elif not (p == 1.0 or math.isinf(p)):
-            np.power(b, p, out=b)
-        buf[0] = reduce(buf[0 if start else 1 : 1 + len(b)], axis=0)
-    if p == 2.0:
-        return np.sqrt(buf[0])
-    return buf[0] if p == 1.0 or math.isinf(p) else buf[0] ** (1.0 / p)
+    """Column p-norms of 2**-e * |a| (trusted), by one :class:`_ColumnSums`."""
+    sums = _ColumnSums(*a.shape, p, e)
+    sums.add(a)
+    return sums.norms()
+
+
+class _ColumnSums:
+    """Column p-norms of 2**-e * |a| for the rows of an n x d ``a`` added in
+    order, in blocks of any length.  Each row passes through a C-ordered buffer
+    of at most _BLOCK // d rows whose row 0 carries the running aggregate, and
+    which is reduced into it when full; numpy reduces its axis 0 row by row,
+    bitwise as one whole-array pass.  A single column, which numpy sums
+    pairwise, fills one buffer of all n rows."""
+
+    def __init__(self, n, d, p, e=0):
+        rows = n if d == 1 else _BLOCK // d or 1
+        self.buf = np.zeros((min(n, rows) + 1, d))
+        self.p, self.e, self.fill, self.carry = p, e, 0, False
+
+    def add(self, a):
+        """Take in the next rows, ``a``."""
+        while len(a):
+            take = min(len(a), len(self.buf) - 1 - self.fill)
+            b = np.abs(a[:take], out=self.buf[1 + self.fill : 1 + self.fill + take])
+            if self.e:
+                np.ldexp(b, -self.e, out=b)
+            if self.p == 2.0:
+                np.multiply(b, b, out=b)
+            elif not (self.p == 1.0 or math.isinf(self.p)):
+                np.power(b, self.p, out=b)
+            self.fill, a = self.fill + take, a[take:]
+            if self.fill == len(self.buf) - 1:
+                self._reduce()
+
+    def _reduce(self):
+        reduce = np.maximum.reduce if math.isinf(self.p) else np.add.reduce
+        self.buf[0] = reduce(self.buf[0 if self.carry else 1 : 1 + self.fill], axis=0)
+        self.fill, self.carry = 0, True
+
+    def norms(self):
+        """The column p-norms of the rows taken in."""
+        if self.fill:
+            self._reduce()
+        if self.p == 2.0:
+            return np.sqrt(self.buf[0])
+        return self.buf[0] if self.p == 1.0 or math.isinf(self.p) else self.buf[0] ** (1.0 / self.p)
 
 
 def _vector_pnorm(v, q):
@@ -207,7 +233,7 @@ def _vector_pnorm(v, q):
 def write_mat1(path, a):
     """Write ``a`` in the MAT1 format: magic, u32le rows, u32le cols, f64le row-major."""
     a = as_matrix(a)
-    _write_container(path, _MAT1, a.shape, a)
+    _write_container(path, _MAT1, a.shape, [a])
 
 
 def read_mat1(path):

@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (_BLOCK, NumericDegeneracyError, ParameterError, _check_count,
+from .data import _RowPass
+from .errors import (_BLOCK, _GEMM_ROWS, NumericDegeneracyError, ParameterError, _check_count,
                      _check_positive, _finite, _row_blocks)
-from .linalg import _group_norm, _scale_exponent, as_matrix
+from .linalg import _scale_exponent, as_matrix
 from .serialize import write_csv_17g
 
 
@@ -73,10 +74,26 @@ def margins_of_outputs(outputs, labels):
 
 
 def _outputs(net, x):
-    """``net``'s outputs on a trusted ``x``; outputs beyond the float64 range
-    are a NumericDegeneracyError, raised without a RuntimeWarning."""
+    """``net``'s outputs on ``x``, a trusted matrix or a Dataset's :class:`_RowPass`;
+    outputs beyond the float64 range are a NumericDegeneracyError, raised
+    without a RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(net._forward(x), "one of the network outputs on the data")
+
+
+def _outputs_and_norm(net, ds):
+    """(``net``'s outputs on the Dataset ``ds``, ||X||_2) from one pass over its
+    rows, which decodes each row block once for both."""
+    rows = _RowPass(ds, norm=True)
+    return _outputs(net, rows), rows.norm()
+
+
+def _data_norm(ds):
+    """||X||_2 of the Dataset ``ds``, from a pass over its rows of its own."""
+    rows = _RowPass(ds, norm=True)
+    for start, stop in _row_blocks(ds.n, _GEMM_ROWS):
+        rows[start:stop]  # taken into the column sums
+    return rows.norm()
 
 
 def ramp_loss(r, gamma):
@@ -92,7 +109,7 @@ def ramp_loss(r, gamma):
 def ramp_risk_empirical(net, ds, gamma):
     """Mean ramp loss of the negated margins over a dataset."""
     _check_positive(gamma, "gamma")
-    return _ramp_risk_of_margins(margins_of_outputs(_outputs(net, ds.X), ds.y), gamma)
+    return _ramp_risk_of_margins(margins_of_outputs(_outputs(net, _RowPass(ds)), ds.y), gamma)
 
 
 def _ramp_risk_of_margins(raw, gamma):
@@ -101,7 +118,7 @@ def _ramp_risk_of_margins(raw, gamma):
 
 def error_rate(net, ds):
     """Fraction of examples misclassified by the argmax rule, ties to the lowest index."""
-    return _error_rate_of_outputs(_outputs(net, ds.X), ds.y)
+    return _error_rate_of_outputs(_outputs(net, _RowPass(ds)), ds.y)
 
 
 def _error_rate_of_outputs(outputs, labels):
@@ -125,9 +142,8 @@ def margin_distribution(net, ds, r_a, gamma=None):
     norm of the data matrix.  Requires r_a > 0, a nonzero data matrix and,
     when given, gamma > 0.
     """
-    return _margin_distribution_of_outputs(
-        _outputs(net, ds.X), ds.y, r_a, _group_norm(ds.X, 2.0, 2.0), gamma
-    )
+    outputs, data_norm = _outputs_and_norm(net, ds)
+    return _margin_distribution_of_outputs(outputs, ds.y, r_a, data_norm, gamma)
 
 
 def _margin_distribution_of_outputs(outputs, labels, r_a, data_norm, gamma=None):

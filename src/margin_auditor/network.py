@@ -176,10 +176,11 @@ class Network:
         return self._forward(as_matrix(x), keep=True)
 
     def _forward(self, z, keep=False):
-        """Output on a trusted matrix ``z`` such as a ``Dataset.X``, or every image
-        if ``keep``; ReLU works in place on each fresh GEMM output.  The output
-        alone runs the chain on row blocks of at most _GEMM_ROWS rows, written
-        into one n x k array, so no image of all n rows is held."""
+        """Output on ``z``, a trusted matrix or a Dataset's ``data._RowPass``, or
+        every image of a matrix if ``keep``; ReLU works in place on each fresh
+        GEMM output.  The output alone runs the chain on row blocks
+        ``z[start:stop]`` of at most _GEMM_ROWS rows, written into one n x k
+        array, so no image of all n rows is held."""
         if z.shape[1] != self.input_dim:
             raise DimensionError(
                 f"input has {z.shape[1]} columns, network expects {self.input_dim}"

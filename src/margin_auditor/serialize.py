@@ -23,8 +23,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (_BLOCK, InputOutputError, NumericDegeneracyError, ParseError, _all_finite,
-                     _row_blocks)
+from .errors import InputOutputError, NumericDegeneracyError, ParseError, _all_finite
 
 
 def _read_input(path, what="file", reader=None):
@@ -38,9 +37,9 @@ def _read_input(path, what="file", reader=None):
         raise InputOutputError(f"{what} {why}: {path}") from None
 
 
-def _write_output(path, *chunks):
-    """Write the ``chunks`` in order to the file at ``path``: str as UTF-8, any
-    other chunk (bytes, or a C-contiguous array) as its buffer's bytes."""
+def _write_output(path, chunks):
+    """Write the iterable ``chunks`` in order to the file at ``path``: str as
+    UTF-8, any other chunk (bytes, or a C-contiguous array) as its buffer's bytes."""
     try:
         with open(path, "wb") as f:
             f.writelines(c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
@@ -84,14 +83,12 @@ def _check_payload(length, expected, path, what):
                          path=path, offset=min(length, expected))
 
 
-def _read_container(path, fmt, what="file", divisor=None):
-    """(header fields, payload array) of the ``fmt`` file at ``path``, unvalidated;
-    with ``divisor``, the payload is float64 values / ``divisor`` instead.
+def _read_container(path, fmt, what="file"):
+    """(header fields, payload array) of the ``fmt`` file at ``path``, unvalidated.
     The file's length is checked before the payload is allocated: a regular
     file's from its size, a pipe's from its bytes, taken as they arrive, so no
     header's claim alone sizes an allocation.  Either is then read straight
-    into an owned, aligned array, or with ``divisor`` a row block at a time
-    into a one-block buffer."""
+    into an owned, aligned array of the format's dtype."""
 
     def read(f):
         start = struct.calcsize(fmt.header)
@@ -104,28 +101,21 @@ def _read_container(path, fmt, what="file", divisor=None):
             rest = f.read()
             f, length = io.BytesIO(rest), start + len(rest)
         _check_payload(length, expected, path, fmt.name)
-        if divisor is None:
-            payload = np.empty(shape, fmt.dtype)
-            got = f.readinto(payload)
-        else:
-            payload, width, got = np.empty(shape), math.prod(shape[1:]), 0
-            rows = _BLOCK // width or 1 if width else shape[0]  # rows of no width: one block
-            buf = np.empty((min(shape[0], rows), *shape[1:]), fmt.dtype)
-            for lo, hi in _row_blocks(shape[0], rows):
-                got += f.readinto(buf[: hi - lo])
-                np.divide(buf[: hi - lo], divisor, out=payload[lo:hi])
-        _check_payload(start + got, expected, path, fmt.name)
+        payload = np.empty(shape, fmt.dtype)
+        _check_payload(start + f.readinto(payload), expected, path, fmt.name)
         return fields, payload
 
     return _read_input(path, what, read)
 
 
-def _write_container(path, fmt, fields, payload):
-    """Write the array ``payload`` as a ``fmt`` file whose header holds ``fields``;
-    a C-contiguous payload already of the format's dtype is written from its
-    own buffer, without a copy."""
-    _write_output(path, struct.pack(fmt.header, fmt.magic, *fields),
-                  np.ascontiguousarray(payload, fmt.dtype))
+def _write_container(path, fmt, fields, blocks):
+    """Write a ``fmt`` file whose header holds ``fields`` and whose payload is the
+    arrays of the iterable ``blocks`` in order, each taken as it comes; a
+    C-contiguous block already of the format's dtype is written from its own
+    buffer, without a copy."""
+    header = struct.pack(fmt.header, fmt.magic, *fields)
+    _write_output(path, itertools.chain([header], (np.ascontiguousarray(b, fmt.dtype)
+                                                   for b in blocks)))
 
 
 def _read_json(path, what):
@@ -174,7 +164,7 @@ def dumps_17g(obj, indent=2):
 
 
 def write_json_17g(path, obj):
-    _write_output(path, dumps_17g(obj))
+    _write_output(path, [dumps_17g(obj)])
 
 
 def write_csv_17g(path, header, *columns):
@@ -190,4 +180,4 @@ def write_csv_17g(path, header, *columns):
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
     rows = len(values) // len(columns) if columns else 0
-    _write_output(path, ",".join(header) + "\n", (row * rows) % values)
+    _write_output(path, [",".join(header) + "\n", (row * rows) % values])

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import _norms_and_margins
-from .data import randomize_inputs_gaussian, randomize_labels
+from .data import _RowPass, randomize_inputs_gaussian, randomize_labels
 from .errors import (NumericDegeneracyError, ParameterError, ParseError, TrainingDivergedError,
                      _check_at_least, _check_count, _check_integer, _check_positive)
-from .linalg import _group_norm
-from .margins import _error_rate_of_outputs, _outputs, error_rate
+from .margins import _data_norm, _error_rate_of_outputs, _outputs, error_rate
 from .network import Identity, Layer, Network, Relu
 from .serialize import _read_json
 
@@ -208,7 +207,8 @@ def _sgd_block(weights, residuals, inputs, x, y, step, lr, l2, decay):
     ``residuals`` D (``delta / c`` per step) and ``inputs`` A.  Forward and
     backprop use ``c * (act @ W.T - (act @ A.T) @ D)`` and ``c * (delta @ W -
     (delta @ D.T) @ A)``, layer 0 from ``base = A_0 @ W_0.T`` and ``gram =
-    A_0 @ A_0.T``, two GEMMs at the block's start (A_0 is ``x``).  A step
+    A_0 @ A_0.T``, two GEMMs at the block's start (A_0 is ``x``, copied into
+    ``inputs[0]`` unless ``x`` already is its first rows).  A step
     multiplies c by ``decay = 1 - 2*lr*l2``, or W itself when the decay lies
     outside the scale's range (then every block of the run is one step).  With
     l2 the loss adds ``l2 * ||W_eff||^2`` per layer, taken exactly at the
@@ -274,7 +274,7 @@ def _sgd_block(weights, residuals, inputs, x, y, step, lr, l2, decay):
 def _snapshot(epoch, steps, mean_loss, layers, weights, train_ds, train_norm, test_ds):
     copies = (Layer(weight=w.copy(), nonlinearity=l.nonlinearity) for l, w in zip(layers, weights))
     net = Network(layers=tuple(copies))
-    train_outputs = _outputs(net, train_ds.X)
+    train_outputs = _outputs(net, _RowPass(train_ds))
     train_err = _error_rate_of_outputs(train_outputs, train_ds.y)
     test_err = error_rate(net, test_ds)
     norms, _, r_a, md = _norms_and_margins(net, train_outputs, train_ds.y, train_norm)
@@ -327,9 +327,8 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     net0 = init_network(cfg)
     weights = [layer.weight.copy() for layer in net0.layers]
     n = train_ds.n
-    x = train_ds.X
     y = train_ds.y
-    x_norm = _group_norm(x, 2.0, 2.0)
+    x_norm = _data_norm(train_ds)
     lr, l2 = cfg.learning_rate, cfg.l2_coefficient
     step = min(cfg.batch_size, n)
     decay = 1.0 - 2.0 * lr * l2
@@ -343,7 +342,8 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
         steps = 0
         for lo in range(0, n, block_rows):
             block = order[lo : lo + block_rows]
-            for loss, _, _ in _sgd_block(weights, residuals, inputs, x[block], y[block], step,
+            x = train_ds._rows(block, inputs[0][: len(block)])  # a byte-held set's decoded as A_0
+            for loss, _, _ in _sgd_block(weights, residuals, inputs, x, y[block], step,
                                          lr, l2, decay):
                 if not math.isfinite(loss):
                     raise TrainingDivergedError("loss is no longer finite", epoch=epoch)

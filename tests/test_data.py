@@ -45,6 +45,23 @@ def hand_built_idx_pair(tmp_path):
     return images, labels
 
 
+# inspect_idx's input -> the dict it returns, or the ParseError text and offset
+INSPECTED = {
+    "images": (struct.pack(">4I", 0x803, 3, 2, 5) + bytes(70_000),
+               {"kind": "images", "count": 3, "rows": 2, "cols": 5, "payload_bytes": 70_000}),
+    "labels": (struct.pack(">2I", 0x801, 9) + bytes(4),
+               {"kind": "labels", "count": 9, "payload_bytes": 4}),
+    "labels-with-12-bytes": (struct.pack(">3I", 0x801, 9, 7),
+                             {"kind": "labels", "count": 9, "payload_bytes": 4}),
+    "empty": (b"", ("IDX image header truncated (at byte 0)", 0)),
+    "three-bytes": (b"\0\0\x08", ("IDX image header truncated (at byte 3)", 3)),
+    "truncated-images": (struct.pack(">3I", 0x803, 3, 2),
+                         ("IDX image header truncated (at byte 12)", 12)),
+    "truncated-labels": (b"\0\0\x08\x01\0\0", ("IDX label header truncated (at byte 6)", 6)),
+    "bad-magic": (b"MAT1" + bytes(20), ("unrecognized IDX magic b'MAT1' (at byte 0)", 0)),
+}
+
+
 class TestLoadIdx:
     def test_hand_built_pair(self, tmp_path):
         images, labels = hand_built_idx_pair(tmp_path)
@@ -126,6 +143,33 @@ class TestLoadIdx:
         info = inspect_idx(images)
         assert info == {"kind": "images", "count": 2, "rows": 2, "cols": 2, "payload_bytes": 8}
         assert inspect_idx(labels)["kind"] == "labels"
+
+    @pytest.mark.parametrize("pipe", [
+        False, pytest.param(True, marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                           reason="needs named pipes"))],
+        ids=["file", "pipe"])
+    @pytest.mark.parametrize("case", sorted(INSPECTED))
+    def test_inspect_reads_the_header_and_counts_the_rest(self, tmp_path, case, pipe):
+        raw, expected = INSPECTED[case]
+        path = tmp_path / "f"
+        if pipe:
+            call = lambda: through_pipe(path, raw, lambda: inspect_idx(path))  # noqa: E731
+        else:
+            path.write_bytes(raw)
+            call = lambda: inspect_idx(path)  # noqa: E731
+        if isinstance(expected, dict):
+            assert call() == expected
+        else:
+            with pytest.raises(ParseError) as err:
+                call()
+            assert (str(err.value), err.value.offset) == (f"{path}: {expected[0]}", expected[1])
+
+    def test_inspect_keeps_only_the_header(self, tmp_path, digits_6000):
+        write_idx(digits_6000, tmp_path / "i", tmp_path / "l", rows=28)
+        info, peak = peak_bytes(inspect_idx, tmp_path / "i")
+        assert info == {"kind": "images", "count": 6000, "rows": 28, "cols": 28,
+                        "payload_bytes": 6000 * 784}
+        assert peak <= 1e6  # the whole file is 4.7 MB
 
 
 def mat1_bytes(rows, cols, payload=None):
@@ -497,6 +541,14 @@ class TestSynthGenerators:
         snaps = train(cfg, tr, te)
         assert min(s.train_error for s in snaps) == 0.0
 
+    @pytest.mark.parametrize("side", [0, -2, True, 2.5])
+    def test_images_side_checked(self, side):
+        with pytest.raises(ParameterError, match="side"):
+            synth_images(10, side=side)
+
+    def test_images_side_two(self):
+        assert synth_images(10, side=2).X.shape == (10, 4)
+
     def test_images_shape_scale_determinism(self):
         a = synth_images(30, k=5, seed=12)
         b = synth_images(30, k=5, seed=12)
@@ -539,9 +591,11 @@ class TestBuildersMakeNoDataSizedTemporary:
         assert (tmp_path / "x.mat").read_bytes()[12:] == digits_6000.X.tobytes()
 
     def test_load_idx_peak_and_bytes(self, tmp_path, digits_6000):
+        # the pixels are held as read, one byte each; dividing them into a
+        # float64 X took 8 bytes each, 37.6 MB
         write_idx(digits_6000, tmp_path / "i", tmp_path / "l", rows=28)
         ds, peak = peak_bytes(load_idx, tmp_path / "i", tmp_path / "l")
-        assert peak <= ds.X.nbytes + 1e6
+        assert peak <= ds.n * ds.dim + 1e6
         pixels = np.frombuffer((tmp_path / "i").read_bytes()[16:], np.uint8)
         assert ds.X.tobytes() == np.divide(pixels, 255.0).tobytes()
 

@@ -317,20 +317,20 @@ class TestTrain:
         assert sorted(rows) == sorted([train_ds.n, test_ds.n])
 
     def test_train_norm_taken_once_per_run(self, blob_pair, monkeypatch):
-        from margin_auditor import margins, training
+        # ||X||_2 of a Dataset comes only from a row pass that takes the norm
+        from margin_auditor.data import _RowPass
 
         train_ds, test_ds = blob_pair
-        seen = []
-        for module in (margins, training):
-            if hasattr(module, "_group_norm"):
-                def counted(a, p, q, original=module._group_norm):
-                    seen.append(a is train_ds.X)
-                    return original(a, p, q)
+        seen, norm = [], _RowPass.norm
 
-                monkeypatch.setattr(module, "_group_norm", counted)
+        def counted(rows):
+            seen.append(rows.ds is train_ds)
+            return norm(rows)
+
+        monkeypatch.setattr(_RowPass, "norm", counted)
         cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=3, batch_size=16, seed=0)
         train(cfg, train_ds, test_ds)
-        assert seen.count(True) == 1
+        assert seen == [True]
 
     def test_divergence_raises_with_epoch(self):
         # overlapping blobs keep the initial loss (and gradients) away from

@@ -46,7 +46,7 @@ def cmd_analyze(args):
 def cmd_margins(args):
     net = load_manifest(args.network)
     ds = _load_any_dataset(args.features, args.labels)
-    outputs, data_norm = margins._outputs_and_norm(net, ds)
+    outputs, data_norm = margins._pass(ds, net, norm=True)
     _, _, r_a, md = _norms_and_margins(net, outputs, ds.y, data_norm, args.gamma)
     _check_bound_params(md.gamma_used, args.delta, ds.n)
     summary = margins.summarize(md, bins=args.bins)

@@ -17,7 +17,7 @@ from .covering import _atom_budget
 from .errors import (DegenerateNetworkError, NumericDegeneracyError, ParameterError,
                      _check_count, _check_positive, _finite)
 from .linalg import _check_exponent, _group_norm, _spectral_norm
-from .margins import (_margin_distribution_of_outputs, _outputs_and_norm, _ramp_risk_of_margins,
+from .margins import (_margin_distribution_of_outputs, _pass, _ramp_risk_of_margins,
                       margins_of_outputs)
 
 
@@ -296,7 +296,7 @@ def generalization_bound_uniform(net, ds, gamma, delta):
     :func:`analyze_network` calls on the quantities it already holds.
     """
     _check_positive(gamma, "gamma")
-    outputs, data_norm = _outputs_and_norm(net, ds)
+    outputs, data_norm = _pass(ds, net, norm=True)
     ramp = _ramp_risk_of_margins(margins_of_outputs(outputs, ds.y), gamma)
     return _uniform_bound(ramp, data_norm, net.width, ds.n, gamma, delta, layer_norms(net))
 
@@ -366,7 +366,7 @@ def analyze_network(net, ds, gamma=None, delta=0.01):
     unless positive) and the margins, and the ramp risk and both bounds (which
     must lie in float64) come from them.
     """
-    outputs, data_norm = _outputs_and_norm(net, ds)
+    outputs, data_norm = _pass(ds, net, norm=True)
     norms, deltas, r_a, md = _norms_and_margins(net, outputs, ds.y, data_norm, gamma)
     n, gamma = ds.n, md.gamma_used
     ramp = _ramp_risk_of_margins(md.raw, gamma)

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (_BLOCK, _GEMM_ROWS, NumericDegeneracyError, ParameterError, ParseError,
-                     _check_count, _check_integer, _finite, _row_blocks)
-from .linalg import _ColumnSums, _scale_exponent, _unscale, _vector_pnorm, as_matrix, read_mat1
+from .errors import (_BLOCK, NumericDegeneracyError, ParameterError, ParseError, _check_count,
+                     _check_integer, _finite, _row_blocks)
+from .linalg import _scale_exponent, as_matrix, read_mat1
 from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _MAT1, _header_fields, _read_container,
                         _read_input, _write_container)
 
@@ -21,9 +21,9 @@ class Dataset:
 
     ``Dataset(X, y, k)`` holds X as float64.  A set from :func:`load_idx` holds
     its pixels as the file's bytes instead, 1 byte per entry against 8, and
-    reads X as byte / 255.0 a row block at a time.  The library reads rows
-    only through :meth:`_rows`; ``X`` of a byte-held set is a full-size float64
-    copy, decoded anew on each access, which the library itself never makes.
+    reads X as byte / 255.0 a row block at a time.  The library reads rows only
+    through :meth:`_rows` and :meth:`_blocks`; ``X`` of a byte-held set is a new
+    full-size float64 copy on each access, which the library itself never makes.
     """
 
     _x: np.ndarray  # X as float64, or the n x d pixel bytes of a byte-held set
@@ -67,51 +67,28 @@ class Dataset:
         return self._x.shape[1]
 
     def _rows(self, rows, out=None):
-        """The rows ``rows`` (a slice or an index array) of X, as float64: a
-        float64 set's indexed (a view for a slice), a byte-held set's decoded as
-        byte / 255.0, into the buffer ``out`` when one is given."""
+        """The rows ``rows`` (a slice or an index array) of X as float64: a float64 set's
+        indexed (a view for a slice), a byte-held set's decoded as byte / 255.0.  Given
+        ``out`` (for a float64 set, with an index array in range) they are written into it
+        with no other buffer: numpy's take buffers ``out`` unless its mode is "clip"."""
         if self._x.dtype == np.uint8:
             return np.divide(self._x[rows], 255.0, out=out)
-        return self._x[rows]
+        return self._x[rows] if out is None else self._x.take(rows, axis=0, out=out, mode="clip")
+
+    def _blocks(self, rows):
+        """(start, stop, X[start:stop] as float64) for each :func:`errors._row_blocks` block
+        of at most ``rows`` rows, in order, a byte-held set's decoded into one buffer (of at
+        least one row) that the next block reuses.  Every in-order row pass reads these."""
+        buf = np.empty((min(self.n, max(rows, 1)), self.dim)) if self._x.dtype == np.uint8 else None
+        for start, stop in _row_blocks(self.n, rows):
+            out = None if buf is None else buf[: stop - start]
+            yield start, stop, self._rows(slice(start, stop), out)
 
     def _scale_exponent(self):
         """:func:`linalg._scale_exponent` of X, a byte-held set's from its largest byte."""
         if self._x.dtype == np.uint8:
             return _scale_exponent(np.divide(self._x.max(keepdims=True), 255.0))
         return _scale_exponent(self._x)
-
-
-class _RowPass:
-    """One pass, in order, over a Dataset's rows, shaped as the matrix that
-    :meth:`Network._forward` reads: ``shape``, ``len`` and ``[start:stop]`` row
-    blocks from :meth:`Dataset._rows`, a byte-held set's decoded into one
-    reused buffer.  With ``norm``, every block read is also taken into the
-    column sums of ||X||_2 (:class:`linalg._ColumnSums`, under the exponent of
-    :meth:`Dataset._scale_exponent`), so the pass that runs the network gives
-    :meth:`norm` too, bitwise ``_group_norm(X, 2, 2)``."""
-
-    def __init__(self, ds, norm=False):
-        self.ds, self.shape = ds, (ds.n, ds.dim)
-        decoded = ds._x.dtype == np.uint8
-        self._buf = np.empty((min(ds.n, _GEMM_ROWS), ds.dim)) if decoded else None
-        self._e = ds._scale_exponent() if norm else None  # None for all-zero X too
-        self._sums = None if self._e is None else _ColumnSums(ds.n, ds.dim, 2.0, self._e)
-
-    def __len__(self):
-        return self.shape[0]
-
-    def __getitem__(self, rows):
-        out = None if self._buf is None else self._buf[: rows.stop - rows.start]
-        block = self.ds._rows(rows, out)
-        if self._sums is not None:
-            self._sums.add(block)
-        return block
-
-    def norm(self):
-        """||X||_2, from a pass made with ``norm`` once every row has been read."""
-        if self._sums is None:
-            return 0.0
-        return _unscale(_vector_pnorm(self._sums.norms(), 2.0), self._e)
 
 
 def inspect_idx(path):
@@ -167,15 +144,14 @@ def write_idx(ds, images_path, labels_path, rows=1, cols=None):
         raise ParameterError(f"rows*cols={rows * cols} must equal feature dim {d}")
     if ds.k > 256:
         raise ParameterError("IDX labels are single bytes; need k <= 256")
-    blocks = (np.rint(np.clip(ds._rows(slice(start, stop)), 0.0, 1.0) * 255.0)
-              for start, stop in _row_blocks(n, _BLOCK // d))
+    blocks = (np.rint(np.clip(block, 0.0, 1.0) * 255.0) for _, _, block in ds._blocks(_BLOCK // d))
     _write_container(images_path, _IDX_IMAGES, (n, rows, cols), blocks)
     _write_container(labels_path, _IDX_LABELS, (n,), [ds.y - 1])
 
 
 def save_dataset(ds, matrix_path, labels_path):
     """Dataset export: features as MAT1, labels as LBL1 (magic, u32 count, u32 k, u32 labels)."""
-    blocks = (ds._rows(slice(start, stop)) for start, stop in _row_blocks(ds.n, _BLOCK // ds.dim))
+    blocks = (block for _, _, block in ds._blocks(_BLOCK // ds.dim))
     _write_container(matrix_path, _MAT1, (ds.n, ds.dim), blocks)
     _write_container(labels_path, _LBL1, (ds.n, ds.k), [ds.y])
 
@@ -214,11 +190,13 @@ def randomize_inputs_gaussian(ds, seed=0):
         raise ParameterError("need at least 2 examples to estimate input statistics")
     d = ds.dim
     e = ds._scale_exponent() or 0  # None for all-zero X
-    x = np.empty((ds.n, d))  # 2**-e * X; a byte-held set is decoded into it
-    np.ldexp(ds._rows(slice(None), out=x), -e, out=x)
+    x = np.empty((ds.n, d))  # 2**-e * X, then centred in place
+    for start, stop, block in ds._blocks(_BLOCK // d):
+        np.ldexp(block, -e, out=x[start:stop])
     mu = x.mean(axis=0)
-    centered = x - mu
-    cov = centered.T @ centered / ds.n
+    x -= mu
+    cov = x.T @ x / ds.n
+    del x
     lam = 1e-6 * float(np.trace(cov)) / d
     if lam <= 0.0:
         raise NumericDegeneracyError("all rows identical: covariance has zero trace")
@@ -227,9 +205,10 @@ def randomize_inputs_gaussian(ds, seed=0):
     except np.linalg.LinAlgError as exc:
         raise NumericDegeneracyError(f"covariance factorization failed: {exc}") from None
     rng = np.random.default_rng(_check_count(seed, 0, "seed"))
-    z = rng.standard_normal((ds.n, d))
+    draws = rng.standard_normal((ds.n, d)) @ chol.T
+    draws += mu
     with np.errstate(over="ignore"):
-        draws = np.ldexp(mu + z @ chol.T, e)
+        np.ldexp(draws, e, out=draws)
     return Dataset._of_matrix(_finite(draws, "a Gaussian input draw"), ds.y.copy(), ds.k)
 
 

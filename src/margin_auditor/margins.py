@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _RowPass
 from .errors import (_BLOCK, _GEMM_ROWS, NumericDegeneracyError, ParameterError, _check_count,
                      _check_positive, _finite, _row_blocks)
-from .linalg import _scale_exponent, as_matrix
+from .linalg import _ColumnSums, _scale_exponent, _unscale, _vector_pnorm, as_matrix
 from .serialize import write_csv_17g
 
 
@@ -73,27 +72,31 @@ def margins_of_outputs(outputs, labels):
         return _finite(correct - masked.max(axis=1), "a raw margin")
 
 
-def _outputs(net, x):
-    """``net``'s outputs on ``x``, a trusted matrix or a Dataset's :class:`_RowPass`;
-    outputs beyond the float64 range are a NumericDegeneracyError, raised
-    without a RuntimeWarning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(net._forward(x), "one of the network outputs on the data")
+def _pass(ds, net=None, norm=False):
+    """(``net``'s outputs on the Dataset ``ds``, ||X||_2 if ``norm``; None for what
+    is not asked for) from one pass over :meth:`Dataset._blocks`: each block runs
+    the chain (:meth:`Network._forward`) and goes into :class:`linalg._ColumnSums`
+    under the exponent of :meth:`Dataset._scale_exponent`, bitwise ``_group_norm(X,
+    2, 2)``.  Outputs beyond float64 are a NumericDegeneracyError, with no RuntimeWarning."""
+    e = ds._scale_exponent() if norm else None  # None for all-zero X too
+    sums = None if e is None else _ColumnSums(ds.n, ds.dim, 2.0, e)
 
+    def rows():
+        for start, stop, block in ds._blocks(_GEMM_ROWS):
+            if sums is not None:
+                sums.add(block)
+            yield start, stop, block
 
-def _outputs_and_norm(net, ds):
-    """(``net``'s outputs on the Dataset ``ds``, ||X||_2) from one pass over its
-    rows, which decodes each row block once for both."""
-    rows = _RowPass(ds, norm=True)
-    return _outputs(net, rows), rows.norm()
-
-
-def _data_norm(ds):
-    """||X||_2 of the Dataset ``ds``, from a pass over its rows of its own."""
-    rows = _RowPass(ds, norm=True)
-    for start, stop in _row_blocks(ds.n, _GEMM_ROWS):
-        rows[start:stop]  # taken into the column sums
-    return rows.norm()
+    outputs = None
+    if net is None:
+        for _ in rows():
+            pass
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs = _finite(net._forward(rows(), ds.n), "one of the network outputs on the data")
+    if sums is None:
+        return outputs, 0.0 if norm else None
+    return outputs, _unscale(_vector_pnorm(sums.norms(), 2.0), e)
 
 
 def ramp_loss(r, gamma):
@@ -109,7 +112,7 @@ def ramp_loss(r, gamma):
 def ramp_risk_empirical(net, ds, gamma):
     """Mean ramp loss of the negated margins over a dataset."""
     _check_positive(gamma, "gamma")
-    return _ramp_risk_of_margins(margins_of_outputs(_outputs(net, _RowPass(ds)), ds.y), gamma)
+    return _ramp_risk_of_margins(margins_of_outputs(_pass(ds, net)[0], ds.y), gamma)
 
 
 def _ramp_risk_of_margins(raw, gamma):
@@ -118,7 +121,7 @@ def _ramp_risk_of_margins(raw, gamma):
 
 def error_rate(net, ds):
     """Fraction of examples misclassified by the argmax rule, ties to the lowest index."""
-    return _error_rate_of_outputs(_outputs(net, _RowPass(ds)), ds.y)
+    return _error_rate_of_outputs(_pass(ds, net)[0], ds.y)
 
 
 def _error_rate_of_outputs(outputs, labels):
@@ -142,12 +145,12 @@ def margin_distribution(net, ds, r_a, gamma=None):
     norm of the data matrix.  Requires r_a > 0, a nonzero data matrix and,
     when given, gamma > 0.
     """
-    outputs, data_norm = _outputs_and_norm(net, ds)
+    outputs, data_norm = _pass(ds, net, norm=True)
     return _margin_distribution_of_outputs(outputs, ds.y, r_a, data_norm, gamma)
 
 
 def _margin_distribution_of_outputs(outputs, labels, r_a, data_norm, gamma=None):
-    """:func:`margin_distribution` from the network's :func:`_outputs` on the
+    """:func:`margin_distribution` from the network's outputs (:func:`_pass`) on the
     data and the data's entrywise l2 norm, both already computed by the caller."""
     _check_positive(r_a, "spectral complexity")
     if gamma is not None:

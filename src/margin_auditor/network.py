@@ -101,15 +101,16 @@ class MaxPool:
 
 @dataclass(frozen=True)
 class Layer:
-    """One layer: weight A (out x in), reference M of the same shape, nonlinearity."""
+    """One layer: weight A (out x in), reference M of the same shape, nonlinearity.
+    Without a reference M is a read-only zero: one float64 0.0 at stride 0, no storage."""
 
     weight: np.ndarray
     nonlinearity: object
     reference: np.ndarray = None
 
     def __post_init__(self):
-        w = as_matrix(self.weight)
-        r = np.zeros_like(w) if self.reference is None else as_matrix(self.reference)
+        w, r = as_matrix(self.weight), self.reference
+        r = np.ndarray(w.shape, buffer=bytes(8), strides=(0, 0)) if r is None else as_matrix(r)
         if r.shape != w.shape:
             raise DimensionError(
                 f"reference shape {r.shape} must equal weight shape {w.shape}"
@@ -169,33 +170,32 @@ class Network:
 
     def forward(self, x):
         """Evaluate the network on examples given as rows of ``x``."""
-        return self._forward(as_matrix(x))
+        x = as_matrix(x)
+        return self._forward(((start, stop, x[start:stop])
+                              for start, stop in _row_blocks(len(x), _GEMM_ROWS)), len(x))
 
     def forward_images(self, x):
         """Per-layer forward images (X_0, ..., X_L), examples as rows; X_0 is the input."""
-        return self._forward(as_matrix(x), keep=True)
+        images = [as_matrix(x)]
+        self._chain(images[0], images)
+        return images
 
-    def _forward(self, z, keep=False):
-        """Output on ``z``, a trusted matrix or a Dataset's ``data._RowPass``, or
-        every image of a matrix if ``keep``; ReLU works in place on each fresh
-        GEMM output.  The output alone runs the chain on row blocks
-        ``z[start:stop]`` of at most _GEMM_ROWS rows, written into one n x k
-        array, so no image of all n rows is held."""
+    def _forward(self, blocks, n):
+        """Output on the n rows given as ``blocks`` of (start, stop, rows), the
+        chain run on each block (of at most _GEMM_ROWS rows) and written into one
+        n x k array, so no image of all n rows is held."""
+        out = np.empty((n, self.output_dim))
+        for start, stop, block in blocks:
+            out[start:stop] = self._chain(block)
+        return out
+
+    def _chain(self, z, images=None):
+        """The layer chain on the rows ``z``, appending each layer's image to
+        ``images``; ReLU works in place on each fresh GEMM output."""
         if z.shape[1] != self.input_dim:
             raise DimensionError(
                 f"input has {z.shape[1]} columns, network expects {self.input_dim}"
             )
-        if keep:
-            images = [z]
-            self._chain(z, images)
-            return images
-        out = np.empty((z.shape[0], self.output_dim))
-        for start, stop in _row_blocks(z.shape[0], _GEMM_ROWS):
-            out[start:stop] = self._chain(z[start:stop])
-        return out
-
-    def _chain(self, z, images=None):
-        """The layer chain on ``z``, appending each layer's image to ``images``."""
         for layer in self.layers:
             nl, z = layer.nonlinearity, z @ layer.weight.T
             z = np.maximum(z, 0.0, out=z) if isinstance(nl, Relu) else nl.apply(z)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import _norms_and_margins
-from .data import _RowPass, randomize_inputs_gaussian, randomize_labels
+from .data import randomize_inputs_gaussian, randomize_labels
 from .errors import (NumericDegeneracyError, ParameterError, ParseError, TrainingDivergedError,
                      _check_at_least, _check_count, _check_integer, _check_positive)
-from .margins import _data_norm, _error_rate_of_outputs, _outputs, error_rate
+from .margins import _error_rate_of_outputs, _pass, error_rate
 from .network import Identity, Layer, Network, Relu
 from .serialize import _read_json
 
@@ -196,21 +196,21 @@ def _block_rows(step, decay):
     return max(k, 1) * step
 
 
-def _sgd_block(weights, residuals, inputs, x, y, step, lr, l2, decay):
-    """Deferred SGD steps over one flush block: the rows ``x`` with labels
-    ``y``, in ``step``-row batches (the last may be short).  Yields each
-    step's batch loss on the effective weights before it, with the pending
-    row count p and scale c after it; resumed after the last step, it folds
-    the block into W by ``W <- c * (W - D[:p].T @ A[:p])``, one GEMM per layer.
+def _sgd_block(weights, residuals, inputs, y, step, lr, l2, decay):
+    """Deferred SGD steps over one flush block: the first ``len(y)`` rows of
+    ``inputs[0]`` with labels ``y``, in ``step``-row batches (the last may be
+    short).  Yields each step's batch loss on the effective weights before
+    it, with the pending row count p and scale c after it; resumed after the
+    last step, it folds the block into W by ``W <- c * (W - D[:p].T @
+    A[:p])``, one GEMM per layer.
 
     That expression is each layer's effective weight, for its rows of
     ``residuals`` D (``delta / c`` per step) and ``inputs`` A.  Forward and
     backprop use ``c * (act @ W.T - (act @ A.T) @ D)`` and ``c * (delta @ W -
     (delta @ D.T) @ A)``, layer 0 from ``base = A_0 @ W_0.T`` and ``gram =
-    A_0 @ A_0.T``, two GEMMs at the block's start (A_0 is ``x``, copied into
-    ``inputs[0]`` unless ``x`` already is its first rows).  A step
-    multiplies c by ``decay = 1 - 2*lr*l2``, or W itself when the decay lies
-    outside the scale's range (then every block of the run is one step).  With
+    A_0 @ A_0.T``, two GEMMs at the block's start.  A step multiplies c by
+    ``decay = 1 - 2*lr*l2``, or W itself when the decay lies outside the
+    scale's range (then every block of the run is one step).  With
     l2 the loss adds ``l2 * ||W_eff||^2`` per layer, taken exactly at the
     block's start and then tracked as ``||decay*W_eff - U||^2`` for ``U =
     delta.T @ act``, with ``<W_eff, U> = <delta, pre-activation>``.
@@ -218,7 +218,6 @@ def _sgd_block(weights, residuals, inputs, x, y, step, lr, l2, decay):
     m = len(y)
     eager = not _SCALE_MIN <= abs(decay) <= _SCALE_MAX
     a0 = inputs[0][:m]
-    a0[...] = x
     base = a0 @ weights[0].T
     # the last step reads the rows before its own, and its own for l2
     gram = a0 @ a0[: m if l2 else (m - 1) // step * step].T
@@ -274,7 +273,7 @@ def _sgd_block(weights, residuals, inputs, x, y, step, lr, l2, decay):
 def _snapshot(epoch, steps, mean_loss, layers, weights, train_ds, train_norm, test_ds):
     copies = (Layer(weight=w.copy(), nonlinearity=l.nonlinearity) for l, w in zip(layers, weights))
     net = Network(layers=tuple(copies))
-    train_outputs = _outputs(net, _RowPass(train_ds))
+    train_outputs = _pass(train_ds, net)[0]
     train_err = _error_rate_of_outputs(train_outputs, train_ds.y)
     test_err = error_rate(net, test_ds)
     norms, _, r_a, md = _norms_and_margins(net, train_outputs, train_ds.y, train_norm)
@@ -328,7 +327,7 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     weights = [layer.weight.copy() for layer in net0.layers]
     n = train_ds.n
     y = train_ds.y
-    x_norm = _data_norm(train_ds)
+    x_norm = _pass(train_ds, norm=True)[1]  # so a norm beyond float64 fails before any step
     lr, l2 = cfg.learning_rate, cfg.l2_coefficient
     step = min(cfg.batch_size, n)
     decay = 1.0 - 2.0 * lr * l2
@@ -342,9 +341,8 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
         steps = 0
         for lo in range(0, n, block_rows):
             block = order[lo : lo + block_rows]
-            x = train_ds._rows(block, inputs[0][: len(block)])  # a byte-held set's decoded as A_0
-            for loss, _, _ in _sgd_block(weights, residuals, inputs, x, y[block], step,
-                                         lr, l2, decay):
+            train_ds._rows(block, inputs[0][: len(block)])  # A_0 of the block
+            for loss, _, _ in _sgd_block(weights, residuals, inputs, y[block], step, lr, l2, decay):
                 if not math.isfinite(loss):
                     raise TrainingDivergedError("loss is no longer finite", epoch=epoch)
                 loss_sum += loss

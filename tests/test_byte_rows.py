@@ -17,7 +17,7 @@ from margin_auditor import (Dataset, MarginAuditorError, TrainConfig, analyze_ne
                             synth_images, train, write_idx)
 from margin_auditor.cli import main
 from margin_auditor.linalg import _group_norm, _scale_exponent
-from margin_auditor.margins import _data_norm, _outputs_and_norm
+from margin_auditor.margins import _pass
 from margin_auditor.network import Identity, Layer, Network
 from conftest import peak_bytes
 
@@ -143,6 +143,32 @@ class TestBitwiseAsFloat64:
             assert (tmp_path / "held.idx").read_bytes() == f.read()
 
 
+def test_rows_into_a_buffer(pair):
+    # train decodes or gathers each flush block straight into its A_0 buffer
+    index = np.random.default_rng(2).integers(0, pair[0].n, 700)
+    for ds in pair[:2]:
+        out = np.empty((len(index), ds.dim))
+        rows, peak = peak_bytes(ds._rows, index, out)
+        assert rows is out and out.tobytes() == pair[1].X[index].tobytes()
+        assert peak < out.nbytes / 4  # a gather, or a buffered take, is as large as out
+
+
+def test_rows_wider_than_a_block_written_back(tmp_path):
+    # a 70,000-pixel image is wider than _BLOCK entries: each block is one
+    # row, which a decode buffer of no rows would have lost without an error
+    pixels = np.random.default_rng(5).integers(0, 256, (3, 70_000), dtype=np.uint8)
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">4I", 0x803, 3, 280, 250) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">2I", 0x801, 3) + bytes([0, 1, 2]))
+    held = load_idx(images, labels)
+    dense = Dataset(X=np.divide(pixels, 255.0), y=held.y, k=held.k)
+    write_idx(held, tmp_path / "i", tmp_path / "l", rows=280)
+    assert (tmp_path / "i").read_bytes() == images.read_bytes()
+    for name, ds in (("held", held), ("dense", dense)):
+        save_dataset(ds, tmp_path / f"{name}.mat", tmp_path / f"{name}.lbl")
+    assert (tmp_path / "held.mat").read_bytes() == (tmp_path / "dense.mat").read_bytes()
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (700, 1), (513, 2), (1025, 7), (600, 784), (3, 70_000)])
 @pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600, 2.0**1000, 2.0**-1000])
 def test_row_pass_norm_is_the_group_norm(shape, scale):
@@ -153,13 +179,13 @@ def test_row_pass_norm_is_the_group_norm(shape, scale):
     ds = Dataset(X=x, y=np.ones(shape[0], np.int64), k=1)
     net = Network(layers=(Layer(np.ones((2, shape[1])), Identity()),))
     expected = _group_norm(x, 2.0, 2.0)
-    assert _data_norm(ds) == expected
-    assert _outputs_and_norm(net, ds)[1] == expected
+    assert _pass(ds, norm=True)[1] == expected
+    assert _pass(ds, net, norm=True)[1] == expected
 
 
 def test_row_pass_norm_of_bytes(tmp_path):
     held, dense, _ = idx_pair(tmp_path, 1300, 11)
-    assert _data_norm(held) == _group_norm(dense.X, 2.0, 2.0)
+    assert _pass(held, norm=True)[1] == _group_norm(dense.X, 2.0, 2.0)
     assert held._scale_exponent() == _scale_exponent(dense.X)
 
 

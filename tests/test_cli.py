@@ -432,9 +432,9 @@ class TestMargins:
         forwards = []
         forward = Network._forward
 
-        def counted(net, x, keep=False):
-            forwards.append(len(x))
-            return forward(net, x, keep)
+        def counted(net, blocks, n):
+            forwards.append(n)
+            return forward(net, blocks, n)
 
         def no_bound(*args, **kwargs):
             raise AssertionError("the margins command evaluated a bound")

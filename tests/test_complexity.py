@@ -528,9 +528,9 @@ class TestAnalyzeNetwork:
         forward = Network._forward
         extract = complexity._extract_norms
 
-        def counted_forward(self, x, keep=False):
+        def counted_forward(self, blocks, n):
             calls["forward"] += 1
-            return forward(self, x, keep)
+            return forward(self, blocks, n)
 
         def counted_norms(net):
             calls["norms"] += 1

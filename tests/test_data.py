@@ -28,7 +28,8 @@ from margin_auditor import (
     write_mat1,
 )
 from margin_auditor.errors import _BLOCK, _GEMM_ROWS
-from margin_auditor.margins import _outputs
+from margin_auditor.linalg import _scale_exponent
+from margin_auditor.margins import _pass
 from conftest import peak_bytes
 
 # chi-square critical value at p = 0.001 with 9 degrees of freedom
@@ -335,8 +336,8 @@ class TestMat1Reader:
         widths = (784, 256, 256, 10)
         net = init_network(TrainConfig(layer_widths=widths, epochs=1, batch_size=4, seed=3))
         save_dataset(synth_images(2000, k=10, seed=4), tmp_path / "x.mat", tmp_path / "y.lbl")
-        x = load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl").X
-        _, peak = peak_bytes(_outputs, net, x)
+        ds = load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl")
+        _, peak = peak_bytes(_pass, ds, net)
         images = [8 * (2 * _GEMM_ROWS - 1) * w for w in widths[1:]]
         output = 8 * 2000 * widths[-1]
         assert peak <= max(a + b for a, b in zip(images, images[1:])) + output + 65536
@@ -509,6 +510,31 @@ class TestRandomizeInputs:
             scaled = randomize_inputs_gaussian(Dataset(X=np.ldexp(ds.X, k), y=ds.y, k=ds.k),
                                                seed=3)
         assert np.array_equal(scaled.X, np.ldexp(base, k))
+
+
+def gaussian_draws_unfused(x, seed):
+    """randomize_inputs_gaussian's draws on the float64 ``x``, each step a new array."""
+    e = _scale_exponent(x) or 0
+    x = np.ldexp(x, -e)
+    mu = x.mean(axis=0)
+    centered = x - mu
+    cov = centered.T @ centered / len(x)
+    chol = np.linalg.cholesky(cov + 1e-6 * float(np.trace(cov)) / x.shape[1] * np.eye(x.shape[1]))
+    z = np.random.default_rng(seed).standard_normal(x.shape)
+    return np.ldexp(mu + z @ chol.T, e)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.7, 2.0**600, 2.0**-600])
+def test_gaussian_draws_in_place_peak_and_bytes(scale):
+    # the scaled copy is centred in place and dropped once the covariance is
+    # formed, and the draws are shifted and scaled in place: about five
+    # temporaries the size of X (72.6 MB here) came to 35 MB
+    digits = synth_images(2000, k=10, seed=4)
+    ds = Dataset(X=digits.X * scale, y=digits.y, k=10)
+    randomize_inputs_gaussian(Dataset(X=ds.X[:20], y=ds.y[:20], k=10), seed=1)
+    out, peak = peak_bytes(randomize_inputs_gaussian, ds, seed=1)
+    assert peak <= 3 * ds.X.nbytes + 1e6
+    assert out.X.tobytes() == gaussian_draws_unfused(ds.X, 1).tobytes()
 
 
 class TestSynthGenerators:

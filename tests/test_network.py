@@ -21,7 +21,6 @@ from margin_auditor import (
     spectral_norm,
 )
 from margin_auditor.errors import _GEMM_ROWS
-from margin_auditor.margins import _outputs
 from margin_auditor.network import _nonlinearity_from_json
 from conftest import peak_bytes, random_network
 
@@ -108,7 +107,8 @@ def glorot_network(widths):
 
 
 class TestBlockedForward:
-    """From _GEMM_ROWS + 1 rows up, the output alone is computed in row blocks."""
+    """From _GEMM_ROWS + 1 rows up, ``forward`` runs the chain in row blocks and
+    ``forward_images`` runs it on all rows at once."""
 
     @pytest.mark.parametrize("widths", [(784, 256, 256, 10), (784, 1024, 10)],
                              ids=["784-256-256-10", "784-1024-10"])
@@ -116,7 +116,7 @@ class TestBlockedForward:
     def test_bitwise_equal_to_the_whole_chain(self, widths, n):
         net = glorot_network(widths)
         x = np.random.default_rng(n).uniform(0.0, 1.0, (n, 784))
-        assert _outputs(net, x).tobytes() == net.forward_images(x)[-1].tobytes()
+        assert net.forward(x).tobytes() == net.forward_images(x)[-1].tobytes()
 
     def test_maxpool_chain(self, rng):
         net = Network(layers=(
@@ -130,7 +130,7 @@ class TestBlockedForward:
         # the whole chain holds two 5,000 x 256 images at once, 20.5 MB
         net = glorot_network((784, 256, 256, 10))
         x = np.random.default_rng(6).uniform(0.0, 1.0, (5000, 784))
-        out, peak = peak_bytes(_outputs, net, x)
+        out, peak = peak_bytes(net.forward, x)
         assert peak < 2 * (2 * _GEMM_ROWS - 1) * 256 * 8 + out.nbytes
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import asdict
 
@@ -19,6 +20,8 @@ from margin_auditor import (
     loss_and_gradients,
     randomize_inputs_gaussian,
     randomize_labels,
+    save_dataset,
+    save_manifest,
     synth_blobs,
     train,
 )
@@ -32,6 +35,7 @@ from margin_auditor.training import (
     _block_rows,
     _sgd_block,
 )
+from conftest import peak_bytes
 
 
 @pytest.fixture
@@ -57,6 +61,17 @@ class TestInit:
             limit = math.sqrt(6.0 / (fan_in + fan_out))
             assert np.abs(layer.weight).max() <= limit
             assert not layer.reference.any()
+
+    def test_zero_references_take_no_storage(self, tmp_path):
+        # each zero reference was an np.zeros_like of its weight, 2.1 MB in all
+        cfg = TrainConfig(layer_widths=(784, 256, 256, 10), epochs=1, batch_size=4, seed=3)
+        init_network(TrainConfig(layer_widths=(2, 2), epochs=1, batch_size=4, seed=3))
+        net, peak = peak_bytes(init_network, cfg)
+        assert peak <= sum(layer.weight.nbytes for layer in net.layers) + 1e5
+        for layer in net.layers:
+            assert not layer.reference.flags.writeable and not layer.reference.any()
+        with open(save_manifest(net, tmp_path), encoding="utf-8") as f:
+            assert [e["reference"] for e in json.load(f)["layers"]] == ["zero"] * 3
 
     def test_seeds_differ(self):
         base = TrainConfig(layer_widths=(4, 4, 2), epochs=1, batch_size=4, seed=0)
@@ -100,15 +115,17 @@ class TestGradients:
         assert loss1 <= loss0 + 1e-8
 
 
-def _checked_block(tally, weights, residuals, inputs, x, y, step, lr, l2, decay):
-    """:func:`_sgd_block`, each step checked against the eager reference
-    step from the current effective weights ``c * (W - D[:p].T @ A[:p])``;
-    yields what it yields.  ``tally`` counts the blocks, the steps, those that
-    began a block, the steps whose loss differs bitwise from the reference
-    loss, and the blocks whose fold took in all their rows."""
+def _checked_block(tally, weights, residuals, inputs, y, step, lr, l2, decay):
+    """:func:`_sgd_block` on the rows its caller placed in ``inputs[0]``, each
+    step checked against the eager reference step from the current effective
+    weights ``c * (W - D[:p].T @ A[:p])``; yields what it yields.  ``tally``
+    counts the blocks, the steps, those that began a block, the steps whose
+    loss differs bitwise from the reference loss, and the blocks whose fold
+    took in all their rows."""
+    x = inputs[0][: len(y)].copy()
     current = [w.copy() for w in weights]
     start = 0
-    for loss, p, c in _sgd_block(weights, residuals, inputs, x, y, step, lr, l2, decay):
+    for loss, p, c in _sgd_block(weights, residuals, inputs, y, step, lr, l2, decay):
         ref_loss, grads = loss_and_gradients(current, x[start:p], y[start:p], l2_coefficient=l2)
         # Pending rows reassociate the logits' sums, which moves the loss by a
         # few ulps; the l2 term adds the tracked norm's drift over at most
@@ -139,8 +156,8 @@ def _step_against_reference(weights, x, y, block_rows, lr, l2):
     decay = 1.0 - 2.0 * lr * l2
     for lo in range(0, len(x), block_rows):
         rows = slice(lo, lo + block_rows)
-        for _ in _checked_block(tally, weights, residuals, inputs, x[rows], y[rows], 4, lr, l2,
-                                decay):
+        inputs[0][: len(y[rows])] = x[rows]
+        for _ in _checked_block(tally, weights, residuals, inputs, y[rows], 4, lr, l2, decay):
             pass
     return tally
 
@@ -307,9 +324,9 @@ class TestTrain:
         rows = []
         forward = Network._forward
 
-        def counted(net, x, keep=False):
-            rows.append(len(x))
-            return forward(net, x, keep)
+        def counted(net, blocks, n):
+            rows.append(n)
+            return forward(net, blocks, n)
 
         monkeypatch.setattr(Network, "_forward", counted)
         cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=1, batch_size=16, seed=0)
@@ -318,16 +335,18 @@ class TestTrain:
 
     def test_train_norm_taken_once_per_run(self, blob_pair, monkeypatch):
         # ||X||_2 of a Dataset comes only from a row pass that takes the norm
-        from margin_auditor.data import _RowPass
+        from margin_auditor import margins
 
         train_ds, test_ds = blob_pair
-        seen, norm = [], _RowPass.norm
+        seen, row_pass = [], margins._pass
 
-        def counted(rows):
-            seen.append(rows.ds is train_ds)
-            return norm(rows)
+        def counted(ds, net=None, norm=False):
+            if norm:
+                seen.append(ds is train_ds)
+            return row_pass(ds, net, norm)
 
-        monkeypatch.setattr(_RowPass, "norm", counted)
+        monkeypatch.setattr(margins, "_pass", counted)
+        monkeypatch.setattr(training, "_pass", counted)
         cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=3, batch_size=16, seed=0)
         train(cfg, train_ds, test_ds)
         assert seen == [True]
@@ -451,6 +470,29 @@ class TestTrain:
             cfg = TrainConfig(layer_widths=widths, epochs=1, batch_size=16, seed=0)
             with pytest.raises(ParameterError, match=message):
                 train(cfg, train_ds, test)
+
+    def test_data_norm_beyond_float64_rejected_before_any_step(self, tmp_path, monkeypatch):
+        # ||X||_2 = sqrt(160) * 1.5e307 exceeds the float64 range; it is taken
+        # before the first step, so no step overflows first (with RuntimeWarnings)
+        from margin_auditor.cli import main
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        signs = np.random.default_rng(8).choice([-1.0, 1.0], (40, 4))
+        ds = Dataset(X=1.5e307 * signs, y=np.arange(40) % 2 + 1, k=2)
+        monkeypatch.setattr(training, "_sgd_block", fail)
+        cfg = TrainConfig(layer_widths=(4, 8, 2), epochs=1, batch_size=4, seed=0)
+        with pytest.raises(NumericDegeneracyError, match="norm exceeds the float64 range"):
+            train(cfg, ds, ds)
+        save_dataset(ds, tmp_path / "x.mat", tmp_path / "y.lbl")
+        (tmp_path / "cfg.json").write_text(json.dumps(asdict(cfg)))
+        data = [str(tmp_path / "x.mat"), str(tmp_path / "y.lbl")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", str(tmp_path / "cfg.json"), "--train-features", data[0],
+                         "--train-labels", data[1], "--test-features", data[0],
+                         "--test-labels", data[1], "--out", str(tmp_path / "run")]) == 4
 
     def test_fewer_than_two_rows_rejected_before_any_step(self, blob_pair, monkeypatch):
         train_ds, test_ds = blob_pair

@@ -17,25 +17,30 @@ import numpy as np
 
 from . import covering, lowerbound, margins, training
 from .complexity import _check_bound_params, _norms_and_margins, analyze_network
-from .data import inspect_idx, load_dataset, load_idx
+from .data import _FeatureFile, inspect_idx, load_dataset, load_idx
 from .errors import (InputOutputError, MarginAuditorError, ParameterError, _check_at_least,
                      _check_count)
 from .linalg import MAT1_MAGIC, frobenius_norm, spectral_norm
 from .network import load_manifest, save_manifest
-from .serialize import _output_dir, _read_input, dumps_17g, write_json_17g
+from .serialize import _opened, _output_dir, dumps_17g, write_json_17g
+
+
+def _regular(features_path):
+    """``features_path``, unless it is no regular file: it is opened twice, as in `_load_any_dataset`."""
+    if os.path.exists(features_path) and not os.path.isfile(features_path):
+        raise InputOutputError(f"features file is not a regular file: {features_path}")
+    return features_path
 
 
 def _load_any_dataset(features_path, labels_path):
-    if os.path.exists(features_path) and not os.path.isfile(features_path):  # opened twice below
-        raise InputOutputError(f"features file is not a regular file: {features_path}")
-    if _read_input(features_path, reader=lambda f: f.read(4)) == MAT1_MAGIC:
-        return load_dataset(features_path, labels_path)
-    return load_idx(features_path, labels_path)
+    with _opened(_regular(features_path)) as f:
+        load = load_dataset if f.read(4) == MAT1_MAGIC else load_idx
+    return load(features_path, labels_path)
 
 
 def cmd_analyze(args):
     net = load_manifest(args.network)
-    ds = _load_any_dataset(args.features, args.labels)
+    ds = _FeatureFile(_regular(args.features), args.labels)
     report, md = analyze_network(net, ds, gamma=args.gamma, delta=args.delta)
     out = _output_dir(args.out)
     write_json_17g(os.path.join(out, "bound-report.json"), asdict(report))
@@ -45,7 +50,7 @@ def cmd_analyze(args):
 
 def cmd_margins(args):
     net = load_manifest(args.network)
-    ds = _load_any_dataset(args.features, args.labels)
+    ds = _FeatureFile(_regular(args.features), args.labels)
     outputs, data_norm = margins._pass(ds, net, norm=True)
     _, _, r_a, md = _norms_and_margins(net, outputs, ds.y, data_norm, args.gamma)
     _check_bound_params(md.gamma_used, args.delta, ds.n)

@@ -80,8 +80,10 @@ def _extract_norms(net):
     deviation beyond the float64 range is a NumericDegeneracyError."""
     norms, deltas = [], []
     for layer in net.layers:
+        w, m = layer.weight, layer.reference
+        zero = m.strides == (0, 0) and m[0, 0] == 0.0  # one 0.0 at stride 0: W - M is W itself
         with np.errstate(over="ignore"):
-            deviation = _finite(layer.weight - layer.reference, "a deviation W - M")
+            deviation = w if zero else _finite(w - m, "a deviation W - M")
         s, b = _spectral_norm(layer.weight), _group_norm(deviation.T, 2.0, 1.0)
         norms.append(LayerNorms(s=s, b=b, rho=layer.nonlinearity.lipschitz(2.0)))
         deltas.append(_group_norm(deviation, 2.0, 2.0))

@@ -10,9 +10,9 @@ import numpy as np
 
 from .errors import (_BLOCK, NumericDegeneracyError, ParameterError, ParseError, _check_count,
                      _check_integer, _finite, _row_blocks)
-from .linalg import _scale_exponent, as_matrix, read_mat1
-from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _MAT1, _header_fields, _read_container,
-                        _read_input, _write_container)
+from .linalg import _mat1_contents, _scale_exponent, as_matrix, read_mat1
+from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _MAT1, _check_payload, _container_header,
+                        _header_fields, _opened, _read_container, _write_container)
 
 
 @dataclass(frozen=True, init=False)
@@ -44,12 +44,7 @@ class Dataset:
 
     def _adopt(self, x, y, k):
         """Check ``y`` and ``k`` against the validated matrix ``x``; set the fields."""
-        y = np.asarray(y, dtype=np.int64)
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ParameterError("need exactly one label per example row")
-        k = _check_count(k, 1, "label count k")
-        if y.min() < 1 or y.max() > k:
-            raise ParameterError(f"labels must lie in 1..{k}")
+        y, k = _checked_labels(y, k, x.shape[0])
         for name, value in (("_x", x), ("y", y), ("k", k)):
             object.__setattr__(self, name, value)
 
@@ -84,29 +79,63 @@ class Dataset:
             out = None if buf is None else buf[: stop - start]
             yield start, stop, self._rows(slice(start, stop), out)
 
-    def _scale_exponent(self):
-        """:func:`linalg._scale_exponent` of X, a byte-held set's from its largest byte."""
-        if self._x.dtype == np.uint8:
-            return _scale_exponent(np.divide(self._x.max(keepdims=True), 255.0))
-        return _scale_exponent(self._x)
+
+def _checked_labels(y, k, n):
+    """(y as int64, k as int), or a ParameterError unless y holds a label in 1..k per row."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.ndim != 1 or y.shape[0] != n:
+        raise ParameterError("need exactly one label per example row")
+    k = _check_count(k, 1, "label count k")
+    if y.min() < 1 or y.max() > k:
+        raise ParameterError(f"labels must lie in 1..{k}")
+    return y, k
+
+
+class _FeatureFile:
+    """The regular features file at ``path`` (MAT1, else IDX images) and its labels
+    as ``n``, ``dim``, ``y``, ``k`` and :meth:`_blocks`, all that ``margins._pass``
+    reads of a Dataset, with no n x d array.  The header, the file's length and the
+    labels are checked first, as the loaders check them; a non-finite MAT1 entry
+    is found in its block."""
+
+    def __init__(self, path, labels_path):
+        with _opened(path) as f:
+            self.fmt = _MAT1 if f.read(4) == _MAT1.magic else _IDX_IMAGES
+            f.seek(0)
+            fields, (self.n, self.dim), self.length = _container_header(f, path, self.fmt)
+        if self.fmt is _MAT1 and not self.n * self.dim:
+            _mat1_contents(np.empty((self.n, self.dim)), path)  # raises: an empty matrix
+        self.y, self.k = (_lbl1_labels(labels_path, self.n) if self.fmt is _MAT1
+                          else _idx_labels(path, fields, labels_path))
+        self.path = path
+
+    def _blocks(self, rows):
+        """:meth:`Dataset._blocks` of the file: each block read into one reused buffer,
+        then checked for finiteness (MAT1) or decoded as byte / 255.0 into another (IDX)."""
+        raw = np.empty((min(self.n, max(rows, 1)), self.dim), self.fmt.dtype)
+        decoded = None if self.fmt is _MAT1 else np.empty(raw.shape)
+        with _opened(self.path) as f:
+            f.seek(struct.calcsize(self.fmt.header))
+            for start, stop in _row_blocks(self.n, rows):
+                block = raw[: stop - start]
+                if f.readinto(block) < block.nbytes:  # cut short since the header was read
+                    _check_payload(f.tell(), self.length, self.path, self.fmt.name)
+                yield start, stop, (_mat1_contents(block, self.path) if decoded is None
+                                    else np.divide(block, 255.0, out=decoded[: stop - start]))
 
 
 def inspect_idx(path):
     """Header of an IDX file as a dict; distinguishes image and label files.
     The payload length is reported, not checked: a regular file's from its
     size, a pipe's counted a block at a time; only the header is kept."""
-
-    def read(f):
+    with _opened(path) as f:
         head = f.read(struct.calcsize(_IDX_IMAGES.header))  # the longer header
         st = os.fstat(f.fileno())
-        if stat.S_ISREG(st.st_mode):
-            return head, st.st_size
-        length, buf = len(head), bytearray(_BLOCK)
-        while got := f.readinto(buf):
-            length += got
-        return head, length
-
-    head, length = _read_input(path, reader=read)
+        length = st.st_size
+        if not stat.S_ISREG(st.st_mode):
+            length, buf = len(head), bytearray(_BLOCK)
+            while got := f.readinto(buf):
+                length += got
     for kind, fmt in (("images", _IDX_IMAGES), ("labels", _IDX_LABELS)):
         if head[:4] == fmt.magic or len(head) < 4:  # under 4 bytes: a truncated header
             header = dict(zip(fmt.keys, _header_fields(head, path, fmt)))
@@ -121,15 +150,23 @@ def load_idx(images_path, labels_path):
     in [0, 1] (see :class:`Dataset`); byte labels are shifted to 1-based.
     Malformed input raises a parse error naming the byte offset.
     """
-    (n, rows, cols), pixels = _read_container(images_path, _IDX_IMAGES)
-    if not pixels.size:
+    fields, pixels = _read_container(images_path, _IDX_IMAGES)
+    y, k = _idx_labels(images_path, fields, labels_path)
+    return Dataset._of_matrix(pixels, y, k)  # bytes / 255 are finite
+
+
+def _idx_labels(images_path, fields, labels_path):
+    """(y, k) from the IDX labels at ``labels_path`` for the image header ``fields``;
+    an empty image set or a count other than the image count is a ParseError."""
+    n, rows, cols = fields
+    if not n * rows * cols:
         raise ParseError(f"empty image set: {n} images of {rows}x{cols}", path=images_path)
     (count,), labels = _read_container(labels_path, _IDX_LABELS)
     if count != n:
         raise ParseError(f"label count {count} does not match image count {n}",
                          path=labels_path, offset=4)
     y = labels.astype(np.int64) + 1
-    return Dataset._of_matrix(pixels, y, int(y.max()))  # bytes / 255 are finite
+    return y, int(y.max())
 
 
 def write_idx(ds, images_path, labels_path, rows=1, cols=None):
@@ -161,12 +198,17 @@ def load_dataset(matrix_path, labels_path):
     :func:`read_mat1` returns, checked for finiteness once; labels outside 1..k,
     or k < 1, are a parse error naming the labels file."""
     x = read_mat1(matrix_path)
+    return Dataset._of_matrix(x, *_lbl1_labels(labels_path, x.shape[0]))  # read_mat1 validated x
+
+
+def _lbl1_labels(labels_path, n):
+    """(y, k) of the LBL1 file at ``labels_path`` for ``n`` rows, else a ParseError."""
     (count, k), y = _read_container(labels_path, _LBL1)
-    if count != x.shape[0]:
-        raise ParseError(f"label count {count} does not match row count {x.shape[0]}",
+    if count != n:
+        raise ParseError(f"label count {count} does not match row count {n}",
                          path=labels_path, offset=4)
     try:
-        return Dataset._of_matrix(x, y, k)  # read_mat1 validated x
+        return _checked_labels(y, k, n)
     except ParameterError as exc:
         raise ParseError(f"invalid LBL1 contents: {exc}", path=labels_path) from None
 
@@ -189,10 +231,11 @@ def randomize_inputs_gaussian(ds, seed=0):
     if ds.n < 2:
         raise ParameterError("need at least 2 examples to estimate input statistics")
     d = ds.dim
-    e = ds._scale_exponent() or 0  # None for all-zero X
-    x = np.empty((ds.n, d))  # 2**-e * X, then centred in place
+    x = np.empty((ds.n, d))  # X, then 2**-e * X centred in place
     for start, stop, block in ds._blocks(_BLOCK // d):
-        np.ldexp(block, -e, out=x[start:stop])
+        x[start:stop] = block
+    e = _scale_exponent(x) or 0  # None for all-zero X
+    np.ldexp(x, -e, out=x)
     mu = x.mean(axis=0)
     x -= mu
     cov = x.T @ x / ds.n

@@ -184,18 +184,29 @@ class _ColumnSums:
     of at most _BLOCK // d rows whose row 0 carries the running aggregate, and
     which is reduced into it when full; numpy reduces its axis 0 row by row,
     bitwise as one whole-array pass.  A single column, which numpy sums
-    pairwise, fills one buffer of all n rows."""
+    pairwise, fills one buffer of all n rows.
+
+    With ``e=None`` (p = 2 only) ``e`` runs: it is that of the largest |entry| so
+    far (-1075, below any, while all are 0), and a block that raises it first
+    rescales the squares taken in by the exact power of two.  Only squares below
+    2**-1022, against at least 1 for the largest, can round otherwise, lost in the sum."""
 
     def __init__(self, n, d, p, e=0):
         rows = n if d == 1 else _BLOCK // d or 1
         self.buf = np.zeros((min(n, rows) + 1, d))
-        self.p, self.e, self.fill, self.carry = p, e, 0, False
+        self.running, self.fill, self.carry = e is None, 0, False
+        self.p, self.e = p, -1075 if e is None else e
 
     def add(self, a):
         """Take in the next rows, ``a``."""
         while len(a):
             take = min(len(a), len(self.buf) - 1 - self.fill)
             b = np.abs(a[:take], out=self.buf[1 + self.fill : 1 + self.fill + take])
+            top = float(b.max()) if self.running else 0.0
+            if top and (e := math.frexp(top)[1] - 1) > self.e:  # rescale the squares taken in
+                taken = self.buf[: 1 + self.fill]
+                np.ldexp(taken, 2 * (self.e - e), out=taken)
+                self.e = e
             if self.e:
                 np.ldexp(b, -self.e, out=b)
             if self.p == 2.0:
@@ -239,7 +250,12 @@ def write_mat1(path, a):
 def read_mat1(path):
     """Read a MAT1 file into an owned, aligned, writable, C-contiguous float64
     array, validated as by :func:`as_matrix`; bit-exact round trip."""
+    return _mat1_contents(_read_container(path, _MAT1, "matrix file")[1], path)
+
+
+def _mat1_contents(a, path):
+    """``a``, read from the MAT1 file at ``path``, validated by :func:`as_matrix`, else a ParseError."""
     try:
-        return as_matrix(_read_container(path, _MAT1, "matrix file")[1])
+        return as_matrix(a)
     except (DimensionError, ParameterError) as exc:
         raise ParseError(f"invalid MAT1 contents: {exc}", path=path) from None

@@ -73,13 +73,13 @@ def margins_of_outputs(outputs, labels):
 
 
 def _pass(ds, net=None, norm=False):
-    """(``net``'s outputs on the Dataset ``ds``, ||X||_2 if ``norm``; None for what
-    is not asked for) from one pass over :meth:`Dataset._blocks`: each block runs
-    the chain (:meth:`Network._forward`) and goes into :class:`linalg._ColumnSums`
-    under the exponent of :meth:`Dataset._scale_exponent`, bitwise ``_group_norm(X,
-    2, 2)``.  Outputs beyond float64 are a NumericDegeneracyError, with no RuntimeWarning."""
-    e = ds._scale_exponent() if norm else None  # None for all-zero X too
-    sums = None if e is None else _ColumnSums(ds.n, ds.dim, 2.0, e)
+    """(``net``'s outputs on ``ds``, ||X||_2 if ``norm``; None for what is not asked
+    for) from one in-order pass over ``ds._blocks`` (:meth:`Dataset._blocks`, or
+    those of a features file read a block at a time, ``data._FeatureFile``): each
+    block goes into :class:`linalg._ColumnSums` under a running exponent, bitwise
+    ``_group_norm(X, 2, 2)``, then runs the chain (:meth:`Network._forward`).
+    Outputs beyond float64 are a NumericDegeneracyError, with no RuntimeWarning."""
+    sums = _ColumnSums(ds.n, ds.dim, 2.0, None) if norm else None
 
     def rows():
         for start, stop, block in ds._blocks(_GEMM_ROWS):
@@ -94,9 +94,7 @@ def _pass(ds, net=None, norm=False):
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             outputs = _finite(net._forward(rows(), ds.n), "one of the network outputs on the data")
-    if sums is None:
-        return outputs, 0.0 if norm else None
-    return outputs, _unscale(_vector_pnorm(sums.norms(), 2.0), e)
+    return outputs, None if sums is None else _unscale(_vector_pnorm(sums.norms(), 2.0), sums.e)
 
 
 def ramp_loss(r, gamma):

@@ -1,17 +1,19 @@
 """File input and output, the binary containers, and JSON and CSV emission
 with floats printed at 17 significant digits.
 
-Every file is read by :func:`_read_input` and written by :func:`_write_output`
+Every file is read through :func:`_opened` and written by :func:`_write_output`
 (directories by :func:`_output_dir`), so one that cannot be read or written is
 an InputOutputError; malformed JSON input (:func:`_read_json`) is a ParseError.
 The MAT1, LBL1 and IDX formats are each one ``_Container`` entry, read by
-:func:`_read_container` and written by :func:`_write_container`.
+:func:`_read_container` (or a row block at a time after :func:`_container_header`)
+and written by :func:`_write_container`.
 
 The standard json encoder prints shortest round-trip floats; reports,
 snapshots and CSVs instead pin 17 significant digits so goldens are
 byte-stable across platforms and numpy versions.
 """
 
+import contextlib
 import io
 import itertools
 import json
@@ -26,12 +28,12 @@ import numpy as np
 from .errors import InputOutputError, NumericDegeneracyError, ParseError, _all_finite
 
 
-def _read_input(path, what="file", reader=None):
-    """The bytes of the input file ``what`` at ``path``, or what ``reader``
-    returns when called on the file opened for binary reading."""
+@contextlib.contextmanager
+def _opened(path, what="file"):
+    """The input file ``what`` at ``path``, open for binary reading; OSError as InputOutputError."""
     try:
         with open(path, "rb") as f:
-            return f.read() if reader is None else reader(f)
+            yield f
     except OSError as exc:
         why = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({exc.strerror})"
         raise InputOutputError(f"{what} {why}: {path}") from None
@@ -83,29 +85,35 @@ def _check_payload(length, expected, path, what):
                          path=path, offset=min(length, expected))
 
 
+def _container_header(f, path, fmt):
+    """(header fields, payload shape, file length) of the ``fmt`` file ``f``, read up to
+    its payload; a regular file's length is checked against the header's here."""
+    start = struct.calcsize(fmt.header)
+    fields = _header_fields(f.read(start), path, fmt)
+    shape = fmt.shape(*fields)
+    length = start + np.dtype(fmt.dtype).itemsize * math.prod(shape)
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode):
+        _check_payload(st.st_size, length, path, fmt.name)
+    return fields, shape, length
+
+
 def _read_container(path, fmt, what="file"):
     """(header fields, payload array) of the ``fmt`` file at ``path``, unvalidated.
     The file's length is checked before the payload is allocated: a regular
     file's from its size, a pipe's from its bytes, taken as they arrive, so no
     header's claim alone sizes an allocation.  Either is then read straight
     into an owned, aligned array of the format's dtype."""
-
-    def read(f):
+    with _opened(path, what) as f:
+        fields, shape, expected = _container_header(f, path, fmt)
         start = struct.calcsize(fmt.header)
-        fields = _header_fields(f.read(start), path, fmt)
-        shape = fmt.shape(*fields)
-        expected = start + np.dtype(fmt.dtype).itemsize * math.prod(shape)
-        st = os.fstat(f.fileno())
-        length = st.st_size
-        if not stat.S_ISREG(st.st_mode):
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             rest = f.read()
-            f, length = io.BytesIO(rest), start + len(rest)
-        _check_payload(length, expected, path, fmt.name)
+            _check_payload(start + len(rest), expected, path, fmt.name)
+            f = io.BytesIO(rest)
         payload = np.empty(shape, fmt.dtype)
         _check_payload(start + f.readinto(payload), expected, path, fmt.name)
         return fields, payload
-
-    return _read_input(path, what, read)
 
 
 def _write_container(path, fmt, fields, blocks):
@@ -120,10 +128,11 @@ def _write_container(path, fmt, fields, blocks):
 
 def _read_json(path, what):
     """The JSON document in the input file ``what`` at ``path``, decoded as UTF-8."""
-    try:
-        return json.loads(_read_input(path, what).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{what} is not valid JSON: {exc}", path=path) from None
+    with _opened(path, what) as f:
+        try:
+            return json.loads(f.read().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{what} is not valid JSON: {exc}", path=path) from None
 
 
 def _render(obj, indent, level):

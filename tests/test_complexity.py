@@ -86,6 +86,22 @@ class TestLayerNorms:
             with pytest.raises(NumericDegeneracyError, match="a deviation W - M exceeds"):
                 evaluate()
 
+    def test_zero_reference_deviation_is_the_weight(self):
+        # against the stride-0 zero reference b_i and ||W - M||_F come from W
+        # itself: no weight-sized W - M, and the same bits as an explicit zero
+        from margin_auditor.complexity import _extract_norms
+
+        net = init_network(TrainConfig(layer_widths=[784, 256, 256, 10], epochs=1,
+                                       batch_size=4, seed=7))
+        explicit = Network(layers=tuple(
+            Layer(weight=l.weight, nonlinearity=l.nonlinearity, reference=np.zeros(l.weight.shape))
+            for l in net.layers))
+        layer_norms(net)  # warm
+        norms, peak = peak_bytes(layer_norms, net)
+        assert peak <= 2.2e6  # 3.57 MB when W - M was formed
+        assert norms == layer_norms(explicit)
+        assert _extract_norms(net)[1] == _extract_norms(explicit)[1]
+
     def test_invalid_norms_rejected(self):
         with pytest.raises(ParameterError):
             LayerNorms(s=-1.0, b=0.0, rho=1.0)

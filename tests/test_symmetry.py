@@ -31,6 +31,8 @@ from margin_auditor import (
     network_cover_logsize,
     spectral_complexity,
 )
+from margin_auditor.linalg import _group_norm
+from margin_auditor.margins import _pass
 
 INVARIANT = ("R_A", "R_PB", "term_complexity", "bound_total", "ramp_risk")
 SCALED = ("data_norm_B", "gamma")
@@ -199,3 +201,53 @@ def test_bound_beyond_float64_range_rejected(e, bound):
         analyze_network(net, ds)
     with pytest.raises(NumericDegeneracyError, match="uniform bound exceeds"):
         generalization_bound_uniform(net, ds, gamma=gamma, delta=0.01)
+
+
+# ||X||_2 from the one pass over the data (margins._pass) runs under a
+# power-of-two exponent that rises with the largest |entry| seen so far; a
+# block that raises it rescales the squares taken in.  Every bit must still
+# be that of _group_norm(X, 2, 2), whose exponent is the whole matrix's.
+# 3 forward blocks; one column, summed pairwise; rows wider than a buffer
+RUNNING_SHAPES = [(1300, 20), (1300, 1), (3, 70_000)]
+
+
+def _norm_pass(x):
+    """||X||_2 from the pass alone and from the pass that also runs a network."""
+    ds = Dataset(X=x, y=np.ones(len(x), np.int64), k=1)
+    net = Network(layers=(Layer(weight=np.ones((2, x.shape[1])), nonlinearity=Identity()),))
+    norm = _pass(ds, norm=True)[1]
+    assert _pass(ds, net, norm=True)[1] == norm
+    return norm
+
+
+@pytest.mark.parametrize("shape", RUNNING_SHAPES)
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+@pytest.mark.parametrize("where", ["first-row", "last-row", "after-zero-rows"])
+def test_running_exponent_norm_at_any_scale(shape, k, where):
+    # the largest entry in the first row fixes the exponent at once; in the
+    # last row (the last forward block) it raises it mid-pass, and after
+    # rows of zeros it replaces the exponent that no entry had set yet
+    x = np.random.default_rng(22).standard_normal(shape)
+    if where == "after-zero-rows":
+        x[: -max(1, len(x) // 4)] = 0.0
+    x[0 if where == "first-row" else -1, 0] = 64.0
+    x = np.ldexp(x, k)
+    assert _norm_pass(x) == _group_norm(x, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("k", [0, 600, -400])
+def test_running_exponent_with_early_squares_subnormal_at_the_final_scale(k):
+    # every row but the last holds entries near 2**-505 to 2**-530 of unit
+    # scale; the last row holds unit entries in columns 10..19 only.  The
+    # early squares are normal under the exponent they were taken in at and
+    # straddle 2**-1022 under the final one; columns 0..9 stay tiny throughout
+    r = np.random.default_rng(23)
+    x = np.ldexp(r.standard_normal((1300, 20)), r.integers(-530, -505, size=(1300, 20)))
+    x[-1, 10:] = r.standard_normal(10)
+    x = np.ldexp(x, k)
+    assert _norm_pass(x) == _group_norm(x, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("shape", RUNNING_SHAPES)
+def test_running_exponent_norm_of_zero_data(shape):
+    assert _norm_pass(np.zeros(shape)) == 0.0

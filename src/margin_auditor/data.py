@@ -188,6 +188,8 @@ def write_idx(ds, images_path, labels_path, rows=1, cols=None):
 
 def save_dataset(ds, matrix_path, labels_path):
     """Dataset export: features as MAT1, labels as LBL1 (magic, u32 count, u32 k, u32 labels)."""
+    if ds.k > 0xFFFFFFFF:
+        raise ParameterError(f"LBL1 stores k as a u32; need k <= 4294967295, got {ds.k}")
     blocks = (block for _, _, block in ds._blocks(_BLOCK // ds.dim))
     _write_container(matrix_path, _MAT1, (ds.n, ds.dim), blocks)
     _write_container(labels_path, _LBL1, (ds.n, ds.k), [ds.y])

@@ -77,23 +77,18 @@ def _pass(ds, net=None, norm=False):
     for) from one in-order pass over ``ds._blocks`` (:meth:`Dataset._blocks`, or
     those of a features file read a block at a time, ``data._FeatureFile``): each
     block goes into :class:`linalg._ColumnSums` under a running exponent, bitwise
-    ``_group_norm(X, 2, 2)``, then runs the chain (:meth:`Network._forward`).
+    ``_group_norm(X, 2, 2)``, then runs the chain (:meth:`Network._chain`) into one n x k array.
     Outputs beyond float64 are a NumericDegeneracyError, with no RuntimeWarning."""
     sums = _ColumnSums(ds.n, ds.dim, 2.0, None) if norm else None
-
-    def rows():
+    outputs = None if net is None else np.empty((ds.n, net.output_dim))
+    with np.errstate(over="ignore", invalid="ignore"):
         for start, stop, block in ds._blocks(_GEMM_ROWS):
             if sums is not None:
                 sums.add(block)
-            yield start, stop, block
-
-    outputs = None
-    if net is None:
-        for _ in rows():
-            pass
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            outputs = _finite(net._forward(rows(), ds.n), "one of the network outputs on the data")
+            if outputs is not None:
+                outputs[start:stop] = net._chain(block)
+    if outputs is not None:
+        _finite(outputs, "one of the network outputs on the data")
     return outputs, None if sums is None else _unscale(_vector_pnorm(sums.norms(), 2.0), sums.e)
 
 

@@ -169,25 +169,19 @@ class Network:
         return max(dims)
 
     def forward(self, x):
-        """Evaluate the network on examples given as rows of ``x``."""
+        """Evaluate the network on examples given as rows of ``x``, the chain run on
+        blocks of at most _GEMM_ROWS rows into one n x k array (no n-row image is held)."""
         x = as_matrix(x)
-        return self._forward(((start, stop, x[start:stop])
-                              for start, stop in _row_blocks(len(x), _GEMM_ROWS)), len(x))
+        out = np.empty((len(x), self.output_dim))
+        for start, stop in _row_blocks(len(x), _GEMM_ROWS):
+            out[start:stop] = self._chain(x[start:stop])
+        return out
 
     def forward_images(self, x):
         """Per-layer forward images (X_0, ..., X_L), examples as rows; X_0 is the input."""
         images = [as_matrix(x)]
         self._chain(images[0], images)
         return images
-
-    def _forward(self, blocks, n):
-        """Output on the n rows given as ``blocks`` of (start, stop, rows), the
-        chain run on each block (of at most _GEMM_ROWS rows) and written into one
-        n x k array, so no image of all n rows is held."""
-        out = np.empty((n, self.output_dim))
-        for start, stop, block in blocks:
-            out[start:stop] = self._chain(block)
-        return out
 
     def _chain(self, z, images=None):
         """The layer chain on the rows ``z``, appending each layer's image to

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,7 +384,7 @@ def test_criterion_10_gradients_and_bitwise_runs(tmp_path):
             for name in filenames:
                 a = os.path.join(dirpath, name)
                 b = os.path.join(other, rel, name)
-                if open(a, "rb").read() != open(b, "rb").read():
+                if Path(a).read_bytes() != Path(b).read_bytes():
                     identical = False
     report(
         10,

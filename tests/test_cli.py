@@ -4,6 +4,7 @@ import math
 import os
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,24 +105,20 @@ class TestAnalyze:
         rc = main(["analyze", manifest, "--features", feats, "--labels", labels,
                    "--out", out, "--delta", "0.05"])
         assert rc == 0
-        got = open(os.path.join(out, "bound-report.json"), "rb").read()
-        want = open(os.path.join(GOLDEN_DIR, "bound-report.json"), "rb").read()
-        assert got == want
-        got_csv = open(os.path.join(out, "margins.csv"), "rb").read()
-        want_csv = open(os.path.join(GOLDEN_DIR, "margins.csv"), "rb").read()
-        assert got_csv == want_csv
+        assert Path(out, "bound-report.json").read_bytes() == golden_bytes("bound-report.json")
+        assert Path(out, "margins.csv").read_bytes() == golden_bytes("margins.csv")
 
     def test_outputs_parse_with_own_readers(self, tmp_path, fixture_paths):
         manifest, feats, labels = fixture_paths
         out = str(tmp_path / "out")
         assert main(["analyze", manifest, "--features", feats, "--labels", labels,
                      "--out", out]) == 0
-        report = json.loads(open(os.path.join(out, "bound-report.json")).read())
+        report = json.loads(Path(out, "bound-report.json").read_text())
         assert report["bound_total"] == pytest.approx(
             report["ramp_risk"] + report["term_const"]
             + report["term_complexity"] + report["term_confidence"]
         )
-        rows = list(csv.DictReader(open(os.path.join(out, "margins.csv"))))
+        rows = list(csv.DictReader(Path(out, "margins.csv").read_text().splitlines()))
         assert len(rows) == report["n"]
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
@@ -382,9 +379,9 @@ class TestMargins:
         assert rc == 0
         names = sorted(os.listdir(out))
         assert names == ["histogram.csv", "kde.csv", "margin-summary.json", "margins.csv"]
-        hist = list(csv.DictReader(open(os.path.join(out, "histogram.csv"))))
+        hist = list(csv.DictReader(Path(out, "histogram.csv").read_text().splitlines()))
         assert len(hist) == 6
-        kde = list(csv.DictReader(open(os.path.join(out, "kde.csv"))))
+        kde = list(csv.DictReader(Path(out, "kde.csv").read_text().splitlines()))
         assert len(kde) == 256
 
     def test_near_tied_margins_write_one_bin(self, tmp_path):
@@ -395,7 +392,7 @@ class TestMargins:
         ds = Dataset(X=np.array([[1.0, 0.0], [1.0 + 2.0**-52, 0.0]]), y=np.array([1, 1]), k=2)
         rc, out = run_on(tmp_path, "margins", net, ds)
         assert rc == 0
-        hist = list(csv.DictReader(open(out / "histogram.csv")))
+        hist = list(csv.DictReader((out / "histogram.csv").read_text().splitlines()))
         assert [float(row["density"]) for row in hist] == [1.0]
 
     @pytest.mark.parametrize("flags", [["--gamma", "0"], ["--gamma", "-0.5"],
@@ -429,23 +426,23 @@ class TestMargins:
         from margin_auditor import complexity
         from margin_auditor.network import Network
 
-        forwards = []
-        forward = Network._forward
+        rows = []
+        chain = Network._chain
 
-        def counted(net, blocks, n):
-            forwards.append(n)
-            return forward(net, blocks, n)
+        def counted(net, z, images=None):
+            rows.append(len(z))
+            return chain(net, z, images)
 
         def no_bound(*args, **kwargs):
             raise AssertionError("the margins command evaluated a bound")
 
-        monkeypatch.setattr(Network, "_forward", counted)
+        monkeypatch.setattr(Network, "_chain", counted)
         monkeypatch.setattr(complexity, "generalization_bound_fixed", no_bound)
         monkeypatch.setattr(complexity, "_uniform_bound", no_bound)
         manifest, feats, labels = fixture_paths
         assert main(["margins", manifest, "--features", feats, "--labels", labels,
                      "--out", str(tmp_path / "m")]) == 0
-        assert forwards == [40]  # cli_fixture: 40 examples
+        assert sum(rows) == 40  # cli_fixture: 40 examples, each forwarded once
 
 
 def test_non_finite_value_is_rendered_before_the_file_opens(tmp_path):
@@ -530,7 +527,7 @@ class TestTrainCommand:
             "epoch_000.json", "epoch_001.json", "epoch_002.json"
         ]
         assert "epoch_002_margins.csv" in files
-        snap = json.loads(open(os.path.join(out, "epoch_000.json")).read())
+        snap = json.loads(Path(out, "epoch_000.json").read_text())
         assert 0.0 <= snap["train_error"] <= 1.0
         assert "normalized_mean" in snap["margin_summary"]
         # _write_inputs: 60 training examples, batch_size 10
@@ -559,10 +556,9 @@ class TestTrainCommand:
             p1, p2 = os.path.join(out1, name), os.path.join(out2, name)
             if os.path.isdir(p1):
                 for sub in sorted(os.listdir(p1)):
-                    assert open(os.path.join(p1, sub), "rb").read() == \
-                        open(os.path.join(p2, sub), "rb").read()
+                    assert Path(p1, sub).read_bytes() == Path(p2, sub).read_bytes()
             else:
-                assert open(p1, "rb").read() == open(p2, "rb").read()
+                assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_single_example_exit_3(self, tmp_path, capsys, monkeypatch):
         from margin_auditor import Dataset, load_dataset, save_dataset, training

@@ -540,22 +540,22 @@ class TestAnalyzeNetwork:
 
         net = random_network(rng, depth=3)
         ds = random_dataset(rng, net, n=30)
-        calls = {"forward": 0, "norms": 0}
-        forward = Network._forward
+        calls = {"rows": 0, "norms": 0}
+        chain = Network._chain
         extract = complexity._extract_norms
 
-        def counted_forward(self, blocks, n):
-            calls["forward"] += 1
-            return forward(self, blocks, n)
+        def counted_chain(self, z, images=None):
+            calls["rows"] += len(z)
+            return chain(self, z, images)
 
         def counted_norms(net):
             calls["norms"] += 1
             return extract(net)
 
-        monkeypatch.setattr(Network, "_forward", counted_forward)
+        monkeypatch.setattr(Network, "_chain", counted_chain)
         monkeypatch.setattr(complexity, "_extract_norms", counted_norms)
         analyze_network(net, ds, gamma=gamma, delta=0.05)
-        assert calls == {"forward": 1, "norms": 1}
+        assert calls == {"rows": ds.n, "norms": 1}
 
     @pytest.mark.parametrize("entry", ["analyze_network", "margin_distribution"])
     def test_data_validated_only_by_the_dataset(self, rng, monkeypatch, entry):

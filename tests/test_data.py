@@ -414,6 +414,17 @@ class TestBinaryDataset:
         with pytest.raises(ParseError, match="invalid MAT1 contents"):
             load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl")
 
+    @pytest.mark.parametrize("k, saved", [(2**32 - 1, True), (2**32, False)])
+    def test_label_count_fits_lbl1_u32(self, tmp_path, k, saved):
+        ds = Dataset(np.ones((2, 2)), [1, 2], k)
+        if saved:
+            save_dataset(ds, tmp_path / "x.mat", tmp_path / "y.lbl")
+            assert load_dataset(tmp_path / "x.mat", tmp_path / "y.lbl").k == k
+        else:
+            with pytest.raises(ParameterError, match="need k <= 4294967295, got 4294967296"):
+                save_dataset(ds, tmp_path / "x.mat", tmp_path / "y.lbl")
+            assert os.listdir(tmp_path) == []
+
 
 class TestDatasetValidation:
     def test_label_range(self):

@@ -17,7 +17,7 @@ from margin_auditor import (Dataset, Identity, Layer, Network, Relu, TrainConfig
                             synth_images, write_idx)
 from margin_auditor.cli import main
 from margin_auditor.data import _FeatureFile
-from margin_auditor.errors import _row_blocks
+from margin_auditor.errors import ParseError, _row_blocks
 from margin_auditor.margins import _pass
 from conftest import peak_bytes
 from test_cli import child_env
@@ -105,6 +105,22 @@ def test_payload_length_exit_2(case, capsys, command, fmt, delta):
     assert rc == 2
     assert_diagnostic(capsys, out, "ParseError", f"{features}: {fmt} payload has {size + delta} "
                       f"bytes, expected {size} (at byte {min(size, size + delta)})")
+
+
+@pytest.mark.parametrize("fmt", ["MAT1", "IDX image"])
+def test_payload_cut_short_after_the_header_was_read(case, fmt):
+    # the length is checked when the file is opened; a file cut after that is
+    # reported by the block read that comes up short
+    _, _, paths, _ = case
+    features, labels = (paths["x.mat"], paths["y.lbl"]) if fmt == "MAT1" else (paths["x.idx"],
+                                                                             paths["y.idx"])
+    stream = _FeatureFile(features, labels)
+    size = resized(features, -100)
+    net = Network(layers=(Layer(np.ones((3, 4)), Identity()),))
+    with pytest.raises(ParseError) as err:
+        _pass(stream, net, norm=True)
+    assert str(err.value) == (f"{features}: {fmt} payload has {size - 100} bytes, "
+                              f"expected {size} (at byte {size - 100})")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -89,6 +89,6 @@ from .network import (
     load_manifest,
     save_manifest,
 )
-from .training import EpochSnapshot, TrainConfig, init_network, loss_and_gradients, train
+from .training import EpochSnapshot, TrainConfig, epochs, init_network, loss_and_gradients, train
 
 __version__ = "0.1.0"

@@ -78,14 +78,11 @@ def cmd_train(args):
     test_ds = _load_any_dataset(args.test_features, args.test_labels)
     out = _output_dir(args.out)
 
-    def hook(snap, net, md):
+    for snap, net, md in training.epochs(cfg, train_ds, test_ds):
         stem = os.path.join(out, f"epoch_{snap.epoch:03d}")
         write_json_17g(stem + ".json", asdict(snap))
         margins.write_margins_csv(stem + "_margins.csv", md)
-        if snap.epoch == cfg.epochs - 1:
-            save_manifest(net, os.path.join(out, "net"), name="final")
-
-    training.train(cfg, train_ds, test_ds, snapshot_hook=hook)
+    save_manifest(net, os.path.join(out, "net"), name="final")
     return 0
 
 

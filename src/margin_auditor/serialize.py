@@ -81,7 +81,7 @@ def _header_fields(head, path, fmt):
 def _check_payload(length, expected, path, what):
     """Parse error unless a file of ``length`` bytes is exactly ``expected`` long."""
     if length != expected:
-        raise ParseError(f"{what} payload has {length} bytes, expected {expected}",
+        raise ParseError(f"{what} file has {length} bytes, expected {expected}",
                          path=path, offset=min(length, expected))
 
 

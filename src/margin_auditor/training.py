@@ -1,5 +1,5 @@
 """Deterministic vanilla-SGD training of dense ReLU classifiers with
-per-epoch diagnostic snapshots.
+per-epoch diagnostic snapshots, which :func:`epochs` yields.
 
 The loss is softmax cross-entropy; the only randomness is the seeded weight
 initialization, the seeded per-epoch shuffles, and any seeded label/input
@@ -152,7 +152,7 @@ def loss_and_gradients(weights, x, y, l2_coefficient=0.0):
     output layer; ``y`` holds 1-based labels.  The optional l2 term adds
     l2_coefficient * sum ||A_i||_2^2 to the loss.
 
-    This is the reference for the deferred step :func:`train` takes: after
+    This is the reference for the deferred step :func:`epochs` takes: after
     each step the effective weights must equal ``w - lr * g`` to within
     roundoff.  It runs its own forward pass on plain matrices, so it does not
     share the deferred algebra it checks.
@@ -300,8 +300,10 @@ def _snapshot(epoch, steps, mean_loss, layers, weights, train_ds, train_norm, te
     return snap, net, md
 
 
-def train(cfg, train_ds, test_ds, snapshot_hook=None):
-    """Minibatch SGD with seeded shuffles; one EpochSnapshot per epoch.
+def epochs(cfg, train_ds, test_ds):
+    """Minibatch SGD with seeded shuffles, yielding ``(EpochSnapshot, Network,
+    MarginDistribution)`` after each epoch; the net owns a copy of the weights,
+    and a caller stops the run with ``break``.  Checks run at the first ``next()``.
 
     Applies the config's label/input randomization to the training set first
     (seeded by cfg.seed).  A loss that stops being finite, and any numeric
@@ -334,7 +336,6 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
     block_rows = _block_rows(step, decay)
     residuals = [np.empty((block_rows, w.shape[0])) for w in weights]
     inputs = [np.empty((block_rows, w.shape[1])) for w in weights]
-    snapshots = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         loss_sum = 0.0
@@ -352,7 +353,9 @@ def train(cfg, train_ds, test_ds, snapshot_hook=None):
                                       train_ds, x_norm, test_ds)
         except NumericDegeneracyError as exc:
             raise type(exc)(f"{exc} (epoch {epoch})") from None
-        snapshots.append(snap)
-        if snapshot_hook is not None:
-            snapshot_hook(snap, net, md)
-    return snapshots
+        yield snap, net, md
+
+
+def train(cfg, train_ds, test_ds):
+    """The EpochSnapshot of every epoch of :func:`epochs`, in order."""
+    return [snap for snap, _, _ in epochs(cfg, train_ds, test_ds)]

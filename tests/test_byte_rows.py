@@ -11,10 +11,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from margin_auditor import (Dataset, MarginAuditorError, TrainConfig, analyze_network, error_rate,
-                            generalization_bound_uniform, init_network, load_idx,
+from margin_auditor import (Dataset, MarginAuditorError, TrainConfig, analyze_network, epochs,
+                            error_rate, generalization_bound_uniform, init_network, load_idx,
                             margin_distribution, ramp_risk_empirical, randomize_inputs_gaussian,
-                            save_dataset, save_manifest, synth_images, train, write_idx)
+                            save_dataset, save_manifest, synth_images, write_idx)
 from margin_auditor.cli import main
 from margin_auditor.linalg import _group_norm
 from margin_auditor.margins import _pass
@@ -75,10 +75,9 @@ def outcome(fn, *args):
 
 
 def snapshots(cfg, train_ds, test_ds):
-    """Every snapshot of a run, with the margins and weights its hook receives."""
-    seen = []
-    snaps = train(cfg, train_ds, test_ds, lambda s, net, md: seen.append((net.layers, md)))
-    return [asdict(s) for s in snaps], seen
+    """Every snapshot of a run, with the weights and margins yielded beside it."""
+    run = list(epochs(cfg, train_ds, test_ds))
+    return [asdict(s) for s, _, _ in run], [(net.layers, md) for _, net, md in run]
 
 
 def cli_outputs(argv, out):

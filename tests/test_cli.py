@@ -534,6 +534,20 @@ class TestTrainCommand:
         assert snap["steps"] == math.ceil(60 / 10)
         assert math.isfinite(snap["mean_loss"]) and snap["mean_loss"] > 0.0
 
+    def test_final_manifest_reproduces_last_snapshot(self, tmp_path):
+        # analyze on net/final.json and the training files gives the last
+        # epoch's R_A, gamma and margins bit for bit
+        cfg_path, paths = self._write_inputs(tmp_path)
+        run, out = tmp_path / "run", tmp_path / "analyze"
+        assert self._run(cfg_path, paths, str(run)) == 0
+        assert main(["analyze", str(run / "net" / "final.json"), "--features", paths["train"][0],
+                     "--labels", paths["train"][1], "--out", str(out)]) == 0
+        snap = json.loads((run / "epoch_002.json").read_text())
+        report = json.loads((out / "bound-report.json").read_text())
+        assert report["R_A"] == snap["R_A"]
+        assert report["gamma"] == snap["margin_summary"]["gamma_used"]
+        assert (out / "margins.csv").read_bytes() == (run / "epoch_002_margins.csv").read_bytes()
+
     def test_golden_byte_identical(self, tmp_path):
         flags = build_train_fixture(str(tmp_path))
         got = []
@@ -595,7 +609,7 @@ class TestTrainCommand:
         def fail(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(training, "train", fail)
+        monkeypatch.setattr(training, "epochs", fail)
         cfg_path, paths = self._write_inputs(tmp_path)
         out, bad = unwritable_out(tmp_path, case)
         assert self._run(cfg_path, paths, out) == 2

@@ -203,7 +203,7 @@ def malformed_containers(fmt):
     n = len(good)
 
     def payload(length, expected):
-        return f"{name} payload has {length} bytes, expected {expected}"
+        return f"{name} file has {length} bytes, expected {expected}"
 
     return {
         "header-truncated": (good[:7], f"{name} header truncated", 7),

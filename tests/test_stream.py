@@ -103,7 +103,7 @@ def test_payload_length_exit_2(case, capsys, command, fmt, delta):
     size = resized(features, delta)
     rc, out = run(command, features, labels)
     assert rc == 2
-    assert_diagnostic(capsys, out, "ParseError", f"{features}: {fmt} payload has {size + delta} "
+    assert_diagnostic(capsys, out, "ParseError", f"{features}: {fmt} file has {size + delta} "
                       f"bytes, expected {size} (at byte {min(size, size + delta)})")
 
 
@@ -119,7 +119,7 @@ def test_payload_cut_short_after_the_header_was_read(case, fmt):
     net = Network(layers=(Layer(np.ones((3, 4)), Identity()),))
     with pytest.raises(ParseError) as err:
         _pass(stream, net, norm=True)
-    assert str(err.value) == (f"{features}: {fmt} payload has {size - 100} bytes, "
+    assert str(err.value) == (f"{features}: {fmt} file has {size - 100} bytes, "
                               f"expected {size} (at byte {size - 100})")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -15,6 +16,7 @@ from margin_auditor import (
     TrainConfig,
     TrainingDivergedError,
     analyze_network,
+    epochs,
     error_rate,
     init_network,
     loss_and_gradients,
@@ -250,24 +252,16 @@ class TestTrain:
     def test_bitwise_deterministic(self, blob_pair):
         train_ds, test_ds = blob_pair
         cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=3, batch_size=16, seed=4)
-        grabbed = []
-
-        def hook(snap, net, md):
-            grabbed.append([l.weight.copy() for l in net.layers])
-
-        s1 = train(cfg, train_ds, test_ds, snapshot_hook=hook)
-        s2 = train(cfg, train_ds, test_ds, snapshot_hook=hook)
-        assert [asdict(s) for s in s1] == [asdict(s) for s in s2]
-        for wa, wb in zip(grabbed[:3], grabbed[3:]):
-            for a, b in zip(wa, wb):
-                assert np.array_equal(a, b)
+        r1, r2 = list(epochs(cfg, train_ds, test_ds)), list(epochs(cfg, train_ds, test_ds))
+        assert [asdict(s) for s, _, _ in r1] == [asdict(s) for s, _, _ in r2]
+        for (_, na, _), (_, nb, _) in zip(r1, r2):
+            for a, b in zip(na.layers, nb.layers):
+                assert np.array_equal(a.weight, b.weight)
 
     def test_snapshot_error_matches_recomputation(self, blob_pair):
         train_ds, test_ds = blob_pair
         cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=2, batch_size=16, seed=4)
-        nets = []
-        snaps = train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
-        for snap, net in zip(snaps, nets):
+        for snap, net, _ in epochs(cfg, train_ds, test_ds):
             assert snap.train_error == error_rate(net, train_ds)
             assert snap.excess_risk == pytest.approx(snap.test_error - snap.train_error)
 
@@ -276,8 +270,7 @@ class TestTrain:
         train_ds = synth_blobs(200, 5, 2, separation=1.0, seed=1)
         test_ds = synth_blobs(80, 5, 2, separation=1.0, seed=2)
         cfg = TrainConfig(layer_widths=(5, 8, 6, 2), epochs=2, batch_size=16, seed=4)
-        nets = []
-        train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
+        nets = [net for _, net, _ in epochs(cfg, train_ds, test_ds)]
         assert len(nets) == 2
         for net in nets:
             kinds = [type(l.nonlinearity) for l in net.layers]
@@ -296,17 +289,52 @@ class TestTrain:
             test_ds = synth_blobs(40, widths[0], 2, separation=1.0, seed=2)
             cfg = TrainConfig(layer_widths=widths, epochs=2, batch_size=4, seed=4,
                               l2_coefficient=1e-3)
-            nets = []
-            train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
             weights = [l.weight.copy() for l in init_network(cfg).layers]
             block_rows = _block_rows(4, 1.0 - 2.0 * cfg.learning_rate * cfg.l2_coefficient)
-            for epoch, net in enumerate(nets):
+            for epoch, (_, net, _) in enumerate(epochs(cfg, train_ds, test_ds)):
                 order = np.random.default_rng([cfg.seed, epoch]).permutation(train_ds.n)
                 tally = _step_against_reference(weights, train_ds.X[order], train_ds.y[order],
                                                 block_rows, cfg.learning_rate, cfg.l2_coefficient)
                 assert tally["clean"] == 2
                 for layer, w in zip(net.layers, weights):
                     assert np.array_equal(layer.weight, w)
+
+    @pytest.mark.parametrize("label_mode", ["true_labels", "random_labels"])
+    def test_first_epochs_are_the_shorter_run(self, label_mode):
+        # the first 2 epochs of a 5-epoch run are bitwise a 2-epoch run
+        train_ds = synth_blobs(200, 5, 2, separation=1.0, seed=1)
+        test_ds = synth_blobs(80, 5, 2, separation=1.0, seed=2)
+        long, short = (TrainConfig(layer_widths=(5, 8, 6, 2), epochs=e, batch_size=16, seed=4,
+                                   l2_coefficient=1e-3, label_mode=label_mode) for e in (5, 2))
+        prefix = list(itertools.islice(epochs(long, train_ds, test_ds), 2))
+        run = list(epochs(short, train_ds, test_ds))
+        assert [s.epoch for s, _, _ in run] == [0, 1]
+        for (sa, na, ma), (sb, nb, mb) in zip(prefix, run, strict=True):
+            assert asdict(sa) == asdict(sb)
+            for la, lb in zip(na.layers, nb.layers):
+                assert la.weight.tobytes() == lb.weight.tobytes()
+            assert ma.raw.tobytes() == mb.raw.tobytes()
+
+    def test_break_ends_the_run(self, monkeypatch):
+        # 200 rows are four flush blocks an epoch: a break after epoch 1
+        # leaves 8 blocks taken, none of a third epoch
+        blocks, sgd_block = [], training._sgd_block
+
+        def counted(weights, residuals, inputs, y, *rest):
+            blocks.append(len(y))
+            return sgd_block(weights, residuals, inputs, y, *rest)
+
+        monkeypatch.setattr(training, "_sgd_block", counted)
+        train_ds = synth_blobs(200, 5, 2, separation=1.0, seed=1)
+        test_ds = synth_blobs(80, 5, 2, separation=1.0, seed=2)
+        cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=5, batch_size=16, seed=4)
+        seen = []
+        for snap, _, _ in epochs(cfg, train_ds, test_ds):
+            seen.append(snap.epoch)
+            if snap.epoch == 1:
+                break
+        assert seen == [0, 1]
+        assert blocks == [64, 64, 64, 8] * 2
 
     def test_batch_larger_than_training_set(self, blob_pair):
         # the pending buffers are sized by the rows a step can take, not by
@@ -394,8 +422,7 @@ class TestTrain:
         train_ds, test_ds = blob_pair
         cfg = TrainConfig(layer_widths=(5, 8, 6, 2), epochs=3, batch_size=16, seed=0,
                           label_mode=label_mode)
-        seen = []
-        train(cfg, train_ds, test_ds, snapshot_hook=lambda *args: seen.append(args))
+        seen = list(epochs(cfg, train_ds, test_ds))
         if label_mode == "random_labels":
             train_ds = randomize_labels(train_ds, seed=cfg.seed)
         assert len(seen) == cfg.epochs
@@ -431,9 +458,8 @@ class TestTrain:
         def run(mode):
             cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=2, batch_size=16, seed=3,
                               input_mode=mode)
-            nets = []
-            snaps = train(cfg, train_ds, test_ds, snapshot_hook=lambda s, n, m: nets.append(n))
-            return [asdict(s) for s in snaps], nets
+            run = list(epochs(cfg, train_ds, test_ds))
+            return [asdict(s) for s, _, _ in run], [net for _, net, _ in run]
 
         snaps, nets = run("gaussian_moment_matched")
         again, again_nets = run("gaussian_moment_matched")
@@ -454,8 +480,7 @@ class TestTrain:
             cfg = TrainConfig(
                 layer_widths=(5, 8, 2), epochs=5, batch_size=16, seed=0, l2_coefficient=l2
             )
-            train(cfg, train_ds, test_ds,
-                  snapshot_hook=lambda s, n, m, key=l2: nets.__setitem__(key, n))
+            nets[l2] = list(epochs(cfg, train_ds, test_ds))[-1][1]
         norm_plain = sum(float(np.sum(l.weight**2)) for l in nets[0.0].layers)
         norm_l2 = sum(float(np.sum(l.weight**2)) for l in nets[0.05].layers)
         assert norm_l2 < norm_plain
@@ -468,6 +493,9 @@ class TestTrain:
                                       ((5, 8, 2), three_classes, "output width"),
                                       ((5, 8, 2), wide_test, "dims differ")]:
             cfg = TrainConfig(layer_widths=widths, epochs=1, batch_size=16, seed=0)
+            run = epochs(cfg, train_ds, test)  # checked at the first next()
+            with pytest.raises(ParameterError, match=message):
+                next(run)
             with pytest.raises(ParameterError, match=message):
                 train(cfg, train_ds, test)
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .covering import _atom_budget
 from .errors import (DegenerateNetworkError, NumericDegeneracyError, ParameterError,
-                     _check_count, _check_positive, _finite)
-from .linalg import _check_exponent, _group_norm, _spectral_norm
+                     _check_at_least, _check_count, _check_positive, _finite, _is_number)
+from .linalg import _group_norm, _spectral_norm
 from .margins import (_margin_distribution_of_outputs, _pass, _ramp_risk_of_margins,
                       margins_of_outputs)
 
@@ -30,8 +30,9 @@ class LayerNorms:
     rho: float
 
     def __post_init__(self):
-        if self.s < 0.0 or self.b < 0.0 or not (self.rho > 0.0):
-            raise ParameterError(f"invalid layer norms: s={self.s}, b={self.b}, rho={self.rho}")
+        _check_at_least(self.s, 0.0, "layer norm s")
+        _check_at_least(self.b, 0.0, "layer norm b")
+        _check_positive(self.rho, "layer norm rho")
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def matrix_cover_logsize(a, b_x, m, r, eps, d):
     _check_positive(eps, "eps")
     _check_count(d, 1, "d")
     _check_count(m, 1, "m")
-    _check_exponent(r, "r")
+    _check_at_least(r, 1.0, "norm exponent r")
     return _finite(_atom_budget(a, b_x, m, r, eps) * math.log(2.0 * d * m), "the cover log-size")
 
 
@@ -254,8 +255,8 @@ def dudley_numeric(log_n_fn, n, alpha):
     u = np.linspace(math.log(alpha), math.log(sqrt_n), DUDLEY_QUADRATURE_NODES)
     eps = np.exp(u)
     values = np.array([float(log_n_fn(e)) for e in eps])
-    if np.any(values < 0.0):
-        raise ParameterError("log covering numbers must be nonnegative")
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+        raise ParameterError("log covering numbers must be nonnegative and finite")
     rises = np.diff(values)
     tol = 1e-9 * max(1.0, float(np.abs(values).max()))
     if np.any(rises > tol):
@@ -336,14 +337,14 @@ def margin_bound_assembly(ramp_risk, rademacher, n, delta):
 
 
 def _check_bound_params(gamma, delta, n):
-    if not 0.0 < gamma < math.inf:
+    if not (_is_number(gamma) and 0.0 < gamma < math.inf):
         raise ParameterError(f"gamma must be positive and finite, got {gamma!r}")
     _check_delta(delta)
     _check_count(n, 2, "n")
 
 
 def _check_delta(delta):
-    if not (0.0 < delta < 1.0):
+    if not (_is_number(delta) and 0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0,1), got {delta!r}")
 
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (NumericDegeneracyError, ParameterError, _all_finite, _check_count,
-                     _check_positive)
-from .linalg import (_check_exponent, _colwise_pnorm, _group_norm, _scale_exponent, _unscale,
-                     _vector_pnorm, as_matrix)
+from .errors import (NumericDegeneracyError, ParameterError, _all_finite, _check_at_least,
+                     _check_count, _check_positive)
+from .linalg import (_colwise_pnorm, _group_norm, _scale_exponent, _unscale, _vector_pnorm,
+                     as_matrix)
 
 _MAUREY_RETRY_CAP = 1000
 
@@ -139,8 +139,8 @@ def cover_element_for(a, x, eps, q=2.0, s_exp=1.0, seed=0):
     if x.shape[1] != a.shape[0]:
         raise ParameterError(f"X has {x.shape[1]} columns but A has {a.shape[0]} rows")
     _check_positive(eps, "eps")
-    _check_exponent(q, "q")
-    _check_exponent(s_exp, "s")
+    _check_at_least(q, 1.0, "norm exponent q")
+    _check_at_least(s_exp, 1.0, "norm exponent s")
     seed = _check_count(seed, 0, "seed")
     p = _conjugate(q)
     if p > 2.0:

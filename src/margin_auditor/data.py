@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (_BLOCK, NumericDegeneracyError, ParameterError, ParseError, _check_count,
-                     _check_integer, _finite, _row_blocks)
+                     _check_integer, _check_labels, _finite, _row_blocks)
 from .linalg import _mat1_contents, _scale_exponent, as_matrix, read_mat1
 from .serialize import (_IDX_IMAGES, _IDX_LABELS, _LBL1, _MAT1, _check_payload, _container_header,
                         _header_fields, _opened, _read_container, _write_container)
@@ -44,7 +44,7 @@ class Dataset:
 
     def _adopt(self, x, y, k):
         """Check ``y`` and ``k`` against the validated matrix ``x``; set the fields."""
-        y, k = _checked_labels(y, k, x.shape[0])
+        y, k = _check_labels(y, k, x.shape[0])
         for name, value in (("_x", x), ("y", y), ("k", k)):
             object.__setattr__(self, name, value)
 
@@ -78,17 +78,6 @@ class Dataset:
         for start, stop in _row_blocks(self.n, rows):
             out = None if buf is None else buf[: stop - start]
             yield start, stop, self._rows(slice(start, stop), out)
-
-
-def _checked_labels(y, k, n):
-    """(y as int64, k as int), or a ParameterError unless y holds a label in 1..k per row."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.ndim != 1 or y.shape[0] != n:
-        raise ParameterError("need exactly one label per example row")
-    k = _check_count(k, 1, "label count k")
-    if y.min() < 1 or y.max() > k:
-        raise ParameterError(f"labels must lie in 1..{k}")
-    return y, k
 
 
 class _FeatureFile:
@@ -210,7 +199,7 @@ def _lbl1_labels(labels_path, n):
         raise ParseError(f"label count {count} does not match row count {n}",
                          path=labels_path, offset=4)
     try:
-        return _checked_labels(y, k, n)
+        return _check_labels(y, k, n)
     except ParameterError as exc:
         raise ParseError(f"invalid LBL1 contents: {exc}", path=labels_path) from None
 

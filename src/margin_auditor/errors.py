@@ -1,6 +1,7 @@
 """Exception hierarchy, and the argument and range checks shared across the
 package; the CLI maps each class to a fixed process exit code."""
 
+import numbers
 import operator
 
 import numpy as np
@@ -97,16 +98,21 @@ def _finite(value, what):
     return value
 
 
+def _is_number(value):
+    """Whether ``value`` is a real number (a numpy scalar included) other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_positive(value, name):
-    """ParameterError unless ``value > 0``; written so that NaN fails too."""
-    if not (value > 0.0):
+    """ParameterError unless ``value`` is a number above 0; written so that NaN fails too."""
+    if not (_is_number(value) and value > 0.0):
         raise ParameterError(f"{name} must be positive, got {value!r}")
 
 
 def _check_at_least(value, low, name):
-    """ParameterError unless ``value >= low``; written so that NaN fails too."""
-    if not (value >= low):
-        raise ParameterError(f"{name} must be at least {low}, got {value}")
+    """ParameterError unless ``value`` is a number >= ``low``; written so that NaN fails too."""
+    if not (_is_number(value) and value >= low):
+        raise ParameterError(f"{name} must be at least {low}, got {value!r}")
 
 
 def _check_integer(value, name):
@@ -126,3 +132,16 @@ def _check_count(value, low, name):
     value = _check_integer(value, name)
     _check_at_least(value, low, name)
     return value
+
+
+def _check_labels(y, k, n):
+    """(y as int64, k as int), or a ParameterError unless ``y`` holds one whole number
+    in 1..k per row (no bool, string or NaN); integer labels need no float temporary."""
+    y = np.asarray(y)
+    if y.ndim != 1 or y.shape[0] != n:
+        raise ParameterError("need exactly one label per example row")
+    k = _check_count(k, 1, "label count k")
+    whole = y.dtype.kind in "iu" or (y.dtype.kind == "f" and bool((y == np.trunc(y)).all()))
+    if not (whole and y.min() >= 1 and y.max() <= k):
+        raise ParameterError(f"labels must lie in 1..{k}")
+    return y.astype(np.int64, copy=False), k

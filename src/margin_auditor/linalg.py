@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import (_BLOCK, DimensionError, NumericDegeneracyError, ParameterError, ParseError,
-                     _all_finite)
+                     _all_finite, _check_at_least)
 from .serialize import _MAT1, _read_container, _write_container
 
 _JACOBI_MAX_SWEEPS = 64
@@ -143,8 +143,8 @@ def group_norm(a, p, q):
     handled by an exact max branch, never approximated by a large exponent.
     """
     a = as_matrix(a)
-    _check_exponent(p, "p")
-    _check_exponent(q, "q")
+    _check_at_least(p, 1.0, "norm exponent p")
+    _check_at_least(q, 1.0, "norm exponent q")
     return _group_norm(a, p, q)
 
 
@@ -156,11 +156,6 @@ def frobenius_norm(a):
 def norm_2_1_of_transpose(a):
     """(2,1) group norm of the transpose, i.e. the sum of row 2-norms of ``a``."""
     return _group_norm(as_matrix(a).T, 2.0, 1.0)
-
-
-def _check_exponent(v, name):
-    if not (v >= 1.0):
-        raise ParameterError(f"norm exponent {name} must be >= 1, got {v!r}")
 
 
 def _group_norm(a, p, q):

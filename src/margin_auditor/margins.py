@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (_BLOCK, _GEMM_ROWS, NumericDegeneracyError, ParameterError, _check_count,
-                     _check_positive, _finite, _row_blocks)
+                     _check_labels, _check_positive, _finite, _row_blocks)
 from .linalg import _ColumnSums, _scale_exponent, _unscale, _vector_pnorm, as_matrix
 from .serialize import write_csv_17g
 
@@ -45,26 +45,18 @@ def margin_operator(v, y):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 2:
         raise ParameterError("margin operator needs a score vector of length >= 2")
-    if not (1 <= int(y) <= v.shape[0]):
-        raise ParameterError(f"label {y} out of range 1..{v.shape[0]}")
-    idx = int(y) - 1
-    others = np.delete(v, idx)
-    return float(v[idx] - others.max())
+    idx = int(_check_labels([y], v.shape[0], 1)[0][0]) - 1
+    return float(v[idx] - np.delete(v, idx).max())
 
 
 def margins_of_outputs(outputs, labels):
     """Row-wise margin operator over an (n, k) output matrix, labels 1-based; a
     margin beyond the float64 range is a NumericDegeneracyError."""
     outputs = as_matrix(outputs)
-    labels = np.asarray(labels, dtype=np.int64)
     n, k = outputs.shape
     if k < 2:
         raise ParameterError("margins need at least 2 output coordinates")
-    if labels.shape != (n,):
-        raise ParameterError("labels must be one per output row")
-    if labels.min() < 1 or labels.max() > k:
-        raise ParameterError(f"labels out of range 1..{k}")
-    idx = labels - 1
+    idx = _check_labels(labels, k, n)[0] - 1
     correct = outputs[np.arange(n), idx]
     masked = outputs.copy()
     masked[np.arange(n), idx] = -np.inf

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _GEMM_ROWS, DimensionError, ParameterError, ParseError, _check_integer, _row_blocks
-from .linalg import _check_exponent, as_matrix, read_mat1, write_mat1
+from .errors import (_GEMM_ROWS, DimensionError, ParameterError, ParseError, _check_at_least,
+                     _check_integer, _row_blocks)
+from .linalg import as_matrix, read_mat1, write_mat1
 from .serialize import _output_dir, _read_json, write_json_17g
 
 
@@ -21,7 +22,7 @@ class _Coordinatewise:
     """Coordinatewise map fixing 0: 1-Lipschitz for every p-norm, same dimension."""
 
     def lipschitz(self, p):
-        _check_exponent(p, "p")
+        _check_at_least(p, 1.0, "norm exponent p")
         return 1.0
 
     def output_dim(self, input_dim):
@@ -65,11 +66,12 @@ class MaxPool:
     kind = "maxpool"
 
     def __init__(self, groups):
-        groups = tuple(tuple(_check_integer(i, "maxpool group index") for i in g) for g in groups)
-        if not groups or any(not g for g in groups):
-            raise ParameterError("maxpool needs at least one nonempty group")
-        if any(i < 0 for g in groups for i in g):
-            raise ParameterError("maxpool group indices must be nonnegative")
+        try:
+            groups = tuple(tuple(_check_integer(i, "maxpool group index") for i in g) for g in groups)
+        except TypeError:
+            raise ParameterError(f"maxpool groups must be index sets, got {groups!r}") from None
+        if not groups or any(not g or min(g) < 0 for g in groups):
+            raise ParameterError("maxpool needs at least one nonempty group of nonnegative indices")
         self.groups = groups
 
     @property
@@ -84,7 +86,7 @@ class MaxPool:
         return np.stack([z[:, g].max(axis=1) for g in self.groups], axis=1)
 
     def lipschitz(self, p):
-        _check_exponent(p, "p")
+        _check_at_least(p, 1.0, "norm exponent p")
         if math.isinf(p):
             return 1.0
         return float(self.multiplicity) ** (1.0 / p)
@@ -109,6 +111,8 @@ class Layer:
     reference: np.ndarray = None
 
     def __post_init__(self):
+        if not isinstance(self.nonlinearity, (_Coordinatewise, MaxPool)):
+            raise ParameterError(f"unknown nonlinearity {self.nonlinearity!r}")
         w, r = as_matrix(self.weight), self.reference
         r = np.ndarray(w.shape, buffer=bytes(8), strides=(0, 0)) if r is None else as_matrix(r)
         if r.shape != w.shape:
@@ -143,8 +147,8 @@ class Network:
 
     def __post_init__(self):
         layers = tuple(self.layers)
-        if not layers:
-            raise ParameterError("a network needs at least one layer")
+        if not (layers and all(isinstance(layer, Layer) for layer in layers)):
+            raise ParameterError("a network needs at least one layer, each a Layer object")
         for a, b in zip(layers, layers[1:]):
             if b.input_dim != a.output_dim:
                 raise DimensionError(
@@ -207,7 +211,7 @@ def _nonlinearity_from_json(obj, path=None):
     if kind == "maxpool":
         try:
             return MaxPool(obj.get("groups", []))
-        except (TypeError, ParameterError):
+        except ParameterError:
             raise ParseError("maxpool groups must be nonempty lists of nonnegative indices, "
                              f"got {obj!r}", path=path) from None
     raise ParseError(f"nonlinearity must be an object of a known kind, got {obj!r}", path=path)

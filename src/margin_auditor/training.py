@@ -20,7 +20,6 @@ sooner.  An epoch's last block ends with the epoch, before the snapshot.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,6 @@ class TrainConfig:
             raise ParameterError("layer_widths must chain input dim to class count")
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_count(getattr(self, name), low, name))
-        for name in ("learning_rate", "l2_coefficient"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
         _check_positive(self.learning_rate, "learning_rate")
         _check_at_least(self.l2_coefficient, 0.0, "l2_coefficient")
         if self.label_mode not in LABEL_MODES:

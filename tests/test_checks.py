@@ -1,6 +1,8 @@
 """The shared argument checks at every public call site: a value that must be
-positive rejects 0, -1 and NaN, and a count rejects one below its minimum and
-any value that is not an integer; every seed is a count from 0."""
+positive rejects 0, -1, NaN and anything that is not a number (a bool included),
+a norm exponent rejects one below 1 and any non-number, a count rejects one below
+its minimum and any value that is not an integer, and a label is a whole number
+in 1..k; every seed is a count from 0."""
 
 import math
 import os
@@ -10,8 +12,11 @@ import pytest
 
 from margin_auditor import (
     Dataset,
+    Identity,
     LayerNorms,
+    MaxPool,
     ParameterError,
+    Relu,
     TrainConfig,
     analyze_network,
     build_linear_network,
@@ -21,8 +26,11 @@ from margin_auditor import (
     dudley_numeric,
     generalization_bound_fixed,
     generalization_bound_uniform,
+    group_norm,
     margin_bound_assembly,
     margin_distribution,
+    margin_operator,
+    margins_of_outputs,
     summarize,
     matrix_cover_logsize,
     maurey_sparsify,
@@ -79,6 +87,35 @@ POSITIVE = {
     "TrainConfig.learning_rate": lambda v: config(learning_rate=v),
 }
 
+# call site -> the call with the norm exponent set to v
+EXPONENT = {
+    "group_norm.p": lambda v: group_norm(X, v, 2.0),
+    "group_norm.q": lambda v: group_norm(X, 2.0, v),
+    "Relu.lipschitz.p": lambda v: Relu().lipschitz(v),
+    "Identity.lipschitz.p": lambda v: Identity().lipschitz(v),
+    "MaxPool.lipschitz.p": lambda v: MaxPool([[0, 1]]).lipschitz(v),
+    "matrix_cover_logsize.r": lambda v: matrix_cover_logsize(1.0, 1.0, 2, v, 1.0, 3),
+    "cover_element_for.q": lambda v: cover_element_for(np.ones((3, 2)), X, 1.0, q=v),
+    "cover_element_for.s": lambda v: cover_element_for(np.ones((3, 2)), X, 1.0, s_exp=v),
+}
+
+# call site -> the call with delta set to v
+DELTA = {
+    "generalization_bound_fixed.delta":
+        lambda v: generalization_bound_fixed(0.1, 1.0, 4, 10, 1.0, v, NORMS),
+    "generalization_bound_uniform.delta": lambda v: generalization_bound_uniform(NET, DS, 1.0, v),
+    "margin_bound_assembly.delta": lambda v: margin_bound_assembly(0.1, 0.1, 10, v),
+}
+
+# call site -> the call with the two labels of a 2-row, 2-class problem set to y
+LABELS = {
+    "Dataset": lambda y: Dataset(X=np.ones((2, 2)), y=y, k=2),
+    "margins_of_outputs": lambda y: margins_of_outputs(np.eye(2), y),
+    "margin_operator": lambda y: margin_operator([1.0, 2.0], y[0]),
+}
+BAD_LABELS = {"fractional": [1.5, 1.5], "nan": [math.nan, math.nan], "string": ["a", "a"],
+              "boolean": [True, True]}
+
 # call site -> (minimum, the call with the checked count set to v)
 AT_LEAST = {
     "Dataset.k": (1, lambda v: Dataset(X=np.ones((2, 2)), y=np.array([1, 1]), k=v)),
@@ -121,11 +158,47 @@ INTEGER = {
 }
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, True, "1"],
+                         ids=["zero", "negative", "nan", "bool", "string"])
 @pytest.mark.parametrize("site", sorted(POSITIVE))
 def test_positive_check_rejects(site, value):
     with pytest.raises(ParameterError, match="must be positive"):
         POSITIVE[site](value)
+
+
+@pytest.mark.parametrize("value", [0.5, True, "2"], ids=["below-one", "bool", "string"])
+@pytest.mark.parametrize("site", sorted(EXPONENT))
+def test_exponent_check_rejects(site, value):
+    with pytest.raises(ParameterError, match="must be at least 1.0"):
+        EXPONENT[site](value)
+    EXPONENT[site](math.inf)  # the max-norm exponent is accepted
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, math.nan, "0.1"], ids=["zero", "one", "nan", "string"])
+@pytest.mark.parametrize("site", sorted(DELTA))
+def test_delta_check_rejects(site, value):
+    with pytest.raises(ParameterError, match=r"delta must lie in \(0,1\)"):
+        DELTA[site](value)
+
+
+@pytest.mark.parametrize("field", ["s", "b", "rho"])
+def test_layer_norms_reject_nan(field):
+    with pytest.raises(ParameterError, match=f"layer norm {field} must be"):
+        LayerNorms(**{"s": 1.0, "b": 1.0, "rho": 1.0, field: math.nan})
+
+
+@pytest.mark.parametrize("labels", sorted(BAD_LABELS))
+@pytest.mark.parametrize("site", sorted(LABELS))
+def test_label_check_rejects_non_whole_number(site, labels):
+    with pytest.raises(ParameterError, match=r"labels must lie in 1\.\.2"):
+        LABELS[site](BAD_LABELS[labels])
+
+
+def test_label_check_accepts_whole_floats():
+    y = Dataset(X=np.ones((2, 2)), y=[2.0, 1.0], k=2).y
+    assert y.dtype == np.int64 and y.tolist() == [2, 1]
+    assert margins_of_outputs(np.eye(2), [1.0, 2.0]).tolist() == [1.0, 1.0]
+    assert margin_operator([1.0, 2.0], 2.0) == 1.0
 
 
 @pytest.mark.parametrize("site", sorted(AT_LEAST))

@@ -473,6 +473,14 @@ def test_unserializable_value_is_a_type_error():
         dumps_17g({"a": object()})
 
 
+def test_empty_containers_and_none_serialize_inline():
+    from margin_auditor.serialize import dumps_17g
+
+    assert dumps_17g({}) == "{}\n"
+    assert dumps_17g([]) == "[]\n"
+    assert dumps_17g({"a": None, "b": [], "c": {}}) == '{\n  "a": null,\n  "b": [],\n  "c": {}\n}\n'
+
+
 class TestReportConsistency:
     def test_report_matches_public_wrappers_bitwise(self, fixture_paths):
         from margin_auditor import (

@@ -354,6 +354,11 @@ class TestDudley:
         with pytest.raises(ParameterError, match="must be nonnegative"):
             dudley_numeric(lambda e: -1.0, 100, 0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_numeric_rejects_non_finite(self, value):
+        with pytest.raises(ParameterError, match="must be nonnegative and finite"):
+            dudley_numeric(lambda e: value, 100, 0.5)
+
     def test_alpha_past_sqrt_n(self):
         assert dudley_numeric(lambda e: 1.0, 4, 5.0) == pytest.approx(10.0)
 

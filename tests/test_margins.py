@@ -75,8 +75,8 @@ class TestMarginOperator:
         with pytest.raises(ParameterError):
             margin_operator([1.0, 2.0], 3)
         for outputs, labels, message in [(np.ones((2, 1)), [1, 1], "at least 2 output"),
-                                         (np.ones((2, 2)), [1], "one per output row"),
-                                         (np.ones((2, 2)), [1, 3], "out of range")]:
+                                         (np.ones((2, 2)), [1], "one label per example row"),
+                                         (np.ones((2, 2)), [1, 3], "must lie in 1..2")]:
             with pytest.raises(ParameterError, match=message):
                 margins_of_outputs(outputs, labels)
 

@@ -230,7 +230,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("groups, message", [
         ([], "nonempty group"), ([[0], []], "nonempty group"), ([[0], [-1]], "nonnegative"),
-    ], ids=["no-groups", "empty-group", "negative"])
+        (5, "index sets"), ([5], "index sets"), (None, "index sets"),
+    ], ids=["no-groups", "empty-group", "negative", "int", "int-group", "none"])
     def test_maxpool_groups_nonempty_and_nonnegative(self, groups, message):
         with pytest.raises(ParameterError, match=message):
             MaxPool(groups)
@@ -238,6 +239,14 @@ class TestValidation:
     def test_empty_network(self):
         with pytest.raises(ParameterError, match="at least one layer"):
             Network(layers=())
+
+    def test_layer_needs_a_nonlinearity(self):
+        with pytest.raises(ParameterError, match="unknown nonlinearity None"):
+            Layer(weight=np.eye(2), nonlinearity=None)
+
+    def test_network_layers_must_be_layers(self):
+        with pytest.raises(ParameterError, match="each a Layer"):
+            Network(layers=(1,))
 
     def test_chain_mismatch(self):
         l1 = Layer(weight=np.zeros((3, 2)) + 1.0, nonlinearity=Relu())

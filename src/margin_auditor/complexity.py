@@ -212,6 +212,9 @@ def cover_resolution(eps_per_layer, rho, c):
     eps_per_layer, rho, c = list(eps_per_layer), list(rho), list(c)
     if not (len(eps_per_layer) == len(rho) == len(c)):
         raise ParameterError("eps, rho and c sequences must have equal length")
+    for name, values in (("eps", eps_per_layer), ("rho", rho), ("c", c)):
+        for value in values:
+            _check_at_least(value, 0.0, f"each {name}")
     tails, tau = _tail_products([r * c_l for r, c_l in zip(rho, c)]), 0.0
     for eps_j, rho_j, tail in zip(eps_per_layer, rho, tails):
         tau += eps_j * rho_j * tail
@@ -276,6 +279,7 @@ def generalization_bound_fixed(ramp_risk, data_bound, width, n, gamma, delta, no
     beyond the float64 range is a NumericDegeneracyError.
     """
     _check_bound_params(gamma, delta, n)
+    _check_ramp_risk(ramp_risk)
     _check_positive(data_bound, "data norm bound")
     product, total, _ = _capacity_factors(norms)
     term_const = 8.0 / n
@@ -331,6 +335,8 @@ def _uniform_bound(ramp_risk, data_norm, width, n, gamma, delta, norms):
 
 def margin_bound_assembly(ramp_risk, rademacher, n, delta):
     """Three-term margin bound: ramp risk + 2 * Rademacher + 3 sqrt(ln(1/delta)/(2n))."""
+    _check_ramp_risk(ramp_risk)
+    _check_at_least(rademacher, 0.0, "rademacher")
     _check_delta(delta)
     _check_count(n, 1, "n")
     return ramp_risk + 2.0 * rademacher + 3.0 * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
@@ -346,6 +352,11 @@ def _check_bound_params(gamma, delta, n):
 def _check_delta(delta):
     if not (_is_number(delta) and 0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0,1), got {delta!r}")
+
+
+def _check_ramp_risk(ramp_risk):
+    if not (_is_number(ramp_risk) and 0.0 <= ramp_risk <= 1.0):
+        raise ParameterError(f"ramp_risk must lie in [0,1], got {ramp_risk!r}")
 
 
 def _norms_and_margins(net, outputs, labels, data_norm, gamma=None):

@@ -35,6 +35,12 @@ from .serialize import _read_json
 LABEL_MODES = ("true_labels", "random_labels")
 INPUT_MODES = ("true_inputs", "gaussian_moment_matched")
 
+# Pending rows per layer before a flush: 16 batch-4 steps.
+_PENDING_ROWS = 64
+# The lazy scale is folded into W before it leaves this range, so dividing a
+# residual by it can neither overflow nor underflow.
+_SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -60,6 +66,10 @@ class TrainConfig:
             object.__setattr__(self, name, _check_count(getattr(self, name), low, name))
         _check_positive(self.learning_rate, "learning_rate")
         _check_at_least(self.l2_coefficient, 0.0, "l2_coefficient")
+        decay = 1.0 - 2.0 * self.learning_rate * self.l2_coefficient
+        if not _SCALE_MIN <= abs(decay) <= _SCALE_MAX:
+            raise ParameterError("the l2 decay 1 - 2*learning_rate*l2_coefficient must lie in "
+                                 f"+-[2**-64, 2**64], the lazy scale's range, got {decay!r}")
         if self.label_mode not in LABEL_MODES:
             raise ParameterError(f"label_mode must be one of {LABEL_MODES}")
         if self.input_mode not in INPUT_MODES:
@@ -175,21 +185,14 @@ def loss_and_gradients(weights, x, y, l2_coefficient=0.0):
     return loss, grads
 
 
-# Pending rows per layer before a flush: 16 batch-4 steps.
-_PENDING_ROWS = 64
-# The lazy scale is folded into W before it leaves this range, so dividing a
-# residual by it can neither overflow nor underflow.
-_SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
-
-
 def _block_rows(step, decay):
     """Rows in a flush block of ``step``-row batches: as many steps as fit in
     ``max(_PENDING_ROWS, step)`` rows, fewer if the scale ``decay**j`` would
-    sooner leave its range, and at least one."""
+    sooner leave its range; at least one, as TrainConfig keeps ``decay`` in it."""
     k, c = 0, 1.0
     while k < max(_PENDING_ROWS, step) // step and _SCALE_MIN <= abs(c * decay) <= _SCALE_MAX:
         k, c = k + 1, c * decay
-    return max(k, 1) * step
+    return k * step
 
 
 def _sgd_block(weights, residuals, inputs, y, step, lr, l2, decay):
@@ -205,14 +208,13 @@ def _sgd_block(weights, residuals, inputs, y, step, lr, l2, decay):
     backprop use ``c * (act @ W.T - (act @ A.T) @ D)`` and ``c * (delta @ W -
     (delta @ D.T) @ A)``, layer 0 from ``base = A_0 @ W_0.T`` and ``gram =
     A_0 @ A_0.T``, two GEMMs at the block's start.  A step multiplies c by
-    ``decay = 1 - 2*lr*l2``, or W itself when the decay lies outside the
-    scale's range (then every block of the run is one step).  With
-    l2 the loss adds ``l2 * ||W_eff||^2`` per layer, taken exactly at the
-    block's start and then tracked as ``||decay*W_eff - U||^2`` for ``U =
-    delta.T @ act``, with ``<W_eff, U> = <delta, pre-activation>``.
+    ``decay = 1 - 2*lr*l2``, which TrainConfig keeps inside the scale's
+    range, and writes no weight.  With l2 the loss adds ``l2 * ||W_eff||^2``
+    per layer, taken exactly at the block's start and then tracked as
+    ``||decay*W_eff - U||^2`` for ``U = delta.T @ act``, with ``<W_eff, U> =
+    <delta, pre-activation>``.
     """
     m = len(y)
-    eager = not _SCALE_MIN <= abs(decay) <= _SCALE_MAX
     a0 = inputs[0][:m]
     base = a0 @ weights[0].T
     # the last step reads the rows before its own, and its own for l2
@@ -222,7 +224,7 @@ def _sgd_block(weights, residuals, inputs, y, step, lr, l2, decay):
     while p < m:
         yb = y[p : p + step]
         n = len(yb)
-        new_c = 1.0 if eager else c * decay
+        new_c = c * decay
         new = slice(p, p + n)
         pres = []
         for i, w in enumerate(weights):
@@ -254,8 +256,6 @@ def _sgd_block(weights, residuals, inputs, y, step, lr, l2, decay):
                 u_sq = float(np.vdot(delta @ delta.T, act @ act.T if i else gram[new, new]))
                 cross = float(np.vdot(delta, pres[i]))
                 sqs[i] = decay * decay * sqs[i] - 2.0 * decay * cross + u_sq
-            if eager:
-                w *= decay
             np.divide(delta, new_c, out=residuals[i][new])
             delta = next_delta if i else None
         p, c = p + n, new_c

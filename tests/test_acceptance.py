@@ -6,6 +6,7 @@ tests/data/mnist/); otherwise it runs the identical protocol on the package's
 deterministic synthetic image generator, and the pass line says so.
 """
 
+import itertools
 import json
 import math
 import os
@@ -293,27 +294,29 @@ def test_criterion_09_desk_scale_experiment():
             layer_widths=(784, 256, 256, 10), epochs=56, batch_size=4, seed=7,
             learning_rate=0.01, label_mode=label_mode, l2_coefficient=l2,
         )
-        return ma.train(cfg, train_ds, test_ds)
+        return (snap for snap, _, _ in ma.epochs(cfg, train_ds, test_ds))
 
-    snaps_true = run("true_labels", 0.0)
-    snaps_rand = run("random_labels", 0.0)
-    snaps_l2 = run("true_labels", 1e-4)
+    # the two runs step in lockstep and stop at the matched epoch: the first
+    # epochs of a run are bitwise those of a shorter run, so stopping early
+    # changes no value the checks read
+    matched = None
+    for snap_true, snap_rand in zip(run("true_labels", 0.0), run("random_labels", 0.0)):
+        if snap_true.train_error <= 0.02 and snap_rand.train_error <= 0.02:
+            matched = snap_true, snap_rand
+            break
+    assert matched is not None, "both runs must reach train error <= 2% within 60 epochs"
+    snap_true, snap_rand = matched
+    matched_epoch = snap_true.epoch
+    snap_l2 = next(itertools.islice(run("true_labels", 1e-4), matched_epoch, None))
     elapsed = time.monotonic() - start
 
-    matched_epoch = None
-    for epoch in range(len(snaps_true)):
-        if snaps_true[epoch].train_error <= 0.02 and snaps_rand[epoch].train_error <= 0.02:
-            matched_epoch = epoch
-            break
-    assert matched_epoch is not None, "both runs must reach train error <= 2% within 60 epochs"
-
-    mean_true = snaps_true[matched_epoch].margin_summary.normalized_mean
-    mean_rand = snaps_rand[matched_epoch].margin_summary.normalized_mean
-    mean_l2 = snaps_l2[matched_epoch].margin_summary.normalized_mean
+    mean_true = snap_true.margin_summary.normalized_mean
+    mean_rand = snap_rand.margin_summary.normalized_mean
+    mean_l2 = snap_l2.margin_summary.normalized_mean
     gap = mean_true - mean_rand
-    prod_true = snaps_true[matched_epoch].product_spectral_norms
-    prod_rand = snaps_rand[matched_epoch].product_spectral_norms
-    excess_gap = snaps_rand[matched_epoch].excess_risk - snaps_true[matched_epoch].excess_risk
+    prod_true = snap_true.product_spectral_norms
+    prod_rand = snap_rand.product_spectral_norms
+    excess_gap = snap_rand.excess_risk - snap_true.excess_risk
     l2_shift = abs(mean_l2 - mean_true)
 
     ok_a = mean_true > mean_rand

@@ -1,6 +1,7 @@
 """The shared argument checks at every public call site: a value that must be
 positive rejects 0, -1, NaN and anything that is not a number (a bool included),
-a norm exponent rejects one below 1 and any non-number, a count rejects one below
+so does one that must be nonnegative except at 0, a ramp risk lies in [0,1], a
+norm exponent rejects one below 1 and any non-number, a count rejects one below
 its minimum and any value that is not an integer, and a label is a whole number
 in 1..k; every seed is a count from 0."""
 
@@ -22,6 +23,7 @@ from margin_auditor import (
     build_linear_network,
     cover_budget,
     cover_element_for,
+    cover_resolution,
     dudley_closed_form,
     dudley_numeric,
     generalization_bound_fixed,
@@ -85,6 +87,21 @@ POSITIVE = {
     "rademacher_linear_trials.radius": lambda v: rademacher_linear_trials(X, v, 5),
     "rademacher_linear_estimate.radius": lambda v: rademacher_linear_estimate(X, v, 5),
     "TrainConfig.learning_rate": lambda v: config(learning_rate=v),
+}
+
+# call site -> the call with the checked argument set to v
+NONNEGATIVE = {
+    "margin_bound_assembly.rademacher": lambda v: margin_bound_assembly(0.1, v, 10, 0.1),
+    "cover_resolution.eps": lambda v: cover_resolution([0.1, v], [1.0, 1.0], [2.0, 2.0]),
+    "cover_resolution.rho": lambda v: cover_resolution([0.1, 0.1], [1.0, v], [2.0, 2.0]),
+    "cover_resolution.c": lambda v: cover_resolution([0.1, 0.1], [1.0, 1.0], [v, 2.0]),
+}
+
+# call site -> the call with the ramp risk set to v
+RAMP_RISK = {
+    "generalization_bound_fixed.ramp_risk":
+        lambda v: generalization_bound_fixed(v, 1.0, 4, 10, 1.0, 0.1, NORMS),
+    "margin_bound_assembly.ramp_risk": lambda v: margin_bound_assembly(v, 0.1, 10, 0.1),
 }
 
 # call site -> the call with the norm exponent set to v
@@ -164,6 +181,25 @@ INTEGER = {
 def test_positive_check_rejects(site, value):
     with pytest.raises(ParameterError, match="must be positive"):
         POSITIVE[site](value)
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, True, "0.1"],
+                         ids=["negative", "nan", "bool", "string"])
+@pytest.mark.parametrize("site", sorted(NONNEGATIVE))
+def test_nonnegative_check_rejects(site, value):
+    with pytest.raises(ParameterError, match="must be at least 0.0"):
+        NONNEGATIVE[site](value)
+    NONNEGATIVE[site](0.0)  # zero is accepted
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan, True, "0.1"],
+                         ids=["negative", "above-one", "nan", "bool", "string"])
+@pytest.mark.parametrize("site", sorted(RAMP_RISK))
+def test_ramp_risk_check_rejects(site, value):
+    with pytest.raises(ParameterError, match=r"ramp_risk must lie in \[0,1\]"):
+        RAMP_RISK[site](value)
+    for end in (0.0, 1.0):  # both ends are accepted
+        RAMP_RISK[site](end)
 
 
 @pytest.mark.parametrize("value", [0.5, True, "2"], ids=["below-one", "bool", "string"])

@@ -610,6 +610,22 @@ class TestTrainCommand:
         assert_one_line_error(capsys, error, "epochs" if rc == 3 else str(cfg_path))
         assert not (tmp_path / "run").exists()
 
+    def test_decay_zero_exit_3_before_reading_data(self, tmp_path, capsys, monkeypatch):
+        # lr 0.25 and l2 2.0 give the decay 1 - 2*lr*l2 = 0, which the config refuses
+        from margin_auditor import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("data was read")
+
+        monkeypatch.setattr(cli, "_load_any_dataset", fail)
+        _, paths = self._write_inputs(tmp_path)
+        cfg_path = tmp_path / "decay-0.json"
+        cfg_path.write_text('{"layer_widths": [4, 8, 2], "epochs": 1, "batch_size": 10, '
+                            '"seed": 1, "learning_rate": 0.25, "l2_coefficient": 2.0}')
+        assert self._run(str(cfg_path), paths, str(tmp_path / "run")) == 3
+        assert_one_line_error(capsys, "ParameterError", "l2 decay")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("case", UNWRITABLE_OUTS[:2])
     def test_unwritable_out_exit_2_before_training(self, tmp_path, capsys, monkeypatch, case):
         from margin_auditor import training

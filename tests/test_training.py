@@ -200,27 +200,24 @@ class TestFusedStep:
         assert tally["clean"] == tally["consumed"] == 3
         assert tally["differ"] > 0
 
-    @pytest.mark.parametrize("lr, l2, steps", [(0.25, 2.0, 1), (0.05, 9.99, 6)],
-                             ids=["0.25-2.0", "0.05-9.99"])
+    @pytest.mark.parametrize("lr, l2, steps", [(0.05, 9.99, 6)], ids=["0.05-9.99"])
     def test_decay_outside_scale_range(self, lr, l2, steps):
-        # decay 1 - 2*lr*l2 is exactly 0, then about 1e-3: the scale would
-        # reach 0 at once, or leave its range at the 7th step, so the blocks
-        # end after 1 and 6 steps
+        # decay 1 - 2*lr*l2 is about 1e-3: the scale would leave its range at
+        # the 7th step, so the blocks end after 6 steps
         block_rows = _block_rows(4, 1.0 - 2.0 * lr * l2)
         assert block_rows == 4 * steps
         weights, x, y = _net_and_rows([4] * 10)
         tally = _step_against_reference(weights, x, y, block_rows, lr, l2)
         assert tally["clean"] == -(-10 // steps)
 
-    @pytest.mark.parametrize("lr, l2, rows, flushes", [(0.25, 2.0, 8, 2), (0.05, 9.99, 143, 6)],
-                             ids=["0.25-2.0-8", "0.05-9.99-143"])
+    @pytest.mark.parametrize("lr, l2, rows, flushes", [(0.05, 9.99, 143, 6)],
+                             ids=["0.05-9.99-143"])
     def test_scale_flush_inside_block_through_train(self, lr, l2, rows, flushes, monkeypatch):
         # The scale range ends train()'s blocks early, every step it takes is
         # checked against the eager reference, and every fold consumes all
         # the rows its block took in.  A whole-epoch eager loop is no
-        # reference at these decays: the weights collapse and roundoff grows
-        # ~20x and more per step.  At decay 0 every unit of this net dies
-        # after a few steps, and the snapshot rejects it, so that run takes two.
+        # reference at this decay: the weights collapse and roundoff grows
+        # ~20x and more per step.
         widths = (64, 48, 32, 10)
         _, x, y = _net_and_rows([rows], widths=widths)
         ds = Dataset(X=x, y=y, k=10)
@@ -391,16 +388,18 @@ class TestTrain:
             train(cfg, train_ds, test_ds)
         assert err.value.epoch == 0
 
-    def test_degenerate_snapshot_names_epoch(self):
-        # decay 1 - 2*lr*l2 is exactly 0: every ReLU unit dies within a few
-        # steps, and the first snapshot finds a layer of spectral norm 0
-        widths = (64, 48, 32, 10)
-        _, x, y = _net_and_rows([64], widths=widths)
-        ds = Dataset(X=x, y=y, k=10)
-        cfg = TrainConfig(layer_widths=widths, epochs=2, batch_size=4, seed=6,
-                          learning_rate=0.25, l2_coefficient=2.0)
-        with pytest.raises(DegenerateNetworkError, match=r"\(epoch 0\)$") as err:
-            train(cfg, ds, ds)
+    def test_degenerate_snapshot_names_epoch(self, blob_pair, monkeypatch):
+        # a degeneracy found by the snapshot's analysis keeps its class and
+        # gains the epoch
+        def degenerate(*args):
+            raise DegenerateNetworkError("layer 1 has spectral norm 0")
+
+        monkeypatch.setattr(training, "_norms_and_margins", degenerate)
+        cfg = TrainConfig(layer_widths=(5, 8, 2), epochs=2, batch_size=16, seed=0)
+        with pytest.raises(DegenerateNetworkError,
+                           match=r"^layer 1 has spectral norm 0 \(epoch 0\)$") as err:
+            train(cfg, *blob_pair)
+        assert type(err.value) is DegenerateNetworkError
         assert err.value.exit_code == 4
 
     def test_underflowed_spectral_complexity_names_epoch(self):
@@ -573,6 +572,18 @@ class TestConfig:
             with pytest.raises(ParameterError):
                 TrainConfig(**{"layer_widths": (4, 2), "epochs": 1, "batch_size": 4, "seed": 0,
                                **field})
+
+    @pytest.mark.parametrize("lr, l2", [(0.25, 2.0), (1.0, 1e20)], ids=["zero", "beyond-2**64"])
+    def test_decay_outside_scale_range_rejected(self, lr, l2):
+        # 1 - 2*lr*l2 is 0, or about -2e20: the lazy scale cannot hold it
+        with pytest.raises(ParameterError, match=r"l2 decay .* got (0\.0|-2e\+20)$"):
+            TrainConfig(layer_widths=(4, 2), epochs=1, batch_size=4, seed=0,
+                        learning_rate=lr, l2_coefficient=l2)
+
+    def test_small_decay_inside_scale_range_accepted(self):
+        cfg = TrainConfig(layer_widths=(4, 2), epochs=1, batch_size=4, seed=0,
+                          learning_rate=0.05, l2_coefficient=9.99)
+        assert 1.0 - 2.0 * cfg.learning_rate * cfg.l2_coefficient == pytest.approx(1e-3)
 
     def test_numpy_integers_accepted(self):
         cfg = TrainConfig(layer_widths=np.array([4, 3, 2]), epochs=np.int64(2),
